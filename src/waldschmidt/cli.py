@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import dp4, monomial
 from .classes import FAMILY_TAGS, candidate_sets
-from .cone import chudnovsky_check, verify_certificate, waldschmidt
+from .cone import frac_str, verify_certificate, waldschmidt
 from .config import load_config, validate_config
 from .errors import (
     ClassParseError,
@@ -33,10 +32,6 @@ EXIT_USAGE = 2
 EXIT_INVALID_CONFIG = 3
 EXIT_PROXIMITY = 4
 EXIT_INFEASIBLE = 5
-
-
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 def _fail(code: int, message: str) -> int:
@@ -87,16 +82,16 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
     verified = verify_certificate(cert, cfg)
     if args.json:
         payload = {
-            "alpha_hat": _frac(value),
+            "alpha_hat": frac_str(value),
             "certificate": cert.to_dict(),
             "verified": verified,
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"alpha_hat = {_frac(value)}")
+        print(f"alpha_hat = {frac_str(value)}")
         print(f"certificate: d={cert.d} m={cert.m} nef={format_class(cert.nef)}")
         for g, c in cert.decomposition:
-            print(f"  {_frac(c)} * {format_class(g)}")
+            print(f"  {frac_str(c)} * {format_class(g)}")
         print(f"certificate {'verified' if verified else 'FAILED VERIFICATION'}")
     return EXIT_OK if verified else EXIT_INFEASIBLE
 
@@ -104,8 +99,8 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
 def _dp4_row(row: dp4.TableRow) -> dict:
     return {
         "label": row.label,
-        "alpha_hat": _frac(row.alpha_hat),
-        "expected": _frac(row.expected),
+        "alpha_hat": frac_str(row.alpha_hat),
+        "expected": frac_str(row.expected),
         "matches_expected": row.matches,
         "certificate_verified": row.verified,
         "certificate": row.certificate.to_dict(),
@@ -124,15 +119,15 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps({
                 "label": entry.label,
-                "alpha_hat": _frac(value),
-                "expected": _frac(entry.expected_alpha_hat),
+                "alpha_hat": frac_str(value),
+                "expected": frac_str(entry.expected_alpha_hat),
                 "roots": [format_class(c) for c in entry.roots],
                 "lines": [format_class(c) for c in entry.lines],
                 "certificate": cert.to_dict(),
                 "certificate_verified": verified,
             }, indent=2))
         else:
-            print(f"{entry.label}: alpha_hat = {_frac(value)}")
+            print(f"{entry.label}: alpha_hat = {frac_str(value)}")
             print(f"certificate: d={cert.d} m={cert.m} nef={format_class(cert.nef)}")
             print(f"certificate {'verified' if verified else 'FAILED VERIFICATION'}")
         return EXIT_OK if verified else EXIT_INFEASIBLE
@@ -146,8 +141,8 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
                     {
                         "general": e.general,
                         "special": e.special,
-                        "general_value": _frac(e.general_value),
-                        "special_value": _frac(e.special_value),
+                        "general_value": frac_str(e.general_value),
+                        "special_value": frac_str(e.special_value),
                         "ok": e.ok,
                         "flagged": e.flagged,
                     }
@@ -160,7 +155,7 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
                 mark = "flagged" if e.flagged else ("ok" if e.ok else "VIOLATED")
                 print(
                     f"{e.general} -> {e.special}: "
-                    f"{_frac(e.special_value)} <= {_frac(e.general_value)} [{mark}]"
+                    f"{frac_str(e.special_value)} <= {frac_str(e.general_value)} [{mark}]"
                 )
             print(f"all unflagged edges pass: {report.ok}")
         return EXIT_OK if report.ok else EXIT_INFEASIBLE
@@ -169,15 +164,15 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
         values = sorted(report.value_set)
         if args.json:
             print(json.dumps({
-                "lower": _frac(report.lower),
-                "upper": _frac(report.upper),
+                "lower": frac_str(report.lower),
+                "upper": frac_str(report.upper),
                 "within_bounds": report.within_bounds,
-                "value_set": [_frac(v) for v in values],
+                "value_set": [frac_str(v) for v in values],
             }, indent=2))
         else:
-            print(f"bounds: {_frac(report.lower)} <= alpha_hat <= {_frac(report.upper)}")
+            print(f"bounds: {frac_str(report.lower)} <= alpha_hat <= {frac_str(report.upper)}")
             print(f"within bounds: {report.within_bounds}")
-            print("value set: " + ", ".join(_frac(v) for v in values))
+            print("value set: " + ", ".join(frac_str(v) for v in values))
         return EXIT_OK if report.within_bounds else EXIT_INFEASIBLE
 
     if args.json:
@@ -190,8 +185,8 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
         width = max(len(row.label) for row in table.rows)
         for row in table.rows:
             cert = "verified" if row.verified else "UNVERIFIED"
-            match = "" if row.matches else f"  (expected {_frac(row.expected)})"
-            print(f"{row.label:<{width}}  {_frac(row.alpha_hat):>4}  {cert}{match}")
+            match = "" if row.matches else f"  (expected {frac_str(row.expected)})"
+            print(f"{row.label:<{width}}  {frac_str(row.alpha_hat):>4}  {cert}{match}")
         if table.mismatches:
             print(
                 "mismatched expected values: "
@@ -216,7 +211,7 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
     elif op == "alpha":
         out = monomial.alpha(ideal)
     elif op == "estimate":
-        out = f"<= {_frac(monomial.waldschmidt_estimate(ideal, args.max_m))}"
+        out = f"<= {frac_str(monomial.waldschmidt_estimate(ideal, args.max_m))}"
     else:  # pragma: no cover - argparse restricts choices
         return _fail(EXIT_USAGE, f"unknown operation {op}")
     if args.json:

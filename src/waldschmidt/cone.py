@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 from typing import Sequence
 
-from .config import (
+from .config import (  # noqa: F401  validate_config is re-exported
     SurfaceConfig,
     check_multiplicities,
     effective_generators,
@@ -24,8 +24,9 @@ from .errors import (
     ConfigurationError,
     InfeasibleConeError,
     ProximityViolationError,
+    SolverInvariantError,
 )
-from .lattice import DivisorClass, class_sum, format_class, line_class, pairing, parse_class
+from .lattice import DivisorClass, format_class, line_class, pairing, parse_class
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 
@@ -59,24 +60,21 @@ class Certificate:
             "m": self.m,
             "multiplicities": list(self.multiplicities),
             "decomposition": [
-                {"generator": format_class(g), "coefficient": _frac_str(c)}
+                {"generator": format_class(g), "coefficient": frac_str(c)}
                 for g, c in self.decomposition
             ],
             "nef": format_class(self.nef),
         }
 
 
-def _frac_str(q: Fraction) -> str:
+def frac_str(q: Fraction) -> str:
+    """"p/q", or "p" for an integer: the form every JSON and table output uses."""
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def certificate_from_dict(data: dict, r: int) -> Certificate:
     decomposition = tuple(
-        (parse_class(item["generator"], r), _parse_frac(item["coefficient"]))
+        (parse_class(item["generator"], r), Fraction(item["coefficient"]))
         for item in data["decomposition"]
     )
     return Certificate(
@@ -86,10 +84,6 @@ def certificate_from_dict(data: dict, r: int) -> Certificate:
         decomposition=decomposition,
         nef=parse_class(data["nef"], r),
     )
-
-
-def _target_class(r: int, t_num: int, t_den: int, m: Sequence[int]) -> DivisorClass:
-    return DivisorClass(tuple([t_num] + [-t_den * mi for mi in m]))
 
 
 def cone_membership(
@@ -110,7 +104,8 @@ def cone_membership(
     res = solve_lp(a, b, c)
     if res.status == INFEASIBLE:
         return None
-    assert res.status == OPTIMAL and res.x is not None
+    if res.status != OPTIMAL:
+        raise SolverInvariantError(f"feasibility LP ended {res.status}")
     return {g: res.x[i] for i, g in enumerate(generators) if res.x[i] != 0}
 
 
@@ -157,6 +152,12 @@ def monoid_membership(
     Bounded exhaustive search: the bounding class A = (3*2^r)e0 - sum
     2^(r-i) e_i pairs >= 1 with every admissible generator, so A-degree
     caps every coefficient and the depth-first search terminates.
+
+    Precondition: the degree-zero generators have distinct leading
+    indices, so the degree-zero part of the search is a triangular solve.
+    Generators of a valid configuration always do: two classes e_i - ...
+    with the same leading index pair to <= -1, which validation rejects.
+    Any other generator set raises ConfigurationError.
     """
     r = D.r
     if any(g.r != r for g in generators):
@@ -182,10 +183,13 @@ def monoid_membership(
     zgens = [g for g in generators if g.coeffs[0] == 0]
     if any(g.coeffs[0] < 0 for g in generators):
         raise BoundingFailureError("generator with negative line degree")
-    zleads = sorted((_leading_index(g), g) for g in zgens)
-    triangular = len({lead for lead, _ in zleads}) == len(zleads)
-    if not triangular:
-        return _monoid_dfs_general(D, list(generators), A)
+    zleads = sorted(((_leading_index(g), g) for g in zgens), key=lambda t: t[0])
+    for (lead, g), (lead2, h) in zip(zleads, zleads[1:]):
+        if lead == lead2:
+            raise ConfigurationError(
+                f"degree-zero generators {format_class(g)} and {format_class(h)} "
+                f"share the leading index {lead}; no valid configuration has both"
+            )
 
     # Need per budget: each unit of line degree spent on generator g
     # lowers the total point-multiplicity deficit by at most ratio(g).
@@ -235,48 +239,16 @@ def monoid_membership(
     return None
 
 
-def _monoid_dfs_general(
-    D: DivisorClass, generators: list[DivisorClass], A: DivisorClass
-) -> dict[DivisorClass, int] | None:
-    """Fallback exhaustive search bounded by A-degree alone."""
-    degs = [pairing(A, g) for g in generators]
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def rec(idx: int, res: tuple[int, ...], chosen: list[int]) -> list[int] | None:
-        adeg = pairing(A, DivisorClass(res))
-        if adeg < 0:
-            return None
-        if not any(res):
-            return chosen
-        if idx == len(generators):
-            return None
-        key = (idx, res)
-        if key in memo:
-            return None
-        g = generators[idx]
-        for lam in range(adeg // degs[idx], -1, -1):
-            nres = tuple(x - lam * a for x, a in zip(res, g.coeffs))
-            hit = rec(idx + 1, nres, chosen + [lam])
-            if hit is not None:
-                return hit
-        memo[key] = False
-        return None
-
-    sol = rec(0, D.coeffs, [])
-    if sol is None:
-        return None
-    return {g: n for g, n in zip(generators, sol) if n}
-
-
 def is_nef(F: DivisorClass, cfg: SurfaceConfig) -> bool:
     """True iff F pairs nonnegatively with every effective-cone generator."""
     return all(pairing(F, g) >= 0 for g in effective_generators(cfg))
 
 
-def _require_valid(cfg: SurfaceConfig, m: Sequence[int]) -> tuple[int, ...]:
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigurationError("; ".join(report.errors))
+def _require_valid(
+    cfg: SurfaceConfig, m: Sequence[int]
+) -> tuple[tuple[int, ...], list[DivisorClass]]:
+    """Checked multiplicities and the effective-cone generators of `cfg`."""
+    gens = effective_generators(cfg)
     mm = check_multiplicities(m, cfg.r)
     if cfg.proximity is not None:
         slacks, ok = proximity_check(mm, cfg.proximity)
@@ -286,7 +258,7 @@ def _require_valid(cfg: SurfaceConfig, m: Sequence[int]) -> tuple[int, ...]:
                 f"(slacks {slacks}); the cone computation would not equal "
                 "the Waldschmidt constant"
             )
-    return mm
+    return mm, gens
 
 
 def waldschmidt(
@@ -300,14 +272,17 @@ def waldschmidt(
     attained.  The simplex dual yields a nef class F orthogonal to the
     optimal class, which pins the value exactly.
     """
-    mm = _require_valid(cfg, m)
-    r = cfg.r
+    return _solve(*_require_valid(cfg, m))
+
+
+def _solve(
+    mm: tuple[int, ...], gens: list[DivisorClass]
+) -> tuple[Fraction, Certificate]:
+    r = len(mm)
     if all(x == 0 for x in mm):
         return Fraction(0), Certificate(
             d=0, m=1, multiplicities=mm, decomposition=(), nef=line_class(r)
         )
-    gens = effective_generators(cfg)
-    ncols = len(gens) + 1
     a = []
     for j in range(r + 1):
         row = [g.coeffs[j] for g in gens]
@@ -320,9 +295,13 @@ def waldschmidt(
         raise InfeasibleConeError(
             "no multiple of the line class dominates E_Z over these generators"
         )
-    assert res.status == OPTIMAL and res.x is not None and res.dual is not None
+    if res.status != OPTIMAL:
+        raise SolverInvariantError(f"Waldschmidt LP ended {res.status}")
     t = res.x[len(gens)]
-    assert t > 0
+    if t <= 0:
+        raise SolverInvariantError(
+            f"optimal line degree {t} is not positive for nonzero multiplicities"
+        )
     d, den = t.numerator, t.denominator
     decomposition = tuple(
         (g, den * res.x[i]) for i, g in enumerate(gens) if res.x[i] != 0
@@ -336,25 +315,15 @@ def waldschmidt(
 
 def _dual_to_nef(dual: Sequence[Fraction]) -> DivisorClass:
     """Scale the LP dual (-1, y1, ..., yr) to the primitive integer nef class."""
-    y0 = dual[0]
-    assert y0 == -1, "line-degree dual variable must be tight"
-    coeffs = [Fraction(1)] + [dual[i] for i in range(1, len(dual))]
-    den = 1
-    for q in coeffs:
-        den = den * q.denominator // _gcd(den, q.denominator)
+    if dual[0] != -1:
+        raise SolverInvariantError(
+            f"line-degree dual variable is {dual[0]}, not -1: it must be tight"
+        )
+    coeffs = [Fraction(1)] + list(dual[1:])
+    den = lcm(*(q.denominator for q in coeffs))
     ints = [int(q * den) for q in coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return DivisorClass(tuple(ints))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    g = gcd(*ints)
+    return DivisorClass(tuple(v // g for v in ints))
 
 
 def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
@@ -370,8 +339,9 @@ def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
         r = cfg.r
         if len(cert.multiplicities) != r:
             return False
-        gens = set(effective_generators(cfg))
-        if any(g not in gens or q < 0 for g, q in cert.decomposition):
+        gens = effective_generators(cfg)
+        gen_set = set(gens)
+        if any(g not in gen_set or q < 0 for g, q in cert.decomposition):
             return False
         target = cert.target()
         acc = [Fraction(0)] * (r + 1)
@@ -382,7 +352,7 @@ def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
             return False
         if cert.nef.is_zero() or cert.nef.r != r:
             return False
-        if not is_nef(cert.nef, cfg):
+        if any(pairing(cert.nef, g) < 0 for g in gens):
             return False
         return pairing(target, cert.nef) == 0
     except Exception:
@@ -391,14 +361,14 @@ def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
 
 def alpha_degree(cfg: SurfaceConfig, m: Sequence[int]) -> int:
     """Least d >= 0 with d*L - E_Z(m) in the integer effective monoid."""
-    mm = _require_valid(cfg, m)
-    if all(x == 0 for x in mm):
-        return 0
-    value, _ = waldschmidt(cfg, mm)
-    gens = effective_generators(cfg)
-    lo = ceil(value)
+    mm, gens = _require_valid(cfg, m)
+    return _alpha(mm, gens, _solve(mm, gens)[0])
+
+
+def _alpha(mm: tuple[int, ...], gens: list[DivisorClass], value: Fraction) -> int:
+    """alpha_degree, scanning d upward from the Waldschmidt constant `value`."""
     hi = sum(mm) + 1
-    for d in range(lo, hi + 1):
+    for d in range(ceil(value), hi + 1):
         target = DivisorClass(tuple([d] + [-x for x in mm]))
         if monoid_membership(target, gens) is not None:
             return d
@@ -413,9 +383,8 @@ def chudnovsky_check(cfg: SurfaceConfig, m: Sequence[int]) -> bool:
 
     The zero multiplicity vector passes by convention.
     """
-    mm = _require_valid(cfg, m)
+    mm, gens = _require_valid(cfg, m)
     if all(x == 0 for x in mm):
         return True
-    value, _ = waldschmidt(cfg, mm)
-    alpha = alpha_degree(cfg, mm)
-    return value >= Fraction(alpha + 1, 2)
+    value, _ = _solve(mm, gens)
+    return value >= Fraction(_alpha(mm, gens, value) + 1, 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .classes import candidate_members
@@ -59,6 +60,11 @@ class SurfaceConfig:
             raise UnsupportedRankError(f"rank {self.r} outside supported range 0..8")
         object.__setattr__(self, "neg_curves", tuple(self.neg_curves))
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Validation of this object: computed on first use, kept on the instance."""
+        return _validate(self)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -73,7 +79,15 @@ class ValidationReport:
 
 
 def validate_config(cfg: SurfaceConfig) -> ValidationReport:
-    """Check all SurfaceConfig invariants; violations are data, not errors."""
+    """Check all SurfaceConfig invariants; violations are data, not errors.
+
+    The checks run once per object; an equal configuration built anew is
+    checked again.
+    """
+    return cfg.report
+
+
+def _validate(cfg: SurfaceConfig) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     candidates = candidate_members(cfg.r) if 2 <= cfg.r <= 8 else None
@@ -155,6 +169,8 @@ def effective_generators(cfg: SurfaceConfig) -> list[DivisorClass]:
 
     r = 0: the line class.  r = 1: e0 - e1 and e1.  2 <= r <= 7: the
     NEG(X) list.  r = 8: NEG(X) together with the anticanonical class.
+    Raises ConfigurationError unless `cfg` is valid; the validation runs
+    once per configuration object (see validate_config).
     """
     report = validate_config(cfg)
     if not report.ok:
@@ -195,17 +211,33 @@ def config_from_dict(data: dict) -> SurfaceConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"missing or invalid 'r': {exc}") from exc
     curves = []
-    for item in data.get("negative_curves", []):
+    for item in _json_list(data, "negative_curves"):
         if isinstance(item, str):
             curves.append(parse_class(item, r))
+        elif _is_int_list(item):
+            curves.append(DivisorClass(tuple(item)))
         else:
-            curves.append(DivisorClass(tuple(int(a) for a in item)))
+            raise ConfigurationError(
+                f"negative curve {item!r} is neither a class string nor a list of integers"
+            )
     prox = None
     if data.get("proximity") is not None:
-        prox = ProximityMatrix(
-            r, frozenset((int(j), int(i)) for j, i in data["proximity"])
-        )
+        pairs = _json_list(data, "proximity")
+        if not all(_is_int_list(p) and len(p) == 2 for p in pairs):
+            raise ConfigurationError(f"proximity {pairs!r} is not a list of integer pairs")
+        prox = ProximityMatrix(r, frozenset(tuple(p) for p in pairs))
     return SurfaceConfig(r=r, neg_curves=tuple(curves), proximity=prox)
+
+
+def _json_list(data: dict, key: str) -> list | tuple:
+    value = data.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
+def _is_int_list(value: object) -> bool:
+    return isinstance(value, (list, tuple)) and all(type(a) is int for a in value)
 
 
 def load_config(path: str) -> SurfaceConfig:

@@ -41,6 +41,10 @@ class InfeasibleConeError(WaldschmidtError):
     """The requested class never enters the effective cone (inconsistent input)."""
 
 
+class SolverInvariantError(WaldschmidtError):
+    """An internal solver invariant failed: a bug, never a property of the input."""
+
+
 class BoundingFailureError(WaldschmidtError):
     """No bounding functional could be derived for an integer monoid search."""
 

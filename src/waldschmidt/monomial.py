@@ -74,10 +74,6 @@ def _check_compatible(i: MonomialIdeal, j: MonomialIdeal) -> None:
         )
 
 
-def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal(ideal.variables, ideal.generators)
-
-
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_compatible(i, j)
     gens = tuple(_mul(a, b) for a in i.generators for b in j.generators)

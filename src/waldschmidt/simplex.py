@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import SolverInvariantError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -133,7 +135,8 @@ def solve_lp(
     phase1_cost = [_ZERO] * ncols + [_ONE] * nrows
     allowed = [True] * total
     status = _run_simplex(t, phase1_cost, allowed)
-    assert status == OPTIMAL, "phase 1 is bounded below by zero"
+    if status != OPTIMAL:
+        raise SolverInvariantError(f"phase 1 ended {status}; it is bounded below by 0")
     infeasibility = sum(
         (t.rhs[i] for i in range(nrows) if t.basis[i] >= ncols), _ZERO
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from waldschmidt import config
 from waldschmidt.cli import main
 
 D5_CONFIG = {
@@ -99,6 +100,35 @@ def test_waldschmidt_invalid_config_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "waldschmidt", "--config", str(p))
     assert code == 3
     assert "invalid configuration" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("proximity", [[1]]),
+    ("proximity", [["a", 1]]),
+    ("proximity", [[2, 1, 1]]),
+    ("proximity", 5),
+    ("negative_curves", [5]),
+    ("negative_curves", [[0, "x", 1]]),
+    ("negative_curves", [[1, -1, True]]),
+])
+def test_waldschmidt_malformed_config_exits_3(capsys, tmp_path, key, value):
+    data = dict(CHAIN_CONFIG, **{key: value})
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid configuration:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_waldschmidt_validates_the_config_once(capsys, d5_path, monkeypatch):
+    calls = []
+    real = config.candidate_members
+    monkeypatch.setattr(config, "candidate_members", lambda r: calls.append(r) or real(r))
+    code, _, _ = run(capsys, "waldschmidt", "--config", d5_path, "--json")
+    assert code == 0
+    assert calls == [5]
 
 
 def test_waldschmidt_proximity_violation_exits_4(capsys, chain_path):

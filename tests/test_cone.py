@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import brute_force_alpha_hat, three_generic_points
+from waldschmidt import cone, config
 from waldschmidt.cone import (
     Certificate,
     alpha_degree,
@@ -19,6 +21,7 @@ from waldschmidt.config import (
     ProximityMatrix,
     SurfaceConfig,
     effective_generators,
+    validate_config,
 )
 from waldschmidt.dp4 import find_type
 from waldschmidt.errors import (
@@ -26,6 +29,7 @@ from waldschmidt.errors import (
     ConfigurationError,
     InfeasibleConeError,
     ProximityViolationError,
+    SolverInvariantError,
 )
 from waldschmidt.lattice import (
     DivisorClass,
@@ -35,6 +39,7 @@ from waldschmidt.lattice import (
     parse_class,
     parse_classes,
 )
+from waldschmidt.simplex import UNBOUNDED, LpResult
 
 F = Fraction
 ONES = (1,) * 5
@@ -292,3 +297,62 @@ def test_chudnovsky_examples():
     assert chudnovsky_check(find_type("(1,D5,1)").config(), ONES)
     assert chudnovsky_check(find_type("(5,∅,16)").config(), ONES)
     assert chudnovsky_check(three_generic_points(), (0, 0, 0))
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_configuration_validated_once_per_object(monkeypatch):
+    calls = _record_calls(monkeypatch, config, "candidate_members")
+    cfg = find_type("(1,D5,1)").config()
+    _, cert = waldschmidt(cfg, ONES)
+    assert verify_certificate(cert, cfg)
+    assert len(calls) == 1
+    # An equal configuration built anew shares no cache with the first.
+    twin = find_type("(1,D5,1)").config()
+    assert twin == cfg and twin is not cfg
+    assert validate_config(twin).ok
+    assert len(calls) == 2
+
+
+def test_chudnovsky_solves_one_lp(monkeypatch):
+    solves = _record_calls(monkeypatch, cone, "solve_lp")
+    assert chudnovsky_check(find_type("(1,D5,1)").config(), ONES)
+    assert len(solves) == 1
+
+
+def test_monoid_rejects_non_triangular_generators():
+    e1, e12 = parse_class("E_1", 2), parse_class("E_12", 2)
+    # No valid configuration holds both: they pair to -1.
+    assert not validate_config(SurfaceConfig(2, (e1, e12))).ok
+    with pytest.raises(ConfigurationError, match="E_1 and E_12"):
+        monoid_membership(DivisorClass((0, 2, -1)), [e1, e12])
+
+
+def test_solver_invariants_raise_typed_errors(monkeypatch):
+    cfg = find_type("(1,D5,1)").config()
+    real = cone.solve_lp
+
+    def zero_optimum(a, b, c):
+        res = real(a, b, c)
+        return dataclasses.replace(res, x=res.x[:-1] + (F(0),))
+
+    def loose_dual(a, b, c):
+        res = real(a, b, c)
+        return dataclasses.replace(res, dual=(F(-1, 2),) + res.dual[1:])
+
+    monkeypatch.setattr(cone, "solve_lp", zero_optimum)
+    with pytest.raises(SolverInvariantError, match="not positive"):
+        waldschmidt(cfg, ONES)
+    monkeypatch.setattr(cone, "solve_lp", loose_dual)
+    with pytest.raises(SolverInvariantError, match="not -1"):
+        waldschmidt(cfg, ONES)
+    monkeypatch.setattr(cone, "solve_lp", lambda a, b, c: LpResult(UNBOUNDED, None, None, None))
+    with pytest.raises(SolverInvariantError, match="unbounded"):
+        waldschmidt(cfg, ONES)
+    with pytest.raises(SolverInvariantError, match="unbounded"):
+        cone_membership(target(2, 1), effective_generators(cfg))

@@ -1,8 +1,11 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 from helpers import brute_force_alpha_hat
+from waldschmidt import cli, dp4
 from waldschmidt.classes import enumerate_exceptional, is_exceptional, is_root
 from waldschmidt.config import validate_config
 from waldschmidt.dp4 import (
@@ -208,11 +211,24 @@ def test_compute_table_certificates_and_truth():
         assert row.alpha_hat == brute_force_alpha_hat(cfg, (1,) * R5), row.label
 
 
-def test_compute_table_reports_mismatches_without_raising():
+def test_compute_table_reports_mismatches_without_raising(monkeypatch, capsys):
+    # No catalog row mismatches, so plant one wrong expected value.
+    real = catalog()
+    wrong = dataclasses.replace(real[3], expected_alpha_hat=F(11, 7))
+    monkeypatch.setattr(dp4, "catalog", lambda: real[:3] + (wrong,) + real[4:])
     table = compute_table()
-    for row in table.rows:
-        assert row.matches == (row.alpha_hat == row.expected)
-    assert all(isinstance(row.label, str) for row in table.mismatches)
+    assert [row.label for row in table.mismatches] == [wrong.label]
+    assert table.mismatches[0].expected == F(11, 7)
+
+    assert cli.main(["dp4", "--all"]) == 0
+    out, err = capsys.readouterr()
+    flagged = [line for line in out.splitlines() if "(expected" in line]
+    assert flagged == [line for line in out.splitlines() if line.startswith(wrong.label)]
+    assert flagged[0].endswith("(expected 11/7)")
+    assert err.strip() == f"mismatched expected values: {wrong.label}"
+
+    assert cli.main(["dp4", "--all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mismatches"] == [wrong.label]
 
 
 def test_degeneration_monotonicity():

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
+from waldschmidt import simplex
+from waldschmidt.errors import SolverInvariantError
 from waldschmidt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -68,3 +72,9 @@ def test_exact_fractions_no_drift():
     assert x[0] + 2 * x[1] + x[2] == F(1)
     assert res.objective == sum(x, F(0))
     assert sum(y * q for y, q in zip(res.dual, b)) == res.objective
+
+
+def test_unbounded_phase_one_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(simplex, "_run_simplex", lambda t, cost, allowed: UNBOUNDED)
+    with pytest.raises(SolverInvariantError, match="phase 1"):
+        solve_lp([[1]], [1], [1])
