@@ -206,10 +206,11 @@ def config_from_dict(data: dict) -> SurfaceConfig:
     Schema: {"r": int, "proximity": [[j, i], ...] (optional),
     "negative_curves": [class-string or [a0, ..., ar], ...]}.
     """
-    try:
-        r = int(data["r"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"missing or invalid 'r': {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a configuration is a JSON object, got {data!r}")
+    r = data.get("r")
+    if type(r) is not int:
+        raise ConfigurationError(f"'r' must be an integer, got {r!r}")
     curves = []
     for item in _json_list(data, "negative_curves"):
         if isinstance(item, str):

@@ -110,6 +110,9 @@ def test_waldschmidt_invalid_config_exits_3(capsys, tmp_path):
     ("negative_curves", [5]),
     ("negative_curves", [[0, "x", 1]]),
     ("negative_curves", [[1, -1, True]]),
+    ("r", 5.7),
+    ("r", True),
+    ("r", "2"),
 ])
 def test_waldschmidt_malformed_config_exits_3(capsys, tmp_path, key, value):
     data = dict(CHAIN_CONFIG, **{key: value})

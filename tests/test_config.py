@@ -183,3 +183,5 @@ def test_config_from_dict_roundtrip():
     assert validate_config(cfg).ok
     with pytest.raises(ConfigurationError):
         config_from_dict({"negative_curves": []})
+    with pytest.raises(ConfigurationError):
+        config_from_dict([2])

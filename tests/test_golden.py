@@ -1,8 +1,9 @@
 """CLI stdout compared byte for byte with outputs recorded in tests/golden.
 
-The files were recorded before the validation and solver-path refactor;
-any change to a value, a certificate or the JSON layout shows here.
-generic-r6.json and generic-r7.json list every exceptional class at that
+The files were recorded before the validation and solver-path refactor
+(the r=8 case before the integer-pivoting simplex); any change to a
+value, a certificate or the JSON layout shows here.  generic-r6.json,
+generic-r7.json and generic-r8.json list every exceptional class at that
 rank (classes.enumerate_exceptional), i.e. r general points.
 """
 
@@ -23,6 +24,10 @@ CASES = {
     "waldschmidt-r7.stdout": [
         "waldschmidt", "--config", str(GOLDEN / "generic-r7.json"),
         "--m", "1,2,2,2,2,2,2", "--json",
+    ],
+    "waldschmidt-r8.stdout": [
+        "waldschmidt", "--config", str(GOLDEN / "generic-r8.json"),
+        "--m", "1,2,2,2,2,2,2,2", "--json",
     ],
 }
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waldschmidt import simplex
 from waldschmidt.errors import SolverInvariantError
@@ -75,6 +76,64 @@ def test_exact_fractions_no_drift():
 
 
 def test_unbounded_phase_one_raises_typed_error(monkeypatch):
-    monkeypatch.setattr(simplex, "_run_simplex", lambda t, cost, allowed: UNBOUNDED)
+    monkeypatch.setattr(simplex, "_run_phase", lambda t, limit: UNBOUNDED)
     with pytest.raises(SolverInvariantError, match="phase 1"):
         solve_lp([[1]], [1], [1])
+
+
+_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _lps(draw):
+    """Small LPs with int and Fraction entries and any sign of b.
+
+    Half are feasible by construction (b = A x0 with x0 >= 0), and some
+    repeat a scaled copy of a row, so redundant rows reach the solver.
+    """
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 6))
+    a = [draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    feasible = draw(st.booleans())
+    if feasible:
+        x0 = draw(st.lists(
+            st.fractions(min_value=0, max_value=3, max_denominator=4),
+            min_size=ncols, max_size=ncols,
+        ))
+        b = [sum((v * q for v, q in zip(row, x0)), F(0)) for row in a]
+    else:
+        b = draw(st.lists(_ENTRIES, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, nrows - 1))
+        k = draw(st.sampled_from([2, -1, F(1, 3)]))
+        a.append([k * v for v in a[i]])
+        b.append(k * b[i])
+    c = draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols))
+    return a, b, c, feasible
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lps())
+def test_optimal_results_satisfy_the_optimality_conditions(lp):
+    # Solver-independent oracle: primal feasibility, dual feasibility and
+    # strong duality, checked in exact arithmetic.
+    a, b, c, feasible = lp
+    res = solve_lp(a, b, c)
+    if feasible:
+        assert res.status != INFEASIBLE
+        if all(v >= 0 for v in c):
+            assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        return
+    x, y = res.x, res.dual
+    assert len(x) == len(c) and len(y) == len(a)
+    assert all(q >= 0 for q in x)
+    for row, bi in zip(a, b):
+        assert sum(v * q for v, q in zip(row, x)) == bi
+    for j, cj in enumerate(c):
+        assert sum(yi * row[j] for yi, row in zip(y, a)) <= cj
+    assert res.objective == sum(cj * q for cj, q in zip(c, x))
+    assert sum(yi * bi for yi, bi in zip(y, b)) == res.objective
