@@ -20,6 +20,7 @@ from .classes import (
 from .cone import (
     Certificate,
     alpha_degree,
+    certificate_failures,
     chudnovsky_check,
     cone_membership,
     is_nef,
@@ -67,6 +68,7 @@ __all__ = [
     "canonical_class",
     "candidate_sets",
     "catalog",
+    "certificate_failures",
     "check_bounds",
     "check_degenerations",
     "chudnovsky_check",

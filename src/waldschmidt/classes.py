@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -96,8 +97,12 @@ def candidate_sets(r: int) -> list[CandidateFamily]:
     return fams
 
 
+@cache
 def candidate_members(r: int) -> frozenset[tuple[int, ...]]:
-    """Coefficient tuples of all candidates at rank r, for membership tests."""
+    """Coefficient tuples of all candidates at rank r, for membership tests.
+
+    Built once per rank and kept: the set is immutable and depends on r only.
+    """
     return frozenset(
         c.coeffs for fam in candidate_sets(r) for c in fam.members
     )

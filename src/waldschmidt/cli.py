@@ -14,8 +14,8 @@ import sys
 
 from . import dp4, monomial
 from .classes import FAMILY_TAGS, candidate_sets
-from .cone import frac_str, verify_certificate, waldschmidt
-from .config import load_config, validate_config
+from .cone import Certificate, certificate_failures, frac_str, verify_certificate, waldschmidt
+from .config import SurfaceConfig, load_config, validate_config
 from .errors import (
     ClassParseError,
     ConfigurationError,
@@ -37,6 +37,15 @@ EXIT_INFEASIBLE = 5
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _verify(cert: Certificate, cfg: SurfaceConfig) -> bool:
+    """verify_certificate, printing each failed condition on stderr."""
+    if verify_certificate(cert, cfg):
+        return True
+    for reason in certificate_failures(cert, cfg):
+        print(f"certificate check failed: {reason}", file=sys.stderr)
+    return False
 
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
@@ -79,7 +88,7 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
     else:
         m = (1,) * cfg.r
     value, cert = waldschmidt(cfg, m)
-    verified = verify_certificate(cert, cfg)
+    verified = _verify(cert, cfg)
     if args.json:
         payload = {
             "alpha_hat": frac_str(value),
@@ -115,7 +124,7 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
             return _fail(EXIT_USAGE, str(exc))
         cfg = entry.config()
         value, cert = waldschmidt(cfg, (1,) * dp4.R5)
-        verified = verify_certificate(cert, cfg)
+        verified = _verify(cert, cfg)
         if args.json:
             print(json.dumps({
                 "label": entry.label,
@@ -264,9 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Spell "--m -1,2" as "--m=-1,2": argparse reads "-1,2" as a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--m" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--m={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ProximityViolationError as exc:

@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleConeError,
     ProximityViolationError,
     SolverInvariantError,
+    WaldschmidtError,
 )
 from .lattice import DivisorClass, format_class, line_class, pairing, parse_class
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
@@ -329,34 +330,67 @@ def _dual_to_nef(dual: Sequence[Fraction]) -> DivisorClass:
 def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
     """Independently re-check a certificate; never raises.
 
-    Conditions: the decomposition has nonnegative coefficients over the
-    configuration's generators and sums to d*L - m*E_Z; F is nef and
-    nonzero; (d*L - m*E_Z).F = 0.
+    True exactly when certificate_failures finds no failed condition;
+    False also when the configuration itself is invalid.
     """
     try:
-        if cert.d < 0 or cert.m <= 0:
-            return False
-        r = cfg.r
-        if len(cert.multiplicities) != r:
-            return False
-        gens = effective_generators(cfg)
-        gen_set = set(gens)
-        if any(g not in gen_set or q < 0 for g, q in cert.decomposition):
-            return False
+        return not certificate_failures(cert, cfg)
+    except WaldschmidtError:
+        return False
+
+
+def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
+    """Each condition the certificate fails, named; empty when it verifies.
+
+    Conditions: d >= 0 and m > 0; one multiplicity per point; the
+    decomposition has nonnegative coefficients over the configuration's
+    generators and sums to d*L - m*E_Z; F has rank r, is nonzero and nef;
+    (d*L - m*E_Z).F = 0.  Raises ConfigurationError if `cfg` is invalid.
+    """
+    gens = effective_generators(cfg)
+    r = cfg.r
+    failures = []
+    if cert.d < 0:
+        failures.append(f"degree d = {cert.d} is negative")
+    if cert.m <= 0:
+        failures.append(f"multiplicity scale m = {cert.m} is not positive")
+    gen_set = set(gens)
+    for g, q in cert.decomposition:
+        if g not in gen_set:
+            failures.append(f"{format_class(g)} is not an effective-cone generator")
+        elif q < 0:
+            failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
+    target = None
+    if len(cert.multiplicities) != r:
+        failures.append(f"{len(cert.multiplicities)} multiplicities for {r} points")
+    else:
         target = cert.target()
         acc = [Fraction(0)] * (r + 1)
         for g, q in cert.decomposition:
-            for j, a in enumerate(g.coeffs):
-                acc[j] += q * a
+            if g in gen_set:
+                for j, a in enumerate(g.coeffs):
+                    acc[j] += q * a
         if acc != [Fraction(v) for v in target.coeffs]:
-            return False
-        if cert.nef.is_zero() or cert.nef.r != r:
-            return False
-        if any(pairing(cert.nef, g) < 0 for g in gens):
-            return False
-        return pairing(target, cert.nef) == 0
-    except Exception:
-        return False
+            failures.append(
+                "decomposition sums to ["
+                + ",".join(frac_str(v) for v in acc)
+                + f"], not d*L - m*E_Z = {format_class(target)}"
+            )
+    nef = cert.nef
+    if nef.r != r:
+        failures.append(f"nef class {format_class(nef)} has rank {nef.r}, not {r}")
+        return failures
+    if nef.is_zero():
+        failures.append("nef class is zero")
+    negative = [format_class(g) for g in gens if pairing(nef, g) < 0]
+    if negative:
+        failures.append(
+            f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)
+        )
+    dot = 0 if target is None else pairing(target, nef)
+    if dot != 0:
+        failures.append(f"(d*L - m*E_Z).F = {dot}, not 0")
+    return failures
 
 
 def alpha_degree(cfg: SurfaceConfig, m: Sequence[int]) -> int:

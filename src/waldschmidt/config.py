@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .classes import candidate_members
@@ -19,7 +20,6 @@ from .lattice import (
     DivisorClass,
     canonical_class,
     line_class,
-    pairing,
     parse_class,
     point_class,
 )
@@ -82,7 +82,9 @@ def validate_config(cfg: SurfaceConfig) -> ValidationReport:
     """Check all SurfaceConfig invariants; violations are data, not errors.
 
     The checks run once per object; an equal configuration built anew is
-    checked again.
+    checked again.  Distinct (-1)-classes E, F (E.E = K.E = -1) always
+    pair to E.F >= 0 when r <= 8, because K-perp is then negative definite
+    and even; so only pairs holding some other class are computed.
     """
     return cfg.report
 
@@ -90,26 +92,43 @@ def validate_config(cfg: SurfaceConfig) -> ValidationReport:
 def _validate(cfg: SurfaceConfig) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
-    candidates = candidate_members(cfg.r) if 2 <= cfg.r <= 8 else None
+    r = cfg.r
+    candidates = candidate_members(r) if 2 <= r <= 8 else None
     seen: set[tuple[int, ...]] = set()
+    # Curves of rank r as (class, coefficients, (a0, -a1, ..., -ar)); `others`
+    # holds the positions of those that are not (-1)-classes.
+    kept: list[tuple[DivisorClass, tuple[int, ...], tuple[int, ...]]] = []
+    others: list[int] = []
     for c in cfg.neg_curves:
-        if c.r != cfg.r:
-            errors.append(f"{c}: rank {c.r} does not match configuration rank {cfg.r}")
+        coeffs = c.coeffs
+        if len(coeffs) != r + 1:
+            errors.append(f"{c}: rank {c.r} does not match configuration rank {r}")
             continue
-        if c.coeffs in seen:
+        if coeffs in seen:
             errors.append(f"{c}: duplicate negative curve")
-        seen.add(c.coeffs)
-        if pairing(c, c) >= 0:
-            errors.append(f"{c}: nonnegative self-intersection {pairing(c, c)}")
-        elif candidates is not None and c.coeffs not in candidates:
-            errors.append(f"{c}: not a candidate negative class at rank {cfg.r}")
-    for a in range(len(cfg.neg_curves)):
-        for b in range(a + 1, len(cfg.neg_curves)):
-            u, v = cfg.neg_curves[a], cfg.neg_curves[b]
-            if u.r != cfg.r or v.r != cfg.r or u.coeffs == v.coeffs:
-                continue
-            p = pairing(u, v)
-            if p < 0:
+        seen.add(coeffs)
+        signed = (coeffs[0],) + tuple([-a for a in coeffs[1:]])
+        square = sum(map(mul, signed, coeffs))
+        if square >= 0:
+            errors.append(f"{c}: nonnegative self-intersection {square}")
+        elif candidates is not None and coeffs not in candidates:
+            errors.append(f"{c}: not a candidate negative class at rank {r}")
+        if square != -1 or -3 * coeffs[0] - sum(coeffs[1:]) != -1:  # c.c, K.c
+            others.append(len(kept))
+        kept.append((c, coeffs, signed))
+    # Distinct (-1)-classes E, F never pair negatively: E - F lies in K-perp,
+    # so (E - F)^2 = -2 - 2 E.F <= -2.  Only pairs holding another class are checked.
+    k = 0  # others[k:] are the positions after a that hold other classes
+    for a, (u, ucoeffs, signed) in enumerate(kept):
+        if k < len(others) and others[k] == a:
+            k += 1
+            partners: Iterable[int] = range(a + 1, len(kept))
+        else:
+            partners = others[k:]
+        for b in partners:
+            v, vcoeffs, _ = kept[b]
+            p = sum(map(mul, signed, vcoeffs))
+            if p < 0 and ucoeffs != vcoeffs:
                 errors.append(f"{u} and {v}: distinct prime divisors pair {p} < 0")
     if cfg.proximity is not None:
         if cfg.proximity.r != cfg.r:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from waldschmidt.classes import (
+    candidate_members,
     candidate_sets,
     enumerate_exceptional,
     enumerate_roots,
@@ -127,6 +128,23 @@ def test_enumerated_classes_satisfy_definitions():
         assert pairing(alpha, k5) == 0 and pairing(alpha, alpha) == -2
     for eps in enumerate_exceptional(5):
         assert is_exceptional(eps) and eps.coeffs[0] >= 0
+
+
+def test_distinct_exceptional_classes_pair_nonnegatively():
+    # The lemma config validation relies on: for r <= 8, distinct
+    # (-1)-classes never pair negatively (28 680 pairs at r = 8).
+    for r in range(1, 9):
+        exc = enumerate_exceptional(r)
+        for i, u in enumerate(exc):
+            for v in exc[i + 1:]:
+                assert pairing(u, v) >= 0, (r, u, v)
+
+
+def test_candidate_members_built_once_per_rank():
+    assert candidate_members(8) is candidate_members(8)
+    assert candidate_members(5) == {
+        c.coeffs for f in candidate_sets(5) for c in f.members
+    }
 
 
 def test_simple_roots():

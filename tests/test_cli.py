@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from waldschmidt import config
+from waldschmidt import cli, config
 from waldschmidt.cli import main
 
 D5_CONFIG = {
@@ -155,6 +156,31 @@ def test_waldschmidt_infeasible_exits_5(capsys, tmp_path):
 def test_waldschmidt_bad_multiplicities_exit_2(capsys, d5_path):
     code, _, _ = run(capsys, "waldschmidt", "--config", d5_path, "--m", "a,b")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["--m", "-1,2,1,1,1"], ["--m=-1,2,1,1,1"]])
+def test_waldschmidt_negative_multiplicity_exits_3(capsys, d5_path, argv):
+    code, out, err = run(capsys, "waldschmidt", "--config", d5_path, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "invalid configuration: multiplicities must be nonnegative\n"
+
+
+def test_waldschmidt_failed_certificate_names_the_condition(capsys, d5_path, monkeypatch):
+    real = cli.waldschmidt
+
+    def wrong_degree(cfg, m):
+        value, cert = real(cfg, m)
+        return value, dataclasses.replace(cert, d=cert.d + 1)
+
+    monkeypatch.setattr(cli, "waldschmidt", wrong_degree)
+    code, out, err = run(capsys, "waldschmidt", "--config", d5_path)
+    assert code == 5
+    assert out.splitlines()[-1] == "certificate FAILED VERIFICATION"
+    reasons = err.splitlines()
+    assert reasons and all(line.startswith("certificate check failed: ") for line in reasons)
+    assert any("decomposition sums to" in line for line in reasons)
+    assert any("(d*L - m*E_Z).F = 3, not 0" in line for line in reasons)
 
 
 def test_dp4_all(capsys):

@@ -9,6 +9,7 @@ from waldschmidt import cone, config
 from waldschmidt.cone import (
     Certificate,
     alpha_degree,
+    certificate_failures,
     certificate_from_dict,
     chudnovsky_check,
     cone_membership,
@@ -257,17 +258,50 @@ def test_verify_certificate_rejects_bad_data():
         decomposition=cert.decomposition, nef=DivisorClass((0,) * 6),
     )
     assert not verify_certificate(zero_nef, cfg)
+    assert certificate_failures(zero_nef, cfg) == ["nef class is zero"]
     wrong_sum = Certificate(
         d=cert.d + 1, m=cert.m, multiplicities=cert.multiplicities,
         decomposition=cert.decomposition, nef=cert.nef,
     )
     assert not verify_certificate(wrong_sum, cfg)
+    assert certificate_failures(wrong_sum, cfg) == [
+        "decomposition sums to [5,-3,-3,-3,-3,-3], not d*L - m*E_Z = [6,-3,-3,-3,-3,-3]",
+        "(d*L - m*E_Z).F = 3, not 0",
+    ]
     not_nef = Certificate(
         d=cert.d, m=cert.m, multiplicities=cert.multiplicities,
         decomposition=cert.decomposition,
         nef=parse_class("[1,-1,-1,0,0,0]", 5),
     )
     assert not verify_certificate(not_nef, cfg)
+    assert certificate_failures(not_nef, cfg) == [
+        "nef class L_12 pairs negatively with L_123",
+        "(d*L - m*E_Z).F = -1, not 0",
+    ]
+    assert certificate_failures(cert, cfg) == []
+    bad = {
+        "degree d = -1 is negative": dataclasses.replace(cert, d=-1),
+        "multiplicity scale m = 0 is not positive": dataclasses.replace(cert, m=0),
+        "4 multiplicities for 5 points": dataclasses.replace(
+            cert, multiplicities=cert.multiplicities[:4]
+        ),
+        "L is not an effective-cone generator": dataclasses.replace(
+            cert, decomposition=cert.decomposition + ((parse_class("L", 5), F(0)),)
+        ),
+        "E_12 has negative coefficient -1": dataclasses.replace(
+            cert, decomposition=((parse_class("E_12", 5), F(-1)),) + cert.decomposition[1:]
+        ),
+        "nef class E_1 has rank 2, not 5": dataclasses.replace(
+            cert, nef=parse_class("E_1", 2)
+        ),
+    }
+    for reason, bad_cert in bad.items():
+        assert not verify_certificate(bad_cert, cfg)
+        assert reason in certificate_failures(bad_cert, cfg), reason
+    invalid = SurfaceConfig(5, parse_classes(["L"], 5))
+    assert not verify_certificate(cert, invalid)
+    with pytest.raises(ConfigurationError):
+        certificate_failures(cert, invalid)
 
 
 def test_certificate_json_roundtrip():

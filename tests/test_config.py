@@ -1,11 +1,21 @@
 import itertools
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import generic_config
+from waldschmidt import classes, config
+from waldschmidt.classes import (
+    candidate_members,
+    candidate_sets,
+    enumerate_exceptional,
+    enumerate_roots,
+)
 from waldschmidt.config import (
     ProximityMatrix,
     SurfaceConfig,
+    ValidationReport,
     config_from_dict,
     derive_proximity,
     effective_generators,
@@ -18,6 +28,7 @@ from waldschmidt.errors import ConfigurationError
 from waldschmidt.lattice import (
     DivisorClass,
     format_class,
+    pairing,
     parse_class,
     parse_classes,
 )
@@ -185,3 +196,109 @@ def test_config_from_dict_roundtrip():
         config_from_dict({"negative_curves": []})
     with pytest.raises(ConfigurationError):
         config_from_dict([2])
+
+
+def naive_validate(cfg):
+    """Reference validation: every check on every pair, nothing skipped."""
+    errors, warnings = [], []
+    candidates = candidate_members(cfg.r) if 2 <= cfg.r <= 8 else None
+    seen = set()
+    for c in cfg.neg_curves:
+        if c.r != cfg.r:
+            errors.append(f"{c}: rank {c.r} does not match configuration rank {cfg.r}")
+            continue
+        if c.coeffs in seen:
+            errors.append(f"{c}: duplicate negative curve")
+        seen.add(c.coeffs)
+        if pairing(c, c) >= 0:
+            errors.append(f"{c}: nonnegative self-intersection {pairing(c, c)}")
+        elif candidates is not None and c.coeffs not in candidates:
+            errors.append(f"{c}: not a candidate negative class at rank {cfg.r}")
+    curves = cfg.neg_curves
+    for a in range(len(curves)):
+        for b in range(a + 1, len(curves)):
+            u, v = curves[a], curves[b]
+            if u.r != cfg.r or v.r != cfg.r or u.coeffs == v.coeffs:
+                continue
+            if pairing(u, v) < 0:
+                errors.append(f"{u} and {v}: distinct prime divisors pair {pairing(u, v)} < 0")
+    if cfg.proximity is not None:
+        if cfg.proximity.r != cfg.r:
+            errors.append(f"proximity matrix rank {cfg.proximity.r} does not match {cfg.r}")
+        else:
+            for j in range(1, cfg.r + 1):
+                targets = [i for jj, i in cfg.proximity.pairs if jj == j]
+                if len(targets) > 2:
+                    warnings.append(
+                        f"point p_{j} proximate to {len(targets)} points; "
+                        "a planar point can be proximate to at most 2"
+                    )
+    return ValidationReport(tuple(errors), tuple(warnings))
+
+
+@cache
+def class_pools(r):
+    """Exceptional classes, roots and other candidates at rank r."""
+    exc = enumerate_exceptional(r) if r >= 1 else []
+    roots = enumerate_roots(r) if r >= 3 else []
+    cands = [c for f in candidate_sets(r) for c in f.members] if r >= 2 else []
+    return [pool for pool in (exc, roots, cands) if pool]
+
+
+def vectors(r, bound):
+    size = r + 1
+    return st.lists(st.integers(-bound, bound), min_size=size, max_size=size).map(
+        lambda v: DivisorClass(tuple(v))
+    )
+
+
+@st.composite
+def mixed_configs(draw):
+    r = draw(st.integers(0, 8))
+    sources = [st.sampled_from(pool) for pool in class_pools(r)]
+    sources.append(vectors(r, 3))
+    sources.append(st.integers(0, 8).flatmap(lambda k: vectors(k, 2)))
+    curves = draw(st.lists(st.one_of(*sources), max_size=40))
+    if curves:
+        curves += draw(st.lists(st.sampled_from(curves), max_size=4))
+        curves = draw(st.permutations(curves))
+    prox = None
+    if r >= 2 and draw(st.booleans()):
+        pr = draw(st.sampled_from([r, r - 1])) if r > 2 else r
+        pairs = draw(st.lists(
+            st.tuples(st.integers(2, pr), st.integers(1, pr - 1)).filter(
+                lambda p: p[1] < p[0]
+            ),
+            max_size=6,
+        ))
+        prox = ProximityMatrix(pr, frozenset(pairs))
+    return SurfaceConfig(r, tuple(curves), prox)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_configs())
+def test_validation_matches_all_pairs_reference(cfg):
+    assert validate_config(cfg) == naive_validate(cfg)
+
+
+def test_validation_pairs_no_two_exceptional_classes(monkeypatch):
+    products = []
+    real = config.mul
+    monkeypatch.setattr(config, "mul", lambda a, b: products.append(1) or real(a, b))
+    exc = enumerate_exceptional(8)
+    assert validate_config(SurfaceConfig(8, tuple(exc))).ok
+    assert len(products) == 9 * 240  # one self-intersection per class
+    products.clear()
+    root = parse_class("E_12", 8)  # pairs to -1 with E_1, so the config is invalid
+    assert not validate_config(SurfaceConfig(8, tuple(exc) + (root,))).ok
+    assert len(products) == 9 * 241 + 9 * 240  # and the root against each class
+
+
+def test_candidates_enumerated_once_per_rank(monkeypatch):
+    classes.candidate_members.cache_clear()
+    calls = []
+    real = classes.candidate_sets
+    monkeypatch.setattr(classes, "candidate_sets", lambda r: calls.append(r) or real(r))
+    for _ in range(2):
+        assert validate_config(generic_config(8)).ok
+    assert calls == [8]
