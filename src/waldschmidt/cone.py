@@ -74,17 +74,33 @@ def frac_str(q: Fraction) -> str:
 
 
 def certificate_from_dict(data: dict, r: int) -> Certificate:
-    decomposition = tuple(
-        (parse_class(item["generator"], r), Fraction(item["coefficient"]))
-        for item in data["decomposition"]
-    )
-    return Certificate(
-        d=int(data["d"]),
-        m=int(data["m"]),
-        multiplicities=tuple(int(x) for x in data["multiplicities"]),
-        decomposition=decomposition,
-        nef=parse_class(data["nef"], r),
-    )
+    """Inverse of `Certificate.to_dict`; malformed data raises ConfigurationError."""
+    try:
+        decomposition = tuple(
+            (parse_class(item["generator"], r),
+             Fraction(_typed(item["coefficient"], (int, str), "coefficient")))
+            for item in data["decomposition"]
+        )
+        return Certificate(
+            d=_typed(data["d"], (int,), "d"),
+            m=_typed(data["m"], (int,), "m"),
+            multiplicities=tuple(
+                _typed(x, (int,), "multiplicity") for x in data["multiplicities"]
+            ),
+            decomposition=decomposition,
+            nef=parse_class(data["nef"], r),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"certificate lacks the key {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"malformed certificate: {exc}") from exc
+
+
+def _typed(value, types: tuple[type, ...], name: str):
+    """`value` if its exact type is one of `types` (so a bool is no int)."""
+    if type(value) not in types:
+        raise ConfigurationError(f"certificate {name} {value!r} has the wrong type")
+    return value
 
 
 def cone_membership(

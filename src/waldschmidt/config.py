@@ -159,7 +159,9 @@ def strict_transform_components(p: ProximityMatrix) -> list[DivisorClass]:
 
 
 def check_multiplicities(m: Sequence[int], r: int) -> tuple[int, ...]:
-    m = tuple(int(x) for x in m)
+    m = tuple(m)
+    if any(type(x) is not int for x in m):
+        raise ConfigurationError(f"multiplicities must be integers, got {m!r}")
     if len(m) != r:
         raise ConfigurationError(f"expected {r} multiplicities, got {len(m)}")
     if any(x < 0 for x in m):

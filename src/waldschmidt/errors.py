@@ -18,7 +18,7 @@ class UnsupportedRankError(WaldschmidtError):
 
 
 class ClassParseError(WaldschmidtError):
-    """A divisor-class string does not match the grammar."""
+    """A class string off the grammar, or a class with a non-integer coefficient."""
 
 
 class InvalidRootError(WaldschmidtError):

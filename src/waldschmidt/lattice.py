@@ -24,7 +24,9 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(a) for a in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if any(type(a) is not int for a in coeffs):
+            raise ClassParseError(f"class coefficients must be integers, got {coeffs!r}")
         if len(coeffs) < 1 or len(coeffs) > MAX_RANK + 1:
             raise UnsupportedRankError(
                 f"rank {len(coeffs) - 1} outside supported range 0..{MAX_RANK}"

@@ -12,23 +12,27 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
+from operator import add, le
+from typing import Callable, Iterable, Sequence
 
 from .errors import MonomialError
 
 Monomial = tuple[int, ...]
 
+# Budget on the generator pairs one product or intersection may form.
+PAIR_CAP = 3000
+
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class MonomialIdeal:
 
     def __post_init__(self) -> None:
         n = len(self.variables)
+        if n == 0:
+            raise MonomialError("a monomial ideal needs at least one variable")
         for g in self.generators:
             if len(g) != n or any(e < 0 for e in g):
                 raise MonomialError(f"bad exponent vector {g} in {n} variables")
@@ -58,26 +64,28 @@ class MonomialIdeal:
 
 
 def _minimal(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    uniq = sorted(set(gens))
-    out: list[Monomial] = []
-    for g in uniq:
-        if not any(_divides(h, g) for h in out if h != g):
-            out = [h for h in out if not _divides(g, h)]
-            out.append(g)
-    return tuple(sorted(out, reverse=True))
+    # A proper divisor of g has smaller total degree, so in order of degree
+    # it is kept before g is reached, and nothing kept is ever removed.
+    kept: list[Monomial] = []
+    for g in sorted(set(gens), key=sum):
+        if not any(_divides(h, g) for h in kept):
+            kept.append(g)
+    return tuple(sorted(kept, reverse=True))
 
 
-def _check_compatible(i: MonomialIdeal, j: MonomialIdeal) -> None:
+def _pairwise(op: Callable, i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """The ideal generated by op(a, b) over all generator pairs of i and j."""
     if i.variables != j.variables:
-        raise MonomialError(
-            f"variable mismatch: {i.variables} vs {j.variables}"
-        )
+        raise MonomialError(f"variable mismatch: {i.variables} vs {j.variables}")
+    pairs = len(i.generators) * len(j.generators)
+    if pairs > PAIR_CAP:
+        raise MonomialError(f"{pairs} generator pairs exceed the budget of {PAIR_CAP}")
+    gens = tuple(op(a, b) for a in i.generators for b in j.generators)
+    return MonomialIdeal(i.variables, gens)
 
 
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_compatible(i, j)
-    gens = tuple(_mul(a, b) for a in i.generators for b in j.generators)
-    return MonomialIdeal(i.variables, gens)
+    return _pairwise(_mul, i, j)
 
 
 def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -87,36 +95,35 @@ def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_compatible(i, j)
-    gens = tuple(_lcm(a, b) for a in i.generators for b in j.generators)
-    return MonomialIdeal(i.variables, gens)
+    return _pairwise(_lcm, i, j)
 
 
 def _strip_variable(i: MonomialIdeal, v: int) -> MonomialIdeal:
     """The stable colon (I : x_v^infinity): drop all x_v factors."""
-    gens = tuple(
-        tuple(0 if k == v else e for k, e in enumerate(g)) for g in i.generators
-    )
+    gens = tuple(g[:v] + (0,) + g[v + 1:] for g in i.generators)
     return MonomialIdeal(i.variables, gens)
 
 
 def saturate_irrelevant(i: MonomialIdeal) -> MonomialIdeal:
-    """I : m^infinity for the irrelevant ideal m = (all variables).
-
-    For monomial ideals this is the intersection over variables v of
-    (I : v^infinity), each computed by stripping v from the generators.
-    """
-    if i.is_zero:
-        return i
-    parts = [_strip_variable(i, v) for v in range(len(i.variables))]
-    return reduce(intersect, parts)
+    """I : m^infinity for the irrelevant ideal m = (all variables), i.e. (I^1)^sat."""
+    return symbolic_power(i, 1)
 
 
 def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
-    """(I^m)^sat; equals the symbolic power for zero-dimensional ideals."""
+    """(I^m)^sat; equals the symbolic power for zero-dimensional ideals.
+
+    For a monomial ideal J, (J : x_v^infinity) is generated by J's generators
+    with x_v stripped, and (J : m^infinity) is the intersection of these
+    colons over the variables v.  I^m is generated by products of m
+    generators of I, and stripping x_v from a product strips it from each
+    factor, so (I^m : x_v^infinity) = (I : x_v^infinity)^m.  Hence (I^m)^sat
+    is the intersection over v of the m-th powers of the stripped ideals,
+    and I^m itself is never formed.
+    """
     if m < 1:
         raise MonomialError(f"symbolic power requires m >= 1, got {m}")
-    return saturate_irrelevant(power(i, m))
+    parts = [power(_strip_variable(i, v), m) for v in range(len(i.variables))]
+    return reduce(intersect, parts)
 
 
 def alpha(i: MonomialIdeal) -> int:

@@ -250,6 +250,15 @@ def test_monomial_commands(capsys):
     assert code == 0 and out.strip() == "x^3, x^2*y^2, x*y^4, y^6"
 
 
+def test_monomial_symbolic_power_saturates_before_powering(capsys):
+    ideal = "x^2, x*y, y^3, z"
+    code, out, _ = run(capsys, "monomial", "symbolic-power", "--ideal", ideal, "--m", "60")
+    assert code == 0 and out == "1\n"
+    code, out, err = run(capsys, "monomial", "power", "--ideal", ideal, "--m", "60")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "budget" in err and "Traceback" not in err
+
+
 def test_monomial_parse_error_exits_2(capsys):
     code, _, _ = run(capsys, "monomial", "alpha", "--ideal", "x^^2")
     assert code == 2

@@ -316,6 +316,28 @@ def test_certificate_json_roundtrip():
     assert verify_certificate(back, cfg)
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"d": None}, id="missing-d"),
+    pytest.param({"d": "x"}, id="string-d"),
+    pytest.param({"d": 5.5}, id="float-d"),
+    pytest.param({"d": True}, id="bool-d"),
+    pytest.param({"multiplicities": [1, 1, 1, 1, 1.0]}, id="float-multiplicity"),
+    pytest.param({"decomposition": [{"generator": "E_12", "coefficient": "1/0"}]},
+                 id="zero-denominator"),
+    pytest.param({"decomposition": [{"generator": "E_12", "coefficient": 0.5}]},
+                 id="float-coefficient"),
+    pytest.param({"decomposition": [{"generator": 12, "coefficient": "1"}]},
+                 id="non-string-generator"),
+    pytest.param({"decomposition": 3}, id="non-list-decomposition"),
+])
+def test_certificate_from_dict_rejects_malformed_data(change):
+    _, cert = waldschmidt(find_type("(3,2A1A2,4)").config(), ONES)
+    data = {**cert.to_dict(), **change}
+    data = {k: v for k, v in data.items() if v is not None}
+    with pytest.raises(ConfigurationError):
+        certificate_from_dict(data, 5)
+
+
 def test_alpha_degree_examples():
     assert alpha_degree(find_type("(5,∅,16)").config(), ONES) == 2
     assert alpha_degree(find_type("(1,D5,1)").config(), ONES) == 2

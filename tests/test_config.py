@@ -16,6 +16,7 @@ from waldschmidt.config import (
     ProximityMatrix,
     SurfaceConfig,
     ValidationReport,
+    check_multiplicities,
     config_from_dict,
     derive_proximity,
     effective_generators,
@@ -23,6 +24,7 @@ from waldschmidt.config import (
     strict_transform_components,
     validate_config,
 )
+from waldschmidt.cone import waldschmidt
 from waldschmidt.dp4 import find_type
 from waldschmidt.errors import ConfigurationError
 from waldschmidt.lattice import (
@@ -102,6 +104,14 @@ def test_proximity_check_worked_example():
     assert proximity_check((1, 2), p) == ((-1, 2), False)
     assert proximity_check((1, 1), p) == ((0, 1), True)
     assert proximity_check((0, 0), p) == ((0, 0), True)
+
+
+@pytest.mark.parametrize("m", [(1.9, 1, 1, 1, True), ("2", 1, 1, 1, 1), (1, 1, 1, 1, 1.0)])
+def test_multiplicities_must_be_integers(m):
+    with pytest.raises(ConfigurationError, match="integers"):
+        check_multiplicities(m, 5)
+    with pytest.raises(ConfigurationError):
+        waldschmidt(find_type("(1,D5,1)").config(), m)
 
 
 def test_proximity_check_equals_component_pairing():

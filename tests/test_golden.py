@@ -1,8 +1,10 @@
 """CLI stdout compared byte for byte with outputs recorded in tests/golden.
 
 The files were recorded before the validation and solver-path refactor
-(the r=8 case before the integer-pivoting simplex); any change to a
-value, a certificate or the JSON layout shows here.  generic-r6.json,
+(the r=8 case before the integer-pivoting simplex, the dp4 --type,
+--degenerations and --bounds cases and the monomial cases before the
+saturation rewrite); any change to a value, a certificate or the JSON
+layout shows here.  generic-r6.json,
 generic-r7.json and generic-r8.json list every exceptional class at that
 rank (classes.enumerate_exceptional), i.e. r general points.
 """
@@ -29,7 +31,27 @@ CASES = {
         "waldschmidt", "--config", str(GOLDEN / "generic-r8.json"),
         "--m", "1,2,2,2,2,2,2,2", "--json",
     ],
+    "dp4-type.stdout": ["dp4", "--type", "(3,A1A3,3)", "--json"],
+    "dp4-degenerations.stdout": ["dp4", "--degenerations", "--json"],
+    "dp4-bounds.stdout": ["dp4", "--bounds", "--json"],
 }
+
+# (ideal in x, y, z; m).  pool0 and pool1 are the first two entries of the
+# benchmark's fat-point pool; primary is (x,y,z)-primary, so it saturates to
+# the unit ideal; embedded is a line with an embedded point, fixed by
+# saturation; mixed has a saturation strictly larger than the ideal.
+MONOMIAL_IDEALS = {
+    "pool0": ("x^3*y^4, x^2*y^3*z, x*y^2*z^2, x*z^4, y*z^3", 3),
+    "pool1": ("x^4*y, x^3*z, x^2*z^2, x*z^3, z^4", 2),
+    "primary": ("x^2, x*y, y^3, z", 4),
+    "embedded": ("x*z, y*z", 3),
+    "mixed": ("x^3*z, x^2*y^2, y^3*z^2, x*y*z^3", 3),
+}
+for key, (ideal, m) in MONOMIAL_IDEALS.items():
+    for op in ("sat", "power", "symbolic-power", "alpha", "estimate"):
+        CASES[f"monomial-{op}-{key}.stdout"] = [
+            "monomial", op, "--ideal", ideal, "--m", str(m), "--max-m", str(m), "--json",
+        ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

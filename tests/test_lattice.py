@@ -126,3 +126,9 @@ def test_rank_bounds():
         DivisorClass(tuple(range(10)))
     with pytest.raises(UnsupportedRankError):
         DivisorClass(())
+
+
+@pytest.mark.parametrize("coeffs", [(1.7, 2, 1), (1, "2", 1), (1, 2, True), (1.0, 0, 0)])
+def test_coefficients_must_be_integers(coeffs):
+    with pytest.raises(ClassParseError):
+        DivisorClass(coeffs)

@@ -33,6 +33,29 @@ def test_minimalize():
     assert mono.format_ideal(i) == "x^4, x^3*y, x^2*y^2, x*y^4, y^6"
 
 
+def naive_minimal(gens):
+    """Every generator that no other generator divides, by all pairs."""
+    uniq = set(gens)
+    return tuple(sorted(
+        (g for g in uniq
+         if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in uniq)),
+        reverse=True,
+    ))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
+                max_size=12))
+def test_minimal_matches_all_pairs_reference(gens):
+    assert mono._minimal(gens) == naive_minimal(gens)
+
+
+def test_ideals_need_a_variable():
+    with pytest.raises(MonomialError):
+        mono.parse_ideal("1")
+    with pytest.raises(MonomialError):
+        mono.MonomialIdeal((), ())
+
+
 def test_product_and_power():
     j = ideal("x, y^2")
     assert mono.format_ideal(mono.power(j, 3)) == "x^3, x^2*y^2, x*y^4, y^6"
@@ -40,6 +63,16 @@ def test_product_and_power():
         mono.power(j, 0)
     with pytest.raises(MonomialError):
         mono.product(j, mono.parse_ideal("x", ("x",)))
+
+
+def test_pair_budget():
+    def chain(n):  # n + 1 generators
+        return mono.MonomialIdeal(XYZ, tuple((a, n - a, 0) for a in range(n + 1)))
+
+    assert len(chain(59).generators) * len(chain(49).generators) == mono.PAIR_CAP
+    mono.intersect(chain(59), chain(49))
+    with pytest.raises(MonomialError, match="budget"):
+        mono.product(chain(60), chain(49))
 
 
 def test_intersect():
@@ -119,6 +152,11 @@ def test_saturation_idempotent_and_extensive(i):
     s = mono.saturate_irrelevant(i)
     assert mono.saturate_irrelevant(s) == s
     assert all(s.contains(g) for g in i.generators)
+
+
+@given(small_ideals, st.integers(1, 4))
+def test_symbolic_power_is_saturated_power(i, m):
+    assert mono.symbolic_power(i, m) == mono.saturate_irrelevant(mono.power(i, m))
 
 
 @given(small_ideals, st.integers(1, 2), st.integers(1, 2))
