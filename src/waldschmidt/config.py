@@ -160,7 +160,7 @@ def strict_transform_components(p: ProximityMatrix) -> list[DivisorClass]:
 
 def check_multiplicities(m: Sequence[int], r: int) -> tuple[int, ...]:
     m = tuple(m)
-    if any(type(x) is not int for x in m):
+    if not _is_int_list(m):
         raise ConfigurationError(f"multiplicities must be integers, got {m!r}")
     if len(m) != r:
         raise ConfigurationError(f"expected {r} multiplicities, got {len(m)}")
