@@ -16,7 +16,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import InvalidRootError, OrbitTooLargeError, UnsupportedRankError
-from .lattice import DivisorClass, canonical_class, pairing
+from .lattice import DivisorClass, canonical_class, named_class, pairing
 
 ORBIT_CAP = 10**6
 
@@ -31,14 +31,6 @@ class CandidateFamily:
     members: tuple[DivisorClass, ...]
 
 
-def _vec(r: int, entries: dict[int, int], a0: int = 0) -> DivisorClass:
-    acc = [0] * (r + 1)
-    acc[0] = a0
-    for i, a in entries.items():
-        acc[i] = a
-    return DivisorClass(tuple(acc))
-
-
 def candidate_sets(r: int) -> list[CandidateFamily]:
     """The families whose union contains NEG(X) for every blowup at r points.
 
@@ -50,6 +42,7 @@ def candidate_sets(r: int) -> list[CandidateFamily]:
     """
     if not 2 <= r <= 8:
         raise UnsupportedRankError(f"candidate sets require 2 <= r <= 8, got {r}")
+    points = range(1, r + 1)
     fams: list[CandidateFamily] = []
 
     def finish(tag: str, members: list[DivisorClass]) -> None:
@@ -57,42 +50,31 @@ def candidate_sets(r: int) -> list[CandidateFamily]:
         if unique:
             fams.append(CandidateFamily(tag, tuple(unique)))
 
-    finish("B", [_vec(r, {i: 1}) for i in range(1, r + 1)])
+    for tag, head, sizes in (
+        ("B", "E", [1]),
+        ("V", "E", range(2, r + 1)),
+        ("L", "L", range(2, r + 1)),
+        ("Q", "Q", range(5, r + 1)),
+    ):
+        finish(tag, [
+            named_class(head, idx, r) for s in sizes for idx in combinations(points, s)
+        ])
 
-    members = []
-    for s in range(2, r + 1):
-        for idx in combinations(range(1, r + 1), s):
-            entries = {idx[0]: 1}
-            entries.update({i: -1 for i in idx[1:]})
-            members.append(_vec(r, entries))
-    finish("V", members)
-
-    for tag, a0, smin in (("L", 1, 2), ("Q", 2, 5)):
-        members = []
-        for s in range(smin, r + 1):
-            for idx in combinations(range(1, r + 1), s):
-                members.append(_vec(r, {i: -1 for i in idx}, a0=a0))
-        finish(tag, members)
-
-    members = []
-    for s in range(7, r + 1):
-        for idx in combinations(range(1, r + 1), s):
-            for first in idx:
-                entries = {i: -1 for i in idx}
-                entries[first] = -2
-                members.append(_vec(r, entries, a0=3))
-    finish("C", members)
+    finish("C", [
+        named_class("C", (first,) + tuple(i for i in idx if i != first), r)
+        for s in range(7, r + 1)
+        for idx in combinations(points, s)
+        for first in idx
+    ])
 
     if r == 8:
         k = canonical_class(8)
-        members = []
-        for idx in combinations(range(1, 9), 3):
-            members.append(-k + _vec(8, {i: -1 for i in idx}, a0=1))
-        for idx in combinations(range(1, 9), 6):
-            members.append(-k + _vec(8, {i: -1 for i in idx}, a0=2))
-        for i in range(1, 9):
-            members.append(-2 * k - _vec(8, {i: 1}))
-        finish("M8", members)
+        finish(
+            "M8",
+            [-k + named_class("L", idx, 8) for idx in combinations(points, 3)]
+            + [-k + named_class("Q", idx, 8) for idx in combinations(points, 6)]
+            + [-2 * k - named_class("E", (i,), 8) for i in points],
+        )
 
     return fams
 
@@ -182,14 +164,9 @@ def simple_roots(r: int) -> list[DivisorClass]:
     """[a1, ..., ar] with a1 = e0-e1-e2-e3 and ai = e_{i-1} - e_i."""
     if not 3 <= r <= 8:
         raise UnsupportedRankError(f"simple roots require 3 <= r <= 8, got {r}")
-    first = DivisorClass((1, -1, -1, -1) + (0,) * (r - 3))
-    out = [first]
-    for i in range(2, r + 1):
-        acc = [0] * (r + 1)
-        acc[i - 1] = 1
-        acc[i] = -1
-        out.append(DivisorClass(tuple(acc)))
-    return out
+    return [named_class("L", (1, 2, 3), r)] + [
+        named_class("E", (i - 1, i), r) for i in range(2, r + 1)
+    ]
 
 
 def reflect(v: DivisorClass, alpha: DivisorClass) -> DivisorClass:
@@ -199,10 +176,10 @@ def reflect(v: DivisorClass, alpha: DivisorClass) -> DivisorClass:
     return v + pairing(v, alpha) * alpha
 
 
-def weyl_orbit(v: DivisorClass, r: int, cap: int = ORBIT_CAP) -> list[DivisorClass]:
+def weyl_orbit(v: DivisorClass, r: int) -> list[DivisorClass]:
     """Breadth-first closure of {v} under the r simple reflections.
 
-    Deterministic (sorted) output; raises OrbitTooLargeError past `cap`
+    Deterministic (sorted) output; raises OrbitTooLargeError past ORBIT_CAP
     elements, which signals an input with a huge or infinite orbit.
     """
     if v.r != r:
@@ -215,8 +192,8 @@ def weyl_orbit(v: DivisorClass, r: int, cap: int = ORBIT_CAP) -> list[DivisorCla
         for alpha in gens:
             w = u + pairing(u, alpha) * alpha
             if w.coeffs not in seen:
-                if len(seen) >= cap:
-                    raise OrbitTooLargeError(f"orbit exceeded cap of {cap} elements")
+                if len(seen) >= ORBIT_CAP:
+                    raise OrbitTooLargeError(f"orbit exceeded cap of {ORBIT_CAP} elements")
                 seen.add(w.coeffs)
                 frontier.append(w)
     return sorted((DivisorClass(t) for t in seen), key=lambda c: c.coeffs)

@@ -3,7 +3,9 @@
 Subcommands: candidates, waldschmidt, dp4, monomial.  Results go to
 stdout (tables by default, JSON with --json); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments or parse errors, 3 configuration
-validation failure, 4 proximity violation, 5 infeasible cone.
+validation failure, 4 proximity violation, 5 infeasible cone, a
+certificate that failed verification, or a failed dp4 --degenerations or
+--bounds check.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ from .classes import FAMILY_TAGS, candidate_sets
 from .cone import Certificate, certificate_failures, frac_str, verify_certificate, waldschmidt
 from .config import SurfaceConfig, load_config, validate_config
 from .errors import (
-    ClassParseError,
     ConfigurationError,
     InfeasibleConeError,
-    MonomialError,
     ProximityViolationError,
-    UnsupportedRankError,
     WaldschmidtError,
 )
 from .lattice import format_class
@@ -295,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_INFEASIBLE, f"infeasible: {exc}")
     except ConfigurationError as exc:
         return _fail(EXIT_INVALID_CONFIG, f"invalid configuration: {exc}")
-    except (ClassParseError, UnsupportedRankError, MonomialError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
     except FileNotFoundError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except json.JSONDecodeError as exc:

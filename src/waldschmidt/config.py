@@ -20,6 +20,7 @@ from .lattice import (
     DivisorClass,
     canonical_class,
     line_class,
+    named_class,
     parse_class,
     point_class,
 )
@@ -148,14 +149,7 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
 
 def strict_transform_components(p: ProximityMatrix) -> list[DivisorClass]:
     """The components E^_i = e_i - sum of e_j over points proximate to p_i."""
-    out = []
-    for i in range(1, p.r + 1):
-        acc = [0] * (p.r + 1)
-        acc[i] = 1
-        for j in p.proximate_to(i):
-            acc[j] = -1
-        out.append(DivisorClass(tuple(acc)))
-    return out
+    return [named_class("E", [i] + p.proximate_to(i), p.r) for i in range(1, p.r + 1)]
 
 
 def check_multiplicities(m: Sequence[int], r: int) -> tuple[int, ...]:

@@ -4,6 +4,18 @@ Divisor classes on a blowup of the projective plane at r points are
 integer vectors a0*e0 + a1*e1 + ... + ar*er in the basis e0 (pullback of
 a line) and e1..er (total transforms of the exceptional divisors).  All
 arithmetic is exact; coefficients are arbitrary-precision integers.
+
+Class strings (parse_class, format_class): "L" is e0, "K" the canonical
+class, "[a0,a1,...,ar]" the raw form.  A named class "H_d1d2...ds", or
+"C_d1;d2...ds" for head C, lists distinct single-digit indices and spells
+a0*e0 + b*e_d1 + c*(e_d2 + ... + e_ds) with (a0, b, c) = SHAPES[H]:
+
+    E  ( 0,  1, -1)  e_d1 minus points infinitely near to p_d1
+    L  ( 1, -1, -1)  line through the points
+    Q  ( 2, -1, -1)  conic through the points
+    C  ( 3, -2, -1)  cubic with a node at p_d1, through the others
+
+Whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -115,34 +127,31 @@ def class_sum(r: int, terms: Iterable[tuple[int, DivisorClass]]) -> DivisorClass
 
 
 _RAW_RE = re.compile(r"^\[(-?\d+(?:,-?\d+)*)\]$")
-_E_RE = re.compile(r"^E_(\d+)$")
-_L_RE = re.compile(r"^L_(\d+)$")
-_Q_RE = re.compile(r"^Q_(\d+)$")
-_C_RE = re.compile(r"^C_(\d);(\d+)$")
+_NAMED_RE = re.compile(r"^(?:([ELQ])_|C_(\d);)(\d+)$")
+
+# Head -> (a0, coefficient of the first index, coefficient of the others).
+SHAPES = {"E": (0, 1, -1), "L": (1, -1, -1), "Q": (2, -1, -1), "C": (3, -2, -1)}
+_HEADS = {a0: head for head, (a0, _, _) in SHAPES.items()}
 
 
-def _indices(digits: str, r: int, seen: set[int] | None = None) -> list[int]:
-    idx = []
-    taken = set() if seen is None else seen
-    for ch in digits:
-        i = int(ch)
-        if i < 1 or i > r:
+def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
+    """The class of shape SHAPES[head] on the given 1-based indices at rank r.
+
+    Raises ClassParseError for an index outside 1..r or a repeated index.
+    """
+    a0, first, other = SHAPES[head]
+    acc = [a0] + [0] * r
+    for n, i in enumerate(indices):
+        if not 1 <= i <= r:
             raise ClassParseError(f"index {i} outside 1..{r}")
-        if i in taken:
+        if acc[i]:
             raise ClassParseError(f"repeated index {i}")
-        taken.add(i)
-        idx.append(i)
-    return idx
+        acc[i] = other if n else first
+    return DivisorClass(tuple(acc))
 
 
 def parse_class(text: str, r: int) -> DivisorClass:
-    """Parse a class string at rank r.
-
-    Grammar: "L" -> e0; "K" -> canonical class; "E_d1d2...ds" ->
-    e_d1 - e_d2 - ... - e_ds; "L_d1...ds" -> e0 - sum e_di; "Q_d1...ds" ->
-    2*e0 - sum e_di; "C_d1;d2...ds" -> 3*e0 - 2*e_d1 - sum_{i>=2} e_di;
-    "[a0,a1,...,ar]" is the raw form.  Whitespace is ignored.
-    """
+    """Parse a class string at rank r; the grammar is in the module docstring."""
     _check_rank_arg(r)
     s = re.sub(r"\s+", "", text)
     if not s:
@@ -159,67 +168,34 @@ def parse_class(text: str, r: int) -> DivisorClass:
                 f"raw vector has {len(coeffs)} entries, expected {r + 1}"
             )
         return DivisorClass(coeffs)
-    m = _E_RE.match(s)
+    m = _NAMED_RE.match(s)
     if m:
-        idx = _indices(m.group(1), r)
-        acc = [0] * (r + 1)
-        acc[idx[0]] = 1
-        for i in idx[1:]:
-            acc[i] = -1
-        return DivisorClass(tuple(acc))
-    m = _L_RE.match(s)
-    if m:
-        idx = _indices(m.group(1), r)
-        acc = [1] + [0] * r
-        for i in idx:
-            acc[i] = -1
-        return DivisorClass(tuple(acc))
-    m = _Q_RE.match(s)
-    if m:
-        idx = _indices(m.group(1), r)
-        acc = [2] + [0] * r
-        for i in idx:
-            acc[i] = -1
-        return DivisorClass(tuple(acc))
-    m = _C_RE.match(s)
-    if m:
-        seen: set[int] = set()
-        first = _indices(m.group(1), r, seen)[0]
-        rest = _indices(m.group(2), r, seen)
-        acc = [3] + [0] * r
-        acc[first] = -2
-        for i in rest:
-            acc[i] = -1
-        return DivisorClass(tuple(acc))
+        digits = (m.group(2) or "") + m.group(3)
+        return named_class(m.group(1) or "C", [int(d) for d in digits], r)
     raise ClassParseError(f"unrecognised class string {text!r}")
 
 
 def format_class(c: DivisorClass) -> str:
     """Canonical spelling of a class; exact inverse of parse_class.
 
-    Classes that match no named pattern are rendered in the raw form, so
-    the round trip parse_class(format_class(c), c.r) == c always holds.
+    Indices ascend, except that a C name leads with its double point.  A
+    name is used only when it parses back to c; every other class is
+    rendered in the raw form, so parse_class(format_class(c), c.r) == c.
     """
     coeffs = c.coeffs
-    a0, tail = coeffs[0], coeffs[1:]
     if c == line_class(c.r):
         return "L"
     if c == canonical_class(c.r):
         return "K"
-    minus = [i for i, a in enumerate(tail, start=1) if a == -1]
-    plus = [i for i, a in enumerate(tail, start=1) if a == 1]
-    others = [a for a in tail if a not in (-1, 0, 1)]
-    if a0 == 0 and len(plus) == 1 and not others:
-        if not minus or plus[0] < min(minus):
-            return "E_" + str(plus[0]) + "".join(str(i) for i in minus)
-    if a0 in (1, 2) and not plus and not others and minus:
-        head = "L_" if a0 == 1 else "Q_"
-        return head + "".join(str(i) for i in minus)
-    if a0 == 3 and not plus and minus:
-        doubles = [i for i, a in enumerate(tail, start=1) if a == -2]
-        clean = all(a in (0, -1, -2) for a in tail)
-        if len(doubles) == 1 and clean:
-            return "C_" + str(doubles[0]) + ";" + "".join(str(i) for i in minus)
+    head = _HEADS.get(coeffs[0], "")  # "" spells no name
+    indices = [i for i, a in enumerate(coeffs[1:], start=1) if a]
+    if head == "C" and -2 in coeffs:
+        first = coeffs.index(-2)
+        indices = [first] + [i for i in indices if i != first]
+    digits = "".join(str(i) for i in indices)
+    name = f"C_{digits[:1]};{digits[1:]}" if head == "C" else f"{head}_{digits}"
+    if _NAMED_RE.match(name) and named_class(head, indices, c.r) == c:
+        return name
     return "[" + ",".join(str(a) for a in coeffs) + "]"
 
 

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from waldschmidt import classes
 from waldschmidt.classes import (
     candidate_members,
     candidate_sets,
@@ -217,7 +218,8 @@ def test_weyl_orbit_r3_reducible_strictness():
     assert set(c.coeffs for c in orbit) < set(c.coeffs for c in roots)
 
 
-def test_weyl_orbit_cap():
+def test_weyl_orbit_cap(monkeypatch):
+    monkeypatch.setattr(classes, "ORBIT_CAP", 500)
     generic = DivisorClass((1, 2, 3, 4, 5, 6, 7, 8, 9))
     with pytest.raises(OrbitTooLargeError):
-        weyl_orbit(generic, 8, cap=500)
+        weyl_orbit(generic, 8)

@@ -273,3 +273,37 @@ def test_stdout_carries_results_stderr_diagnostics(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err
+
+
+def test_waldschmidt_missing_config_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "waldschmidt", "--config", str(tmp_path / "missing.json"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "missing.json" in err and "Traceback" not in err
+
+
+def test_waldschmidt_wrong_multiplicity_count_exits_3(capsys, d5_path):
+    code, out, err = run(capsys, "waldschmidt", "--config", d5_path, "--m", "1,1")
+    assert code == 3 and out == ""
+    assert err == "invalid configuration: expected 5 multiplicities, got 2\n"
+
+
+def test_candidates_empty_family_exits_2(capsys):
+    code, out, err = run(capsys, "candidates", "--r", "5", "--family", "C")
+    assert code == 2 and out == ""
+    assert err == "family C is empty at r=5\n"
+
+
+def test_waldschmidt_warns_on_a_point_proximate_to_three(capsys, tmp_path):
+    p = tmp_path / "three.json"
+    p.write_text(json.dumps({
+        "r": 4,
+        "proximity": [[4, 1], [4, 2], [4, 3]],
+        "negative_curves": ["E_1", "E_2", "E_3", "E_4",
+                            "L_12", "L_13", "L_14", "L_23", "L_24", "L_34"],
+    }))
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p))
+    assert code == 0 and "certificate verified" in out
+    assert err == (
+        "warning: point p_4 proximate to 3 points; "
+        "a planar point can be proximate to at most 2\n"
+    )

@@ -3,10 +3,11 @@
 The files were recorded before the validation and solver-path refactor
 (the r=8 case before the integer-pivoting simplex, the dp4 --type,
 --degenerations and --bounds cases and the monomial cases before the
-saturation rewrite); any change to a value, a certificate or the JSON
-layout shows here.  generic-r6.json,
-generic-r7.json and generic-r8.json list every exceptional class at that
-rank (classes.enumerate_exceptional), i.e. r general points.
+saturation rewrite, the candidates cases before the class-name shapes
+moved into one table); any change to a value, a certificate or the JSON
+layout shows here.  generic-r6.json, generic-r7.json and generic-r8.json
+list every exceptional class at that rank (classes.enumerate_exceptional),
+i.e. r general points.
 """
 
 from pathlib import Path
@@ -35,6 +36,8 @@ CASES = {
     "dp4-degenerations.stdout": ["dp4", "--degenerations", "--json"],
     "dp4-bounds.stdout": ["dp4", "--bounds", "--json"],
 }
+for r in range(2, 9):
+    CASES[f"candidates-r{r}.stdout"] = ["candidates", "--r", str(r), "--json"]
 
 # (ideal in x, y, z; m).  pool0 and pool1 are the first two entries of the
 # benchmark's fat-point pool; primary is (x,y,z)-primary, so it saturates to

@@ -7,6 +7,7 @@ from waldschmidt.lattice import (
     canonical_class,
     format_class,
     line_class,
+    named_class,
     pairing,
     parse_class,
     point_class,
@@ -57,6 +58,7 @@ def test_parse_named_forms():
     assert parse_class("C_1;234567", 7).coeffs == (3, -2, -1, -1, -1, -1, -1, -1)
     assert parse_class("[2,-1,0]", 2).coeffs == (2, -1, 0)
     assert parse_class(" L _ 1 2 ", 2).coeffs == (1, -1, -1)
+    assert named_class("C", (2, 1, 3), 3) == parse_class("C_2;13", 3) == cls(3, -1, -2, -1)
 
 
 @pytest.mark.parametrize(
@@ -132,3 +134,20 @@ def test_rank_bounds():
 def test_coefficients_must_be_integers(coeffs):
     with pytest.raises(ClassParseError):
         DivisorClass(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0, -1, 1),                      # E-shape whose +1 is not the least index
+        (3, -2, -2, -1, -1, -1, -1, -1),  # C-shape with two double points
+        (1, -1, 1, -1),                  # L-shape with a +1
+        (3, -2, 0, 0, 0, 0),             # C-shape with no further index
+        (2, 0, 0, 0, 0, 0),              # Q-shape with no index
+        (0, 0, 0),                       # E-shape with no index
+    ],
+)
+def test_off_shape_classes_format_raw(coeffs):
+    c = DivisorClass(coeffs)
+    assert format_class(c) == "[" + ",".join(str(a) for a in coeffs) + "]"
+    assert parse_class(format_class(c), c.r) == c
