@@ -36,6 +36,18 @@ CASES = {
     "dp4-degenerations.stdout": ["dp4", "--degenerations", "--json"],
     "dp4-bounds.stdout": ["dp4", "--bounds", "--json"],
 }
+# Three more r=8 LPs, recorded before the simplex tableau moved to packed
+# integer rows: the uniform m (48/17, 102 Bland pivots) and the benchmark
+# pool's most and least pivoted m (86/11 after 106 pivots, 11/2 after 28).
+R8_MULTIPLICITIES = {
+    "uniform": "1,1,1,1,1,1,1,1",
+    "pool-max": "3,3,3,3,3,2,2,3",
+    "pool-min": "1,1,1,3,3,1,3,1",
+}
+for key, m in R8_MULTIPLICITIES.items():
+    CASES[f"waldschmidt-r8-{key}.stdout"] = [
+        "waldschmidt", "--config", str(GOLDEN / "generic-r8.json"), "--m", m, "--json",
+    ]
 for r in range(2, 9):
     CASES[f"candidates-r{r}.stdout"] = ["candidates", "--r", str(r), "--json"]
 

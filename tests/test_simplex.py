@@ -1,13 +1,17 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waldschmidt import simplex
+from helpers import generic_config
+from waldschmidt import cone, simplex
 from waldschmidt.errors import SolverInvariantError
 from waldschmidt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
+GENERIC_R8_POOL = Path(__file__).parent.parent / "perfbench" / "data" / "generic-r8.json"
 
 
 def test_simple_optimum_with_dual():
@@ -81,22 +85,65 @@ def test_unbounded_phase_one_raises_typed_error(monkeypatch):
         solve_lp([[1]], [1], [1])
 
 
+@pytest.mark.parametrize("a, b, c, message", [
+    ([[1, 2], [1]], [1, 1], [1, 1], "row 1 has 1 entries, not 2"),
+    ([[1, 2]], [1], [1], "row 0 has 2 entries, not 1"),
+    ([[1, 2]], [1, 2], [1, 1], "1 rows but 2 right-hand sides"),
+    ([[1, 2.0]], [1], [1, 1], "row 0 has an entry"),
+    ([[1, 2], [1, 1]], [1, 0.5], [1, 1], "row 1 has an entry"),
+    ([[1, 2]], [1], [1, 1.0], "cost row has an entry"),
+])
+def test_malformed_lp_raises_typed_error_naming_the_row(a, b, c, message):
+    with pytest.raises(SolverInvariantError, match=message):
+        solve_lp(a, b, c)
+
+
+def test_pivot_path_matches_the_benchmark_pool(monkeypatch):
+    # The pool records each r=8 LP's value and its Bland pivot count; the
+    # solver must take the same pivots, counted through _Tableau.pivot as
+    # the pool generator (perfbench/make_pools.py) counts them.
+    entries = json.loads(GENERIC_R8_POOL.read_text(encoding="utf-8"))["entries"]
+    picks = entries[:3] + [
+        max(entries, key=lambda e: e["pivots"]),
+        min(entries, key=lambda e: e["pivots"]),
+    ]
+    cfg = generic_config(8)
+    pivots = [0]
+    original = simplex._Tableau.pivot
+
+    def counting_pivot(self, row, col):
+        pivots[0] += 1
+        return original(self, row, col)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counting_pivot)
+    for entry in picks:
+        pivots[0] = 0
+        value, _ = cone.waldschmidt(cfg, tuple(entry["m"]))
+        assert (value, pivots[0]) == (F(entry["value"]), entry["pivots"]), entry["m"]
+
+
 _ENTRIES = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )
+# Entries up to 2**64 and denominators up to 10**6 make wide tableau slots.
+_WIDE_ENTRIES = st.one_of(
+    st.integers(-2**64, 2**64),
+    st.fractions(min_value=-2**64, max_value=2**64, max_denominator=10**6),
+)
 
 
 @st.composite
-def _lps(draw):
-    """Small LPs with int and Fraction entries and any sign of b.
+def _lps(draw, entries=_ENTRIES):
+    """Small LPs with int and Fraction entries drawn from `entries`, and
+    any sign of b.
 
     Half are feasible by construction (b = A x0 with x0 >= 0), and some
     repeat a scaled copy of a row, so redundant rows reach the solver.
     """
     nrows = draw(st.integers(1, 4))
     ncols = draw(st.integers(1, 6))
-    a = [draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    a = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     feasible = draw(st.booleans())
     if feasible:
         x0 = draw(st.lists(
@@ -105,19 +152,17 @@ def _lps(draw):
         ))
         b = [sum((v * q for v, q in zip(row, x0)), F(0)) for row in a]
     else:
-        b = draw(st.lists(_ENTRIES, min_size=nrows, max_size=nrows))
+        b = draw(st.lists(entries, min_size=nrows, max_size=nrows))
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, nrows - 1))
         k = draw(st.sampled_from([2, -1, F(1, 3)]))
         a.append([k * v for v in a[i]])
         b.append(k * b[i])
-    c = draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols))
+    c = draw(st.lists(entries, min_size=ncols, max_size=ncols))
     return a, b, c, feasible
 
 
-@settings(max_examples=300, deadline=None)
-@given(_lps())
-def test_optimal_results_satisfy_the_optimality_conditions(lp):
+def _check_optimality_conditions(lp):
     # Solver-independent oracle: primal feasibility, dual feasibility and
     # strong duality, checked in exact arithmetic.
     a, b, c, feasible = lp
@@ -137,3 +182,17 @@ def test_optimal_results_satisfy_the_optimality_conditions(lp):
         assert sum(yi * row[j] for yi, row in zip(y, a)) <= cj
     assert res.objective == sum(cj * q for cj, q in zip(c, x))
     assert sum(yi * bi for yi, bi in zip(y, b)) == res.objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lps())
+def test_optimal_results_satisfy_the_optimality_conditions(lp):
+    _check_optimality_conditions(lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lps(_WIDE_ENTRIES))
+def test_wide_entry_lps_satisfy_the_optimality_conditions(lp):
+    # Negative b, redundant rows (so negative pivots when artificials are
+    # driven out) and huge entries, which force wide packed slots.
+    _check_optimality_conditions(lp)
