@@ -1,0 +1,3 @@
+"""`python -m waldschmidt`: the command-line front end."""
+from .cli import main
+raise SystemExit(main())

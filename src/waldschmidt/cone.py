@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .config import (  # noqa: F401  validate_config is re-exported
@@ -126,9 +127,13 @@ def cone_membership(
     return {g: res.x[i] for i, g in enumerate(generators) if res.x[i] != 0}
 
 
-def _bounding_class(r: int) -> DivisorClass:
-    """(3*2^r)*e0 - sum 2^(r-i)*e_i; positive degree on every candidate class."""
-    return DivisorClass(tuple([3 * 2**r] + [-(2 ** (r - i)) for i in range(1, r + 1)]))
+def _signed_bounding_class(r: int) -> tuple[int, ...]:
+    """A = (3*2^r)*e0 - sum 2^(r-i)*e_i with its point coefficients negated.
+
+    A has positive degree on every candidate class, and with this sign
+    A.c is the dot product of the tuple with c.coeffs.
+    """
+    return (3 * 2**r,) + tuple(2 ** (r - i) for i in range(1, r + 1))
 
 
 def _leading_index(c: DivisorClass) -> int:
@@ -139,26 +144,26 @@ def _leading_index(c: DivisorClass) -> int:
 
 
 def _solve_triangular(
-    residual: list[int], zgens: list[tuple[int, DivisorClass]]
-) -> dict[DivisorClass, int] | None:
+    residual: Sequence[int], zsteps: list[tuple[int, tuple[int, ...]]]
+) -> list[int] | None:
     """Express a degree-zero residual over zero-degree generators.
 
-    zgens are sorted by leading index; distinct leading indices make the
-    system triangular, so the solution is unique when it exists.
+    zsteps holds (leading index, coefficients) sorted by leading index;
+    distinct leading indices make the system triangular, so the solution
+    (one multiplicity per entry of zsteps) is unique when it exists.
     """
-    res = list(residual)
-    out: dict[DivisorClass, int] = {}
-    for lead, g in zgens:
+    res = residual
+    lams = []
+    for lead, coeffs in zsteps:
         lam = res[lead]
         if lam < 0:
             return None
         if lam:
-            for j, a in enumerate(g.coeffs):
-                res[j] -= lam * a
-            out[g] = lam
+            res = [x - lam * a for x, a in zip(res, coeffs)]
+        lams.append(lam)
     if any(res):
         return None
-    return out
+    return lams
 
 
 def monoid_membership(
@@ -169,6 +174,23 @@ def monoid_membership(
     Bounded exhaustive search: the bounding class A = (3*2^r)e0 - sum
     2^(r-i) e_i pairs >= 1 with every admissible generator, so A-degree
     caps every coefficient and the depth-first search terminates.
+
+    Search order: the positive-degree generators g, sorted by descending
+    ratio need_drop(g)/g0 (need_drop is minus the sum of the point
+    coefficients, g0 the line degree), then by coefficient tuple, then by
+    input position, so repeated generators keep their order.  Each takes
+    a multiplicity from its largest feasible value down to 0; once the
+    line degree is used up, the rest is a triangular solve over the
+    degree-zero generators.  Prune: when no degree-zero generator has
+    positive need_drop, a node with residual need `need` (minus the sum
+    of its point coefficients) and line degree b0 is cut if need exceeds
+    b0 times the largest ratio still to come.  With den the lcm of the
+    positive line degrees and bound = den times that ratio, an integer,
+    the test is need * den > bound * b0, so the search does only integer
+    arithmetic.  It visits the same nodes in the same order, and returns
+    the same witness, as the earlier form of this search that kept the
+    ratios as Fractions; tests/golden/monoid-witnesses.json pins its
+    output.
 
     Precondition: the degree-zero generators have distinct leading
     indices, so the degree-zero part of the search is a triangular solve.
@@ -183,77 +205,99 @@ def monoid_membership(
         return {}
     if not generators:
         return None
-    A = _bounding_class(r)
-    degs = [pairing(A, g) for g in generators]
-    if any(d < 1 for d in degs):
+    signed_a = _signed_bounding_class(r)
+    degs = [sum(map(mul, signed_a, g.coeffs)) for g in generators]
+    if min(degs) < 1:
         raise BoundingFailureError(
             "no bounding functional is positive on every generator: "
             + ", ".join(
                 format_class(g) for g, d in zip(generators, degs) if d < 1
             )
         )
-    budget = pairing(A, D)
+    budget = sum(map(mul, signed_a, D.coeffs))
     if budget < 0:
         return None
 
-    pgens = [g for g in generators if g.coeffs[0] > 0]
-    zgens = [g for g in generators if g.coeffs[0] == 0]
-    if any(g.coeffs[0] < 0 for g in generators):
-        raise BoundingFailureError("generator with negative line degree")
-    zleads = sorted(((_leading_index(g), g) for g in zgens), key=lambda t: t[0])
+    pgens, zleads = [], []
+    for g, ga in zip(generators, degs):
+        if g.coeffs[0] > 0:
+            pgens.append((g, ga))
+        elif g.coeffs[0] == 0:
+            zleads.append((_leading_index(g), g))
+        else:
+            raise BoundingFailureError("generator with negative line degree")
+    zleads.sort(key=itemgetter(0))
     for (lead, g), (lead2, h) in zip(zleads, zleads[1:]):
         if lead == lead2:
             raise ConfigurationError(
                 f"degree-zero generators {format_class(g)} and {format_class(h)} "
                 f"share the leading index {lead}; no valid configuration has both"
             )
+    zsteps = [(lead, g.coeffs) for lead, g in zleads]
 
     # Need per budget: each unit of line degree spent on generator g
-    # lowers the total point-multiplicity deficit by at most ratio(g).
-    def need_drop(g: DivisorClass) -> int:
-        return -sum(g.coeffs[1:])
+    # lowers the total point-multiplicity deficit by at most
+    # ratio(g) = need_drop(g) / g0, here scaled by den to an integer.
+    sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
+    den = lcm(*(g.coeffs[0] for g, _ in pgens))
+    # Sorted, these tuples run by descending ratio, then coefficients, then
+    # input position; positions differ, so nothing after them is compared.
+    ranked = []
+    for g, ga in pgens:
+        c = g.coeffs
+        nd = -sum(c[1:])
+        ranked.append((-nd * (den // c[0]), c, len(ranked), ga, nd, g))
+    ranked.sort()
+    order = [t[-1] for t in ranked]
+    # One step per generator: (coefficients, line degree, A-degree,
+    # need_drop, bound), bound being den times the largest ratio from
+    # this step on, and at least 0.
+    steps = []
+    bound = 0
+    for key, c, _, ga, nd, _ in reversed(ranked):
+        bound = max(bound, -key)
+        steps.append((c, c[0], ga, nd, bound))
+    steps.reverse()
+    last = len(steps)
+    chosen = [0] * last
+    leaf: tuple[int, list[int]] | None = None
 
-    sharp = all(need_drop(g) <= 0 for g in zgens)
-    order = sorted(
-        pgens, key=lambda g: (-Fraction(need_drop(g), g.coeffs[0]), g.coeffs)
-    )
-    ratios = [Fraction(need_drop(g), g.coeffs[0]) for g in order]
-    suffix_ratio = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix_ratio[i] = max(suffix_ratio[i + 1], ratios[i])
-
-    result: dict[DivisorClass, int] | None = None
-
-    def rec(idx: int, res: list[int], adeg: int, chosen: list[int]) -> bool:
-        nonlocal result
+    def rec(idx: int, res: tuple[int, ...], adeg: int, need: int) -> bool:
+        nonlocal leaf
         b0 = res[0]
-        if b0 < 0 or adeg < 0:
-            return False
         if b0 == 0:
-            zsol = _solve_triangular(res, zleads)
-            if zsol is None:
+            lams = _solve_triangular(res, zsteps)
+            if lams is None:
                 return False
-            result = {g: n for g, n in zip(order, chosen) if n}
-            result.update(zsol)
+            leaf = idx, lams
             return True
-        if idx == len(order):
+        if idx == last:
             return False
-        if sharp:
-            need = -sum(res[1:])
-            if Fraction(need, 1) > suffix_ratio[idx] * b0:
-                return False
-        g = order[idx]
-        ga = pairing(A, g)
-        top = min(b0 // g.coeffs[0], adeg // ga)
-        for lam in range(top, -1, -1):
-            nres = [x - lam * a for x, a in zip(res, g.coeffs)]
-            if rec(idx + 1, nres, adeg - lam * ga, chosen + [lam]):
+        coeffs, g0, ga, nd, bound = steps[idx]
+        if sharp and need * den > bound * b0:
+            return False
+        # Children from lam = top down to 0; each adds g back once.
+        lam = min(b0 // g0, adeg // ga)
+        child = tuple([x - lam * a for x, a in zip(res, coeffs)])
+        adeg -= lam * ga
+        need -= lam * nd
+        while True:
+            chosen[idx] = lam
+            if rec(idx + 1, child, adeg, need):
                 return True
-        return False
+            if not lam:
+                return False
+            lam -= 1
+            child = tuple(map(add, child, coeffs))
+            adeg += ga
+            need += nd
 
-    if rec(0, list(D.coeffs), budget, []):
-        return result
-    return None
+    if D.coeffs[0] < 0 or not rec(0, D.coeffs, budget, -sum(D.coeffs[1:])):
+        return None
+    depth, lams = leaf
+    result = {g: n for g, n in zip(order, chosen[:depth]) if n}
+    result.update((g, n) for (_, g), n in zip(zleads, lams) if n)
+    return result
 
 
 def is_nef(F: DivisorClass, cfg: SurfaceConfig) -> bool:
@@ -370,9 +414,11 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         failures.append(f"degree d = {cert.d} is negative")
     if cert.m <= 0:
         failures.append(f"multiplicity scale m = {cert.m} is not positive")
-    gen_set = set(gens)
+    # Look up coefficient tuples: hash(-1) == hash(-2), so at r=8 a set of
+    # classes would resolve its many collisions with DivisorClass.__eq__.
+    gen_coeffs = {g.coeffs for g in gens}
     for g, q in cert.decomposition:
-        if g not in gen_set:
+        if g.coeffs not in gen_coeffs:
             failures.append(f"{format_class(g)} is not an effective-cone generator")
         elif q < 0:
             failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
@@ -383,7 +429,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         target = cert.target()
         acc = [Fraction(0)] * (r + 1)
         for g, q in cert.decomposition:
-            if g in gen_set:
+            if g.coeffs in gen_coeffs:
                 for j, a in enumerate(g.coeffs):
                     acc[j] += q * a
         if acc != [Fraction(v) for v in target.coeffs]:
@@ -398,7 +444,10 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         return failures
     if nef.is_zero():
         failures.append("nef class is zero")
-    negative = [format_class(g) for g in gens if pairing(nef, g) < 0]
+    signed_nef = (nef.coeffs[0],) + tuple(-x for x in nef.coeffs[1:])
+    negative = [
+        format_class(g) for g in gens if sum(map(mul, signed_nef, g.coeffs)) < 0
+    ]
     if negative:
         failures.append(
             f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,22 @@ def test_monoid_requires_bounding_positivity():
         monoid_membership(
             DivisorClass((1, 0)), [DivisorClass((0, -1)), DivisorClass((0, 1))]
         )
+
+
+def test_monoid_search_uses_no_fraction(monkeypatch):
+    gens = effective_generators(find_type("(1,D5,1)").config())
+    hit = monoid_membership(target(5, 3), gens)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("the monoid search built a Fraction")
+
+    monkeypatch.setattr(cone, "Fraction", no_fraction)
+    assert monoid_membership(target(5, 3), gens) == hit
+    assert hit is not None
+    assert monoid_membership(target(4, 3), gens) is None
+    # Need 5 per unit of line degree 1 exceeds every generator's ratio, so
+    # the prune rejects this target before the first branch.
+    assert monoid_membership(target(1, 1), gens) is None
 
 
 def test_monoid_subset_of_cone():
@@ -314,6 +332,26 @@ def test_certificate_json_roundtrip():
     back = certificate_from_dict(data, 5)
     assert back == cert
     assert verify_certificate(back, cfg)
+
+
+def test_certificate_failures_compares_few_classes(monkeypatch):
+    # hash(-1) == hash(-2), so the 240 (-1)-classes at r=8 share about 110
+    # hash values; a set of DivisorClass would compare them in Python.
+    golden = Path(__file__).parent / "golden"
+    cfg = config.load_config(str(golden / "generic-r8.json"))
+    data = json.loads((golden / "waldschmidt-r8.stdout").read_text(encoding="utf-8"))
+    cert = certificate_from_dict(data["certificate"], 8)
+    effective_generators(cfg)  # validate outside the count
+    calls = []
+    real_eq = DivisorClass.__eq__
+
+    def counting_eq(self, other):
+        calls.append(1)
+        return real_eq(self, other)
+
+    monkeypatch.setattr(DivisorClass, "__eq__", counting_eq)
+    assert certificate_failures(cert, cfg) == []
+    assert len(calls) < 50
 
 
 @pytest.mark.parametrize("change", [

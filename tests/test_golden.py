@@ -7,14 +7,22 @@ saturation rewrite, the candidates cases before the class-name shapes
 moved into one table); any change to a value, a certificate or the JSON
 layout shows here.  generic-r6.json, generic-r7.json and generic-r8.json
 list every exceptional class at that rank (classes.enumerate_exceptional),
-i.e. r general points.
+i.e. r general points.  monoid-witnesses.json holds the output of
+cone.monoid_membership itself, the integer oracle behind the brute-force
+tests.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from waldschmidt.cli import main
+from waldschmidt.cone import monoid_membership
+from waldschmidt.lattice import format_class, parse_class
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,3 +81,31 @@ for key, (ideal, m) in MONOMIAL_IDEALS.items():
 def test_stdout_matches_recorded_output(capsys, name):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_python_dash_m_matches_recorded_output():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-m", "waldschmidt", *CASES["dp4-type.stdout"]],
+        cwd=root, env=env, capture_output=True, check=True,
+    ).stdout
+    assert out == (GOLDEN / "dp4-type.stdout").read_bytes()
+
+
+def test_monoid_witnesses_match_recorded_output():
+    """Every search decides and decomposes as when the file was recorded.
+
+    monoid-witnesses.json was recorded before the search moved to integer
+    arithmetic; its "about" field says how the targets were drawn.
+    """
+    data = json.loads((GOLDEN / "monoid-witnesses.json").read_text(encoding="utf-8"))
+    sets = {
+        name: (s["r"], [parse_class(c, s["r"]) for c in s["classes"]])
+        for name, s in data["generator_sets"].items()
+    }
+    for case in data["cases"]:
+        r, gens = sets[case["generators"]]
+        found = monoid_membership(parse_class(case["target"], r), gens)
+        got = None if found is None else [[format_class(g), n] for g, n in found.items()]
+        assert got == case["witness"], case
