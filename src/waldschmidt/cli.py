@@ -79,7 +79,7 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
             EXIT_INVALID_CONFIG,
             "invalid configuration:\n" + "\n".join(f"  {e}" for e in report.errors),
         )
-    if args.m:
+    if args.m is not None:
         try:
             m = tuple(int(t) for t in args.m.split(","))
         except ValueError:
@@ -294,9 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_INFEASIBLE, f"infeasible: {exc}")
     except ConfigurationError as exc:
         return _fail(EXIT_INVALID_CONFIG, f"invalid configuration: {exc}")
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail(EXIT_USAGE, f"bad JSON: {exc}")
     except WaldschmidtError as exc:
         return _fail(EXIT_USAGE, str(exc))

@@ -29,7 +29,7 @@ from .errors import (
     WaldschmidtError,
 )
 from .lattice import DivisorClass, format_class, line_class, pairing, parse_class
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,22 @@ def cone_membership(
         raise ConfigurationError("generator rank mismatch")
     if not generators:
         return {} if D.is_zero() else None
-    a = [[g.coeffs[j] for g in generators] for j in range(r + 1)]
-    b = [D.coeffs[j] for j in range(r + 1)]
-    c = [0] * len(generators)
-    res = solve_lp(a, b, c)
+    cost = [0] * len(generators)
+    res = _cone_lp([g.coeffs for g in generators], D.coeffs, cost, "feasibility")
+    return None if res is None else {g: q for g, q in zip(generators, res.x) if q}
+
+
+def _cone_lp(
+    columns: list[Sequence[int]], target: Sequence[int], cost: list[int], name: str
+) -> LpResult | None:
+    """min cost.x over x >= 0 with sum(x_i * columns[i]) = target, or None if
+    infeasible; any other non-optimal end raises SolverInvariantError."""
+    res = solve_lp(list(zip(*columns)), target, cost)
     if res.status == INFEASIBLE:
         return None
     if res.status != OPTIMAL:
-        raise SolverInvariantError(f"feasibility LP ended {res.status}")
-    return {g: res.x[i] for i, g in enumerate(generators) if res.x[i] != 0}
+        raise SolverInvariantError(f"{name} LP ended {res.status}")
+    return res
 
 
 def _signed_bounding_class(r: int) -> tuple[int, ...]:
@@ -137,10 +144,8 @@ def _signed_bounding_class(r: int) -> tuple[int, ...]:
 
 
 def _leading_index(c: DivisorClass) -> int:
-    for i, a in enumerate(c.coeffs[1:], start=1):
-        if a != 0:
-            return i
-    return 0
+    """Index of the first nonzero point coefficient of a nonzero class."""
+    return next(i for i, a in enumerate(c.coeffs[1:], start=1) if a)
 
 
 def _solve_triangular(
@@ -344,20 +349,14 @@ def _solve(
         return Fraction(0), Certificate(
             d=0, m=1, multiplicities=mm, decomposition=(), nef=line_class(r)
         )
-    a = []
-    for j in range(r + 1):
-        row = [g.coeffs[j] for g in gens]
-        row.append(-1 if j == 0 else 0)
-        a.append(row)
-    b = [0] + [-x for x in mm]
-    c = [0] * len(gens) + [1]
-    res = solve_lp(a, b, c)
-    if res.status == INFEASIBLE:
+    # Columns: the generators, then -e0 for the line degree t.
+    columns = [g.coeffs for g in gens] + [(-1,) + (0,) * r]
+    target = (0,) + tuple(-x for x in mm)
+    res = _cone_lp(columns, target, [0] * len(gens) + [1], "Waldschmidt")
+    if res is None:
         raise InfeasibleConeError(
             "no multiple of the line class dominates E_Z over these generators"
         )
-    if res.status != OPTIMAL:
-        raise SolverInvariantError(f"Waldschmidt LP ended {res.status}")
     t = res.x[len(gens)]
     if t <= 0:
         raise SolverInvariantError(

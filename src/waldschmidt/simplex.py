@@ -1,16 +1,17 @@
-"""Two-phase primal simplex over exact rationals with Bland's rule.
+"""Two-phase primal simplex on integer data, with exact rational results.
 
-Solves min c.x subject to A x = b, x >= 0 by integer pivoting (the
-Edmonds-Bareiss fraction-free elimination of Avis's lrs).  The tableau
-holds only integers: every entry is its true rational value times D,
-the absolute value of the current basis determinant, and D > 0.  A
-pivot on entry p turns each entry x of another row into
-(p*x - f*y) // D, where f is that row's entry in the pivot column and y
-the pivot row's entry in x's column; the division is exact.  D then
-becomes |p|.  Both cost rows are tableau rows, pivoted with the others,
-so reduced costs and duals are read off, never recomputed.  Bland's
-anti-cycling rule (smallest eligible index enters, smallest basic index
-leaves) guarantees termination.
+Solves min c.x subject to A x = b, x >= 0 for integer A, b and c by
+integer pivoting (the Edmonds-Bareiss fraction-free elimination of
+Avis's lrs); the optimum, primal solution and duals come out as exact
+Fractions.  The tableau holds only integers: every entry is its true
+rational value times D, the absolute value of the current basis
+determinant, and D > 0.  A pivot on entry p turns each entry x of
+another row into (p*x - f*y) // D, where f is that row's entry in the
+pivot column and y the pivot row's entry in x's column; the division is
+exact.  D then becomes |p|.  Both cost rows are tableau rows, pivoted
+with the others, so reduced costs and duals are read off, never
+recomputed.  Bland's anti-cycling rule (smallest eligible index enters,
+smallest basic index leaves) guarantees termination.
 
 Packed rows.  A row T is stored as one Python int, the sum of
 T[j] * 2**(k*j) over its slots j: the columns in order, then the
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 from typing import Sequence
 
@@ -65,7 +66,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ENTRY_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -165,49 +165,39 @@ def _run_phase(t: _Tableau, limit: int) -> str:
         t.pivot(leave, shift // k)
 
 
-def solve_lp(
-    a: Sequence[Sequence[Fraction | int]],
-    b: Sequence[Fraction | int],
-    c: Sequence[Fraction | int],
-) -> LpResult:
-    """min c.x s.t. A x = b, x >= 0.
+def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> LpResult:
+    """min c.x s.t. A x = b, x >= 0, over integer data.
 
     Returns the optimum with a primal solution and the dual vector y
     (one entry per constraint row, satisfying y.A <= c and y.b = c.x at
-    the optimum).  Every entry must be an int or a Fraction, b must have
-    one entry per row of A and every row one entry per entry of c;
-    otherwise SolverInvariantError names the offending row.
+    the optimum), all as exact Fractions.  Every entry of A, b and c must
+    be an int (a bool is not one), b must have one entry per row of A and
+    every row one entry per entry of c; otherwise SolverInvariantError
+    names the offending row, or the cost row.
     """
     nrows = len(a)
     ncols = len(c)
     total = ncols + nrows
     if len(b) != nrows:
         raise SolverInvariantError(f"LP has {nrows} rows but {len(b)} right-hand sides")
-    if not _ENTRY_TYPES.issuperset(map(type, c)):
-        raise SolverInvariantError("LP cost row has an entry that is neither int nor Fraction")
-    # Row i enters times scale[i]: the lcm of its denominators, negated
-    # when b[i] < 0 so that every right-hand side starts >= 0.
-    scale: list[int] = []
+    if not {int}.issuperset(map(type, c)):
+        raise SolverInvariantError("LP cost row has an entry that is not an int")
+    # Row i enters times sign[i], so that every right-hand side starts >= 0.
+    sign: list[int] = []
     rows: list[list[int]] = []
     for i in range(nrows):
         row, bi = a[i], b[i]
         if len(row) != ncols:
             raise SolverInvariantError(f"LP row {i} has {len(row)} entries, not {ncols}")
-        kinds = {type(bi), *map(type, row)}
-        if not kinds <= _ENTRY_TYPES:
-            raise SolverInvariantError(f"LP row {i} has an entry that is neither int nor Fraction")
+        if type(bi) is not int or not {int}.issuperset(map(type, row)):
+            raise SolverInvariantError(f"LP row {i} has an entry that is not an int")
         s = -1 if bi < 0 else 1
         # Artificial identity columns ncols..total-1 seed the basis.
         unit = [0] * nrows
         unit[i] = 1
-        if Fraction in kinds:
-            s *= lcm(bi.denominator, *[v.denominator for v in row])
-            rows.append([int(v * s) for v in row] + unit + [int(bi * s)])
-        else:
-            rows.append([v * s for v in row] + unit + [bi * s])
-        scale.append(s)
-    cost_scale = lcm(*[v.denominator for v in c])
-    t = _Tableau(rows, [int(v * cost_scale) for v in c] + [0] * (nrows + 1))
+        rows.append([v * s for v in row] + unit + [bi * s])
+        sign.append(s)
+    t = _Tableau(rows, list(c) + [0] * (nrows + 1))
 
     status = _run_phase(t, total)
     if status != OPTIMAL:
@@ -234,8 +224,6 @@ def solve_lp(
     for i, j in enumerate(t.basis):
         if j < ncols:
             x[j] = Fraction(t.entry(i, total), d)
-    objective = Fraction(-t.entry(-1, total), d * cost_scale)
-    dual = tuple([
-        Fraction(-s * t.entry(-1, ncols + i), d * cost_scale) for i, s in enumerate(scale)
-    ])
+    objective = Fraction(-t.entry(-1, total), d)
+    dual = tuple([Fraction(-s * t.entry(-1, ncols + i), d) for i, s in enumerate(sign)])
     return LpResult(OPTIMAL, tuple(x), objective, dual)

@@ -218,6 +218,11 @@ def test_weyl_orbit_r3_reducible_strictness():
     assert set(c.coeffs for c in orbit) < set(c.coeffs for c in roots)
 
 
+def test_weyl_orbit_rank_check():
+    with pytest.raises(UnsupportedRankError, match="rank 3, expected 4"):
+        weyl_orbit(point_class(3, 1), 4)
+
+
 def test_weyl_orbit_cap(monkeypatch):
     monkeypatch.setattr(classes, "ORBIT_CAP", 500)
     generic = DivisorClass((1, 2, 3, 4, 5, 6, 7, 8, 9))

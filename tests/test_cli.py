@@ -281,6 +281,24 @@ def test_waldschmidt_missing_config_exits_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "missing.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("contents", [None, b"\xff\xfe{}"], ids=["directory", "not-utf-8"])
+def test_waldschmidt_unreadable_config_exits_2(capsys, tmp_path, contents):
+    p = tmp_path
+    if contents is not None:
+        p = tmp_path / "config.json"
+        p.write_bytes(contents)
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--m", ""], ["--m="]])
+def test_waldschmidt_empty_multiplicities_exit_2(capsys, d5_path, argv):
+    code, out, err = run(capsys, "waldschmidt", "--config", d5_path, *argv)
+    assert code == 2 and out == ""
+    assert err == "bad multiplicities ''\n"
+
+
 def test_waldschmidt_wrong_multiplicity_count_exits_3(capsys, d5_path):
     code, out, err = run(capsys, "waldschmidt", "--config", d5_path, "--m", "1,1")
     assert code == 3 and out == ""

@@ -73,6 +73,11 @@ def test_cone_membership_rank_check():
         cone_membership(target(1, 1, r=4), [parse_class("E_1", 5)])
 
 
+def test_cone_membership_without_generators():
+    assert cone_membership(target(1, 1), []) is None
+    assert cone_membership(DivisorClass((0,) * 6), []) == {}
+
+
 def test_monoid_membership_published_decompositions():
     cases = [
         ("(1,D5,1)", 5, 3,
@@ -98,6 +103,7 @@ def test_monoid_membership_absent_and_zero():
     gens = effective_generators(find_type("(1,D5,1)").config())
     assert monoid_membership(target(4, 3), gens) is None
     assert monoid_membership(DivisorClass((0,) * 6), gens) == {}
+    assert monoid_membership(target(1, 1), []) is None
 
 
 def test_monoid_requires_bounding_positivity():
@@ -105,6 +111,14 @@ def test_monoid_requires_bounding_positivity():
         monoid_membership(
             DivisorClass((1, 0)), [DivisorClass((0, -1)), DivisorClass((0, 1))]
         )
+
+
+def test_monoid_membership_input_checks():
+    with pytest.raises(ConfigurationError, match="rank mismatch"):
+        monoid_membership(DivisorClass((1, 0)), [DivisorClass((1, 0, 0))])
+    # A-degree 6*(-1) + 100 > 0 passes the bounding check; the line degree fails.
+    with pytest.raises(BoundingFailureError, match="negative line degree"):
+        monoid_membership(DivisorClass((1, 0)), [DivisorClass((-1, 100))])
 
 
 def test_monoid_search_uses_no_fraction(monkeypatch):
@@ -385,6 +399,20 @@ def test_alpha_degree_examples():
     # d = 1 must genuinely be infeasible at (5,∅,16):
     gens = effective_generators(find_type("(5,∅,16)").config())
     assert monoid_membership(target(1, 1), gens) is None
+
+
+def test_alpha_degree_past_the_scan_raises():
+    # This NEG list passes validation but names no line through two points,
+    # so it is not geometric: its LP value is 3/2, and no d <= sum(m) + 1 = 2
+    # makes d*L - E_1 an integer combination of its generators.
+    cfg = config.config_from_dict({
+        "r": 7, "negative_curves": ["C_1;234567"] + [f"E_{i}" for i in range(1, 8)],
+    })
+    m = (1,) + (0,) * 6
+    assert validate_config(cfg).ok
+    assert waldschmidt(cfg, m)[0] == F(3, 2)
+    with pytest.raises(InfeasibleConeError, match="no degree up to 2"):
+        alpha_degree(cfg, m)
 
 
 def test_chudnovsky_examples():

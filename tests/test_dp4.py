@@ -17,6 +17,7 @@ from waldschmidt.dp4 import (
     find_type,
     sigma_rank,
 )
+from waldschmidt.errors import ConfigurationError
 from waldschmidt.lattice import pairing
 
 F = Fraction
@@ -239,6 +240,15 @@ def test_degeneration_monotonicity():
             assert e.special_value <= e.general_value, (e.general, e.special)
     flagged = [e for e in report.edges if e.flagged]
     assert [(e.general, e.special) for e in flagged] == [("(5,A1,12)", "(4,2A1,9)")]
+
+
+def test_degeneration_to_an_unknown_target_raises(monkeypatch):
+    table = compute_table()
+    real = catalog()
+    stray = dataclasses.replace(real[0], degenerates_to=(("(9,X,0)", False),))
+    monkeypatch.setattr(dp4, "catalog", lambda: (stray,) + real[1:])
+    with pytest.raises(ConfigurationError, match=r"unknown degeneration target \(9,X,0\)"):
+        check_degenerations(table)
 
 
 def test_degeneration_ambiguous_target_runs_both_variants():

@@ -5,6 +5,7 @@ from waldschmidt.errors import ClassParseError, RankMismatchError, UnsupportedRa
 from waldschmidt.lattice import (
     DivisorClass,
     canonical_class,
+    class_sum,
     format_class,
     line_class,
     named_class,
@@ -36,6 +37,14 @@ def test_pairing_diagonal_form():
 def test_pairing_rank_mismatch():
     with pytest.raises(RankMismatchError):
         pairing(line_class(2), line_class(3))
+
+
+def test_point_class_index_and_class_sum_rank_checks():
+    assert point_class(3, 3).coeffs == (0, 0, 0, 1)
+    with pytest.raises(UnsupportedRankError, match="index 4 outside 1..3"):
+        point_class(3, 4)
+    with pytest.raises(RankMismatchError):
+        class_sum(3, [(1, line_class(2))])
 
 
 def test_canonical_class_values():

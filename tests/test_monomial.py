@@ -22,6 +22,7 @@ def test_parse_and_format():
     assert mono.format_ideal(i) == "x^2, x*y, y^3"
     assert mono.parse_ideal("a^2*b, c").variables == ("a", "b", "c")
     assert mono.format_ideal(ideal("1")) == "1"
+    assert mono.format_ideal(mono.MonomialIdeal(XYZ, ())) == "0"
     with pytest.raises(MonomialError):
         mono.parse_ideal("x^2, w", ("x", "y"))
     with pytest.raises(MonomialError):
@@ -56,6 +57,11 @@ def test_ideals_need_a_variable():
         mono.parse_ideal("1")
     with pytest.raises(MonomialError):
         mono.MonomialIdeal((), ())
+
+
+def test_exponent_vectors_must_fit_the_variables():
+    with pytest.raises(MonomialError, match="bad exponent vector"):
+        mono.MonomialIdeal(("x", "y"), ((1,),))
 
 
 def test_product_and_power():

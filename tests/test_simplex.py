@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_negative_rhs_normalisation_and_dual_sign():
 def test_exact_fractions_no_drift():
     # A system engineered to produce awkward denominators.
     a = [[3, 1, 0], [1, 2, 1]]
-    b = [F(1), F(1)]
+    b = [1, 1]
     res = solve_lp(a, b, [1, 1, 1])
     assert res.status == OPTIMAL
     x = res.x
@@ -92,6 +93,13 @@ def test_unbounded_phase_one_raises_typed_error(monkeypatch):
     ([[1, 2.0]], [1], [1, 1], "row 0 has an entry"),
     ([[1, 2], [1, 1]], [1, 0.5], [1, 1], "row 1 has an entry"),
     ([[1, 2]], [1], [1, 1.0], "cost row has an entry"),
+    ([[1, F(1, 2)]], [1], [1, 1], "row 0 has an entry"),
+    ([[1, 2], [1, 1]], [1, F(1, 2)], [1, 1], "row 1 has an entry"),
+    ([[1, 2]], [1], [F(1, 2), 1], "cost row has an entry"),
+    ([[1, 2]], [1], [1, F(1)], "cost row has an entry"),
+    ([[True, 2]], [1], [1, 1], "row 0 has an entry"),
+    ([[1, 2]], [False], [1, 1], "row 0 has an entry"),
+    ([[1, 2]], [1], [1, True], "cost row has an entry"),
 ])
 def test_malformed_lp_raises_typed_error_naming_the_row(a, b, c, message):
     with pytest.raises(SolverInvariantError, match=message):
@@ -136,7 +144,7 @@ _WIDE_ENTRIES = st.one_of(
 @st.composite
 def _lps(draw, entries=_ENTRIES):
     """Small LPs with int and Fraction entries drawn from `entries`, and
-    any sign of b.
+    any sign of b; the test scales them to integers (`_integer_lp`).
 
     Half are feasible by construction (b = A x0 with x0 >= 0), and some
     repeat a scaled copy of a row, so redundant rows reach the solver.
@@ -162,10 +170,23 @@ def _lps(draw, entries=_ENTRIES):
     return a, b, c, feasible
 
 
+def _integer_lp(a, b, c):
+    """The same LP over integers: each row with its b entry, and the cost
+    row, times the lcm of their denominators."""
+    rows, rhs = [], []
+    for row, bi in zip(a, b):
+        s = lcm(bi.denominator, *[v.denominator for v in row])
+        rows.append([int(v * s) for v in row])
+        rhs.append(int(bi * s))
+    s = lcm(*[v.denominator for v in c])
+    return rows, rhs, [int(v * s) for v in c]
+
+
 def _check_optimality_conditions(lp):
     # Solver-independent oracle: primal feasibility, dual feasibility and
-    # strong duality, checked in exact arithmetic.
+    # strong duality, checked in exact arithmetic on the integer LP.
     a, b, c, feasible = lp
+    a, b, c = _integer_lp(a, b, c)
     res = solve_lp(a, b, c)
     if feasible:
         assert res.status != INFEASIBLE
