@@ -218,10 +218,8 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
         out = monomial.format_ideal(monomial.symbolic_power(ideal, args.m))
     elif op == "alpha":
         out = monomial.alpha(ideal)
-    elif op == "estimate":
+    else:  # "estimate"; argparse restricts the choices
         out = f"<= {frac_str(monomial.waldschmidt_estimate(ideal, args.max_m))}"
-    else:  # pragma: no cover - argparse restricts choices
-        return _fail(EXIT_USAGE, f"unknown operation {op}")
     if args.json:
         print(json.dumps({"operation": op, "result": str(out)}))
     else:

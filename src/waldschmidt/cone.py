@@ -160,15 +160,13 @@ def _solve_triangular(
     res = residual
     lams = []
     for lead, coeffs in zsteps:
-        lam = res[lead]
-        if lam < 0:
+        lam, rem = divmod(res[lead], coeffs[lead])
+        if lam < 0 or rem:
             return None
         if lam:
             res = [x - lam * a for x, a in zip(res, coeffs)]
         lams.append(lam)
-    if any(res):
-        return None
-    return lams
+    return None if any(res) else lams
 
 
 def monoid_membership(
@@ -443,10 +441,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         return failures
     if nef.is_zero():
         failures.append("nef class is zero")
-    signed_nef = (nef.coeffs[0],) + tuple(-x for x in nef.coeffs[1:])
-    negative = [
-        format_class(g) for g in gens if sum(map(mul, signed_nef, g.coeffs)) < 0
-    ]
+    negative = [format_class(g) for g in gens if pairing(nef, g) < 0]
     if negative:
         failures.append(
             f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)

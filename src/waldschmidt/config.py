@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Sequence
 
 from .classes import candidate_members
@@ -21,6 +20,7 @@ from .lattice import (
     canonical_class,
     line_class,
     named_class,
+    pairing,
     parse_class,
     point_class,
 )
@@ -96,9 +96,9 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
     r = cfg.r
     candidates = candidate_members(r) if 2 <= r <= 8 else None
     seen: set[tuple[int, ...]] = set()
-    # Curves of rank r as (class, coefficients, (a0, -a1, ..., -ar)); `others`
-    # holds the positions of those that are not (-1)-classes.
-    kept: list[tuple[DivisorClass, tuple[int, ...], tuple[int, ...]]] = []
+    K = canonical_class(r)
+    # The curves of rank r; `others` holds the positions of the non-(-1)-classes.
+    kept: list[DivisorClass] = []
     others: list[int] = []
     for c in cfg.neg_curves:
         coeffs = c.coeffs
@@ -108,28 +108,27 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
         if coeffs in seen:
             errors.append(f"{c}: duplicate negative curve")
         seen.add(coeffs)
-        signed = (coeffs[0],) + tuple([-a for a in coeffs[1:]])
-        square = sum(map(mul, signed, coeffs))
+        square = pairing(c, c)
         if square >= 0:
             errors.append(f"{c}: nonnegative self-intersection {square}")
         elif candidates is not None and coeffs not in candidates:
             errors.append(f"{c}: not a candidate negative class at rank {r}")
-        if square != -1 or -3 * coeffs[0] - sum(coeffs[1:]) != -1:  # c.c, K.c
+        if square != -1 or pairing(K, c) != -1:
             others.append(len(kept))
-        kept.append((c, coeffs, signed))
+        kept.append(c)
     # Distinct (-1)-classes E, F never pair negatively: E - F lies in K-perp,
     # so (E - F)^2 = -2 - 2 E.F <= -2.  Only pairs holding another class are checked.
     k = 0  # others[k:] are the positions after a that hold other classes
-    for a, (u, ucoeffs, signed) in enumerate(kept):
+    for a, u in enumerate(kept):
         if k < len(others) and others[k] == a:
             k += 1
             partners: Iterable[int] = range(a + 1, len(kept))
         else:
             partners = others[k:]
         for b in partners:
-            v, vcoeffs, _ = kept[b]
-            p = sum(map(mul, signed, vcoeffs))
-            if p < 0 and ucoeffs != vcoeffs:
+            v = kept[b]
+            p = pairing(u, v)
+            if p < 0 and u.coeffs != v.coeffs:
                 errors.append(f"{u} and {v}: distinct prime divisors pair {p} < 0")
     if cfg.proximity is not None:
         if cfg.proximity.r != cfg.r:
@@ -171,11 +170,8 @@ def proximity_check(
     The slacks are the coordinates of -E_Z in the dual configuration
     basis; the inequalities pass exactly when all slacks are >= 0.
     """
-    mm = check_multiplicities(m, p.r)
-    slacks = tuple(
-        mm[i - 1] - sum(mm[j - 1] for j in p.proximate_to(i))
-        for i in range(1, p.r + 1)
-    )
+    ez = DivisorClass((0,) + check_multiplicities(m, p.r))
+    slacks = tuple(-pairing(e, ez) for e in strict_transform_components(p))
     return slacks, all(s >= 0 for s in slacks)
 
 

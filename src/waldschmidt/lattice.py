@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ClassParseError, RankMismatchError, UnsupportedRankError
@@ -83,11 +84,11 @@ def divisor(coeffs: Iterable[int]) -> DivisorClass:
 
 
 def pairing(u: DivisorClass, v: DivisorClass) -> int:
-    """Intersection pairing a0*b0 - sum(ai*bi); symmetric and bilinear."""
-    _check_rank(u, v)
-    return u.coeffs[0] * v.coeffs[0] - sum(
-        a * b for a, b in zip(u.coeffs[1:], v.coeffs[1:])
-    )
+    """Intersection pairing a0*b0 - sum(ai*bi), summed as 2*a0*b0 - sum(ai*bi, i >= 0)."""
+    a, b = u.coeffs, v.coeffs
+    if len(a) != len(b):
+        _check_rank(u, v)
+    return 2 * a[0] * b[0] - sum(map(mul, a, b))
 
 
 def _check_rank_arg(r: int) -> None:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import MonomialError
@@ -46,10 +47,15 @@ class MonomialIdeal:
         n = len(self.variables)
         if n == 0:
             raise MonomialError("a monomial ideal needs at least one variable")
-        for g in self.generators:
-            if len(g) != n or any(e < 0 for e in g):
-                raise MonomialError(f"bad exponent vector {g} in {n} variables")
-        object.__setattr__(self, "generators", _minimal(self.generators))
+        gens = self.generators
+        # Whole-list passes: this runs on every candidate list of intersect.
+        flat = list(chain.from_iterable(gens))
+        if not ({n}.issuperset(map(len, gens)) and {int}.issuperset(map(type, flat))
+                and min(flat, default=0) >= 0):
+            bad = next(g for g in gens
+                       if len(g) != n or set(map(type, g)) != {int} or min(g) < 0)
+            raise MonomialError(f"bad exponent vector {bad} in {n} variables")
+        object.__setattr__(self, "generators", _minimal(gens))
 
     @property
     def is_zero(self) -> bool:
@@ -61,6 +67,11 @@ class MonomialIdeal:
 
     def __str__(self) -> str:
         return format_ideal(self)
+
+
+def _check_order(m: int, what: str) -> None:
+    if type(m) is not int or m < 1:
+        raise MonomialError(f"{what} >= 1, got {m!r}")
 
 
 def _minimal(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -89,8 +100,7 @@ def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
-    if m < 1:
-        raise MonomialError(f"power requires m >= 1, got {m}")
+    _check_order(m, "power requires an integer m")
     return reduce(product, [i] * (m - 1), i)
 
 
@@ -122,8 +132,7 @@ def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     is the intersection over v of the m-th powers of the stripped ideals,
     and I^m itself is never formed.
     """
-    if m < 1:
-        raise MonomialError(f"symbolic power requires m >= 1, got {m}")
+    _check_order(m, "symbolic power requires an integer m")
     parts = [power(_strip_variable(i, v), m) for v in range(len(i.variables))]
     return reduce(intersect, parts)
 
@@ -137,8 +146,7 @@ def alpha(i: MonomialIdeal) -> int:
 
 def waldschmidt_estimate(i: MonomialIdeal, max_m: int) -> Fraction:
     """min over 1 <= m <= max_m of alpha((I^m)^sat)/m; an upper bound."""
-    if max_m < 1:
-        raise MonomialError(f"estimate requires max_m >= 1, got {max_m}")
+    _check_order(max_m, "estimate requires an integer max_m")
     return min(
         Fraction(alpha(symbolic_power(i, m)), m) for m in range(1, max_m + 1)
     )

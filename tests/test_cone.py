@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import random
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,6 +106,53 @@ def test_monoid_membership_absent_and_zero():
     assert monoid_membership(target(4, 3), gens) is None
     assert monoid_membership(DivisorClass((0,) * 6), gens) == {}
     assert monoid_membership(target(1, 1), []) is None
+    # Degree-zero generators whose leading coefficient is not 1.
+    e1x2, neg_lead = DivisorClass((0, 2)), DivisorClass((0, -1, 5))
+    assert monoid_membership(e1x2, [e1x2]) == {e1x2: 1}
+    assert monoid_membership(neg_lead, [neg_lead]) == {neg_lead: 1}
+    assert monoid_membership(DivisorClass((0, 3)), [e1x2]) is None
+    # A residual left on an index that leads no generator.
+    assert monoid_membership(DivisorClass((0, 1, 1)), [DivisorClass((0, 1, 0))]) is None
+
+
+def naive_monoid_members(gens):
+    """member(residual): whether residual is a nonnegative integer sum of gens,
+    trying every multiplicity lambda_g <= A.residual / A.g, one generator at a
+    time, for the bounding class A; memoised over residuals.  The last
+    generator's multiplicity is the one that uses up the A-degree."""
+    a = cone._signed_bounding_class(gens[0].r)
+    adeg = [sum(x * y for x, y in zip(a, g.coeffs)) for g in gens]
+
+    @cache
+    def member(res, i=0):
+        g = gens[i].coeffs
+        budget = sum(x * y for x, y in zip(a, res))
+        if i == len(gens) - 1:
+            lam = budget // adeg[i]
+            return budget >= 0 and all(x == lam * y for x, y in zip(res, g))
+        return any(
+            member(tuple(x - lam * y for x, y in zip(res, g)), i + 1)
+            for lam in range(budget // adeg[i] + 1)
+        )
+
+    return member
+
+
+def test_unpruned_monoid_search_matches_enumeration():
+    # E_123 has positive need_drop, so the search runs without its prune.
+    # The order only keeps the enumeration's memo small.
+    gens = parse_classes(["E_123", "L_12", "E_23", "E_3"], 3)
+    assert validate_config(SurfaceConfig(3, gens)).ok
+    member = naive_monoid_members(gens)
+    found = 0
+    for coeffs in itertools.product(range(5), *[range(-2, 3)] * 3):
+        t = DivisorClass(coeffs)
+        sol = monoid_membership(t, gens)
+        assert (sol is not None) == member(coeffs), t
+        if sol is not None:
+            found += 1
+            assert class_sum(3, [(c, g) for g, c in sol.items()]) == t
+    assert found == 519
 
 
 def test_monoid_requires_bounding_positivity():

@@ -292,16 +292,17 @@ def test_validation_matches_all_pairs_reference(cfg):
 
 
 def test_validation_pairs_no_two_exceptional_classes(monkeypatch):
-    products = []
-    real = config.mul
-    monkeypatch.setattr(config, "mul", lambda a, b: products.append(1) or real(a, b))
+    pairings = []
+    real = config.pairing
+    monkeypatch.setattr(config, "pairing", lambda u, v: pairings.append(1) or real(u, v))
     exc = enumerate_exceptional(8)
     assert validate_config(SurfaceConfig(8, tuple(exc))).ok
-    assert len(products) == 9 * 240  # one self-intersection per class
-    products.clear()
+    assert len(pairings) == 2 * 240  # C.C and K.C per class
+    pairings.clear()
     root = parse_class("E_12", 8)  # pairs to -1 with E_1, so the config is invalid
     assert not validate_config(SurfaceConfig(8, tuple(exc) + (root,))).ok
-    assert len(products) == 9 * 241 + 9 * 240  # and the root against each class
+    # The root has square -2, so K.root is skipped; it pairs with each class.
+    assert len(pairings) == 241 + 240 + 240
 
 
 def test_candidates_enumerated_once_per_rank(monkeypatch):

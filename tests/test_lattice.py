@@ -34,6 +34,13 @@ def test_pairing_diagonal_form():
     assert pairing(q, point_class(5, 5)) == 1
 
 
+@given(st.integers(0, 8).flatmap(lambda r: st.tuples(classes(r), classes(r))))
+def test_pairing_matches_the_written_out_form(pair):
+    u, v = pair
+    a, b = u.coeffs, v.coeffs
+    assert pairing(u, v) == a[0] * b[0] - sum(a[i] * b[i] for i in range(1, len(a)))
+
+
 def test_pairing_rank_mismatch():
     with pytest.raises(RankMismatchError):
         pairing(line_class(2), line_class(3))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import reduce
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,13 +63,18 @@ def test_ideals_need_a_variable():
 def test_exponent_vectors_must_fit_the_variables():
     with pytest.raises(MonomialError, match="bad exponent vector"):
         mono.MonomialIdeal(("x", "y"), ((1,),))
+    # Exponents are nonnegative ints; the message names the bad vector.
+    for bad in ((1, 2, 0), (1.5, 0), (True, 0), (2, -1)):
+        with pytest.raises(MonomialError, match=re.escape(f"vector {bad} in 2")):
+            mono.MonomialIdeal(("x", "y"), ((0, 2), bad))
 
 
 def test_product_and_power():
     j = ideal("x, y^2")
     assert mono.format_ideal(mono.power(j, 3)) == "x^3, x^2*y^2, x*y^4, y^6"
-    with pytest.raises(MonomialError):
-        mono.power(j, 0)
+    for m in (0, 2.0, True, Fraction(2)):
+        with pytest.raises(MonomialError):
+            mono.power(j, m)
     with pytest.raises(MonomialError):
         mono.product(j, mono.parse_ideal("x", ("x",)))
 
@@ -128,8 +134,9 @@ def test_symbolic_power_worked_example():
         "x^3, x^2*y^2, x*y^4, y^6"
     )
     assert mono.symbolic_power(i, 1) == mono.saturate_irrelevant(i)
-    with pytest.raises(MonomialError):
-        mono.symbolic_power(i, 0)
+    for m in (0, 2.0, True, Fraction(2)):
+        with pytest.raises(MonomialError):
+            mono.symbolic_power(i, m)
 
 
 def test_strict_containment_of_powers():
@@ -153,8 +160,9 @@ def test_alpha():
 def test_waldschmidt_estimate():
     assert mono.waldschmidt_estimate(ideal("x, y^2"), 6) == Fraction(1)
     assert mono.waldschmidt_estimate(ideal("x^2, x*y, y^3"), 4) == Fraction(2)
-    with pytest.raises(MonomialError):
-        mono.waldschmidt_estimate(ideal("x"), 0)
+    for m in (0, 2.0, True, Fraction(2)):
+        with pytest.raises(MonomialError):
+            mono.waldschmidt_estimate(ideal("x"), m)
 
 
 small_ideals = st.lists(

@@ -31,3 +31,11 @@ def test_every_traced_binding_resolves_and_is_restored():
     assert all(new is not old for new, old in zip(installed, originals))
     restored = [getattr(module, attr) for module, attr in bindings]
     assert all(now is old for now, old in zip(restored, originals))
+
+
+def test_pool_builder_hooks_resolve():
+    # perfbench/make_pools.py counts calls by patching these two attributes.
+    from waldschmidt import cone, lattice, simplex
+
+    assert cone.pairing is lattice.pairing
+    assert callable(simplex._Tableau.pivot)
