@@ -169,20 +169,81 @@ def _solve_triangular(
     return None if any(res) else lams
 
 
+def _excluded(D: DivisorClass, generators: Sequence[DivisorClass]) -> bool:
+    """True when D is proved to be no nonnegative integer sum of `generators`.
+
+    Needs every generator to have line degree >= 0 and A-degree >= 1 for
+    the bounding class A.  False means inconclusive.  The steps and their
+    proofs are in the docstring of monoid_membership.  D itself is never
+    rebuilt: a step D <- D - t*C updates its line degree, its A-degree,
+    its square and its pairings with the generators, the last through
+    C's pairings with them.
+    """
+    signed_a = _signed_bounding_class(D.r)
+    d0, adeg, dd = D.coeffs[0], sum(map(mul, signed_a, D.coeffs)), pairing(D, D)
+    dots = [pairing(D, g) for g in generators]
+    rows: dict[int, list[int]] = {}  # C's pairings, for each C that passed
+    while d0 >= 0 and adeg >= 0:
+        i = next((i for i, x in enumerate(dots) if x < 0), None)
+        if i is None:
+            # D = 0 has square 0, so a negative square also means D != 0.
+            return dd < 0
+        c = generators[i]
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = [pairing(c, h) for h in generators]
+            if row[i] >= 0 or any(
+                x < 0 for h, x in zip(generators, row) if h.coeffs != c.coeffs
+            ):
+                return False
+        cc = row[i]
+        dc = dots[i]
+        t = -(dc // -cc)  # ceil(D.C / C.C)
+        d0 -= t * c.coeffs[0]
+        adeg -= t * sum(map(mul, signed_a, c.coeffs))
+        dd += t * (t * cc - 2 * dc)
+        dots = [x - t * y for x, y in zip(dots, row)]
+    return True
+
+
 def monoid_membership(
     D: DivisorClass, generators: Sequence[DivisorClass]
 ) -> dict[DivisorClass, int] | None:
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
-    Bounded exhaustive search: the bounding class A = (3*2^r)e0 - sum
-    2^(r-i) e_i pairs >= 1 with every admissible generator, so A-degree
-    caps every coefficient and the depth-first search terminates.
+    A call runs four stages in this order: input checks, root tests,
+    exclusion, search.
 
-    Search order: the positive-degree generators g, sorted by descending
-    ratio need_drop(g)/g0 (need_drop is minus the sum of the point
-    coefficients, g0 the line degree), then by coefficient tuple, then by
-    input position, so repeated generators keep their order.  Each takes
-    a multiplicity from its largest feasible value down to 0; once the
+    Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
+    must pair >= 1 with every generator, and every generator must have
+    line degree g0 >= 0; a D of negative A-degree is then no sum.
+
+    Root tests.  A sum has line degree >= 0, and a positive line degree
+    needs a generator with g0 > 0.  The need prune below, applied to D
+    itself, rejects D before anything else is built.
+
+    Exclusion (_excluded) repeats these steps, using only the
+    bilinearity of the intersection pairing:
+    - D0 < 0 or A.D < 0: D is no sum, as above.
+    - Otherwise take the first generator C with D.C < 0.  If C.C < 0 and
+      C.h >= 0 for every generator h with other coefficients, write a sum
+      as D = sum n_g g; then D.C = n_C C.C + sum_{h != C} n_h h.C
+      >= n_C C.C, where n_C counts all copies of C, so n_C >= t =
+      ceil(D.C / C.C).  D is a sum exactly when D - t*C is, so D becomes
+      D - t*C.  Each step lowers A.D by t*A.C >= 1, so the loop ends.
+    - If that C has C.C >= 0 or pairs negatively with another generator,
+      the exclusion is inconclusive.
+    - If no generator pairs negatively with D, a sum has D.D = sum n_g
+      D.g >= 0, so D != 0 with D.D < 0 is no sum; otherwise inconclusive.
+    Every target the exclusion proves is absent gets None at once; the
+    rest, all hits among them, go to the search.
+
+    Search: the bounded depth-first search, whose A-degree caps every
+    coefficient.  Its order: the positive-degree generators g, sorted by
+    descending ratio need_drop(g)/g0 (need_drop is minus the sum of the
+    point coefficients), then by coefficient tuple, then by input
+    position, so repeated generators keep their order.  Each takes a
+    multiplicity from its largest feasible value down to 0; once the
     line degree is used up, the rest is a triangular solve over the
     degree-zero generators.  Prune: when no degree-zero generator has
     positive need_drop, a node with residual need `need` (minus the sum
@@ -190,10 +251,12 @@ def monoid_membership(
     b0 times the largest ratio still to come.  With den the lcm of the
     positive line degrees and bound = den times that ratio, an integer,
     the test is need * den > bound * b0, so the search does only integer
-    arithmetic.  It visits the same nodes in the same order, and returns
-    the same witness, as the earlier form of this search that kept the
-    ratios as Fractions; tests/golden/monoid-witnesses.json pins its
-    output.
+    arithmetic.  At the root, where every generator is still to come,
+    this is need > 0 and need * g0 > need_drop(g) * b0 for every g.  The
+    search visits the same nodes in the same order, and returns the same
+    witness, as the earlier form of this search that kept the ratios as
+    Fractions and ran on every target; tests/golden/monoid-witnesses.json
+    pins its output.
 
     Precondition: the degree-zero generators have distinct leading
     indices, so the degree-zero part of the search is a triangular solve.
@@ -223,9 +286,10 @@ def monoid_membership(
 
     pgens, zleads = [], []
     for g, ga in zip(generators, degs):
-        if g.coeffs[0] > 0:
-            pgens.append((g, ga))
-        elif g.coeffs[0] == 0:
+        c = g.coeffs
+        if c[0] > 0:
+            pgens.append((g, ga, -sum(c[1:])))
+        elif c[0] == 0:
             zleads.append((_leading_index(g), g))
         else:
             raise BoundingFailureError("generator with negative line degree")
@@ -240,15 +304,25 @@ def monoid_membership(
 
     # Need per budget: each unit of line degree spent on generator g
     # lowers the total point-multiplicity deficit by at most
-    # ratio(g) = need_drop(g) / g0, here scaled by den to an integer.
+    # ratio(g) = need_drop(g) / g0.
     sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
-    den = lcm(*(g.coeffs[0] for g, _ in pgens))
+    b0, need = D.coeffs[0], -sum(D.coeffs[1:])
+    if b0 < 0 or (b0 and not pgens):
+        return None
+    if b0 and sharp and need > 0 and all(
+        need * g.coeffs[0] > nd * b0 for g, _, nd in pgens
+    ):
+        return None
+    if _excluded(D, generators):
+        return None
+
+    # The search scales every ratio by den to an integer.
+    den = lcm(*(g.coeffs[0] for g, _, _ in pgens))
     # Sorted, these tuples run by descending ratio, then coefficients, then
     # input position; positions differ, so nothing after them is compared.
     ranked = []
-    for g, ga in pgens:
+    for g, ga, nd in pgens:
         c = g.coeffs
-        nd = -sum(c[1:])
         ranked.append((-nd * (den // c[0]), c, len(ranked), ga, nd, g))
     ranked.sort()
     order = [t[-1] for t in ranked]
@@ -295,7 +369,7 @@ def monoid_membership(
             adeg += ga
             need += nd
 
-    if D.coeffs[0] < 0 or not rec(0, D.coeffs, budget, -sum(D.coeffs[1:])):
+    if not rec(0, D.coeffs, budget, need):
         return None
     depth, lams = leaf
     result = {g: n for g, n in zip(order, chosen[:depth]) if n}

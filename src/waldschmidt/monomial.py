@@ -22,6 +22,12 @@ Monomial = tuple[int, ...]
 # Budget on the generator pairs one product may form; power multiplies
 # by I once per step, so this bounds each step of power.
 PAIR_CAP = 2000
+# Budget on the lcm pairs one intersection may form.  symbolic_power
+# intersects m-th powers, so its pairs grow about as m^2 and the
+# minimalisation of the candidates about as m^3.  The largest
+# intersection of `symbolic_power` at m <= 14 on the benchmark pool's
+# ideals forms 3249 pairs.
+LCM_PAIR_CAP = 4000
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -84,8 +90,14 @@ def _minimal(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept, reverse=True))
 
 
-def _pairwise(op: Callable, i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """The ideal generated by op(a, b) over all generator pairs of i and j."""
+def _pairwise(
+    op: Callable, i: MonomialIdeal, j: MonomialIdeal, cap: int, what: str
+) -> MonomialIdeal:
+    """The ideal generated by op(a, b) over all generator pairs of i and j,
+    refused with MonomialError when there are more than `cap` pairs."""
+    pairs = len(i.generators) * len(j.generators)
+    if pairs > cap:
+        raise MonomialError(f"{pairs} generator pairs exceed the {what} of {cap}")
     if i.variables != j.variables:
         raise MonomialError(f"variable mismatch: {i.variables} vs {j.variables}")
     gens = tuple(op(a, b) for a in i.generators for b in j.generators)
@@ -93,10 +105,7 @@ def _pairwise(op: Callable, i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal
 
 
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    pairs = len(i.generators) * len(j.generators)
-    if pairs > PAIR_CAP:
-        raise MonomialError(f"{pairs} generator pairs exceed the budget of {PAIR_CAP}")
-    return _pairwise(_mul, i, j)
+    return _pairwise(_mul, i, j, PAIR_CAP, "budget")
 
 
 def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -105,7 +114,7 @@ def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    return _pairwise(_lcm, i, j)
+    return _pairwise(_lcm, i, j, LCM_PAIR_CAP, "intersection budget")
 
 
 def _strip_variable(i: MonomialIdeal, v: int) -> MonomialIdeal:
@@ -130,7 +139,9 @@ def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     generators of I, and stripping x_v from a product strips it from each
     factor, so (I^m : x_v^infinity) = (I : x_v^infinity)^m.  Hence (I^m)^sat
     is the intersection over v of the m-th powers of the stripped ideals,
-    and I^m itself is never formed.
+    and I^m itself is never formed.  Each product step of a power is
+    refused past PAIR_CAP generator pairs, each intersection past
+    LCM_PAIR_CAP.
     """
     _check_order(m, "symbolic power requires an integer m")
     parts = [power(_strip_variable(i, v), m) for v in range(len(i.variables))]

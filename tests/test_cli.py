@@ -259,6 +259,14 @@ def test_monomial_symbolic_power_saturates_before_powering(capsys):
     assert len(err.splitlines()) == 1 and "budget" in err and "Traceback" not in err
 
 
+def test_monomial_symbolic_power_past_the_intersection_budget_exits_2(capsys):
+    code, out, err = run(capsys, "monomial", "symbolic-power",
+                         "--ideal", "x^2*y, z", "--m", "63")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "intersection budget" in err
+    assert "Traceback" not in err
+
+
 def test_monomial_parse_error_exits_2(capsys):
     code, _, _ = run(capsys, "monomial", "alpha", "--ideal", "x^^2")
     assert code == 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_force_alpha_hat, three_generic_points
 from waldschmidt import cone, config
@@ -184,6 +185,110 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     # Need 5 per unit of line degree 1 exceeds every generator's ratio, so
     # the prune rejects this target before the first branch.
     assert monoid_membership(target(1, 1), gens) is None
+    # L - 2E_1 passes the root tests; the exclusion proves the miss.
+    miss = DivisorClass((1, -2, 0, 0, 0, 0))
+    assert cone._excluded(miss, gens)
+    assert monoid_membership(miss, gens) is None
+
+
+def test_exclusion_subtracts_a_forced_curve_several_times():
+    # p_2 infinitely near p_1.  D = L - 3E_1 + 2E_2 pairs -2 with E_2,
+    # which has square -1 and pairs >= 0 with E_12, so any sum uses E_2
+    # at least twice.  What is left, L - 3E_1, pairs >= 0 with both
+    # generators and has square -8, so it is no sum, and neither is D.
+    gens = parse_classes(["E_12", "E_2"], 2)
+    e12, e2 = gens
+    D = DivisorClass((1, -3, 2))
+    assert pairing(D, e12) >= 0 and pairing(D, e2) == -2 and pairing(e2, e2) == -1
+    assert pairing(e2, e12) >= 0
+    rest = D - 2 * e2
+    assert all(pairing(rest, g) >= 0 for g in gens) and pairing(rest, rest) == -8
+    assert cone._excluded(D, gens)
+    assert monoid_membership(D, gens) is None
+    assert not naive_monoid_members(gens)(D.coeffs)
+
+
+def test_exclusion_is_inconclusive_without_a_forced_curve():
+    # L - E_1 has square 0, so it is never forced: L - 2E_1 pairs -1 with
+    # it, and the exclusion gives up although the target is a miss.
+    pencil = DivisorClass((1, -1))
+    miss = DivisorClass((1, -2))
+    assert pairing(miss, pencil) < 0 and pairing(pencil, pencil) == 0
+    assert not cone._excluded(miss, [pencil])
+    assert monoid_membership(miss, [pencil]) is None
+    # E_12 pairs -1 with L + E_1, so L + 2E_1 - E_2, which pairs -3 with
+    # E_12, is not reduced either; it is a hit, which the exclusion must
+    # never reject.
+    gens = [parse_class("E_12", 2), DivisorClass((1, 1, 0))]
+    hit = DivisorClass((1, 2, -1))
+    assert pairing(hit, gens[0]) < 0 and pairing(gens[0], gens[1]) < 0
+    assert not cone._excluded(hit, gens)
+    assert class_sum(2, [(n, g) for g, n in monoid_membership(hit, gens).items()]) == hit
+
+
+def test_exclusion_skips_copies_of_the_forced_curve():
+    # L_12 is listed twice; its copy pairs -1 with it but is not another
+    # curve, so L_12 is still forced: L - 3E_1 - E_2 pairs -3 with it.
+    gens = parse_classes(["L_12", "E_1", "E_2", "L_12"], 2)
+    miss = DivisorClass((1, -3, -1))
+    assert pairing(miss, gens[0]) == -3
+    assert cone._excluded(miss, gens)
+    assert monoid_membership(miss, gens) is None
+    assert not naive_monoid_members(gens)(miss.coeffs)
+    hit = DivisorClass((2, -2, -2))
+    assert not cone._excluded(hit, gens)
+    assert monoid_membership(hit, gens) == {gens[0]: 2}
+
+
+def test_exclusion_ends_on_negative_bounding_degree():
+    # E_1 pairs -2 with 2E_1 (square -4), so t = 1 and the rest, -E_1, has
+    # line degree 0 but A-degree -1: no sum.
+    twice = DivisorClass((0, 2))
+    D = DivisorClass((0, 1))
+    rest = D - twice
+    a = cone._signed_bounding_class(1)
+    assert rest.coeffs[0] == 0 and sum(x * y for x, y in zip(a, rest.coeffs)) < 0
+    assert cone._excluded(D, [twice])
+    assert monoid_membership(D, [twice]) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monoid_membership_matches_enumeration_on_random_generators(data):
+    # Generator lists from no valid configuration too; only the lists the
+    # input checks reject are skipped.
+    r = data.draw(st.integers(1, 3), label="r")
+    vector = st.tuples(st.integers(0, 2), *[st.integers(-2, 2)] * r)
+    gens = [DivisorClass(c) for c in data.draw(st.lists(vector, min_size=1, max_size=4))]
+    a = cone._signed_bounding_class(r)
+    assume(all(sum(x * y for x, y in zip(a, g.coeffs)) >= 1 for g in gens))
+    leads = [cone._leading_index(g) for g in gens if g.coeffs[0] == 0]
+    assume(len(set(leads)) == len(leads))
+    member = naive_monoid_members(gens)
+    targets = data.draw(st.lists(
+        st.tuples(st.integers(0, 2), *[st.integers(-3, 3)] * r), min_size=1, max_size=12))
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+    combination = class_sum(r, zip(counts, gens)).coeffs
+    for coeffs in [*targets, combination]:
+        t = DivisorClass(coeffs)
+        sol = monoid_membership(t, gens)
+        assert (sol is not None) == member(coeffs), (t, gens)
+        if sol is not None:
+            assert class_sum(r, [(n, g) for g, n in sol.items()]) == t
+    assert not cone._excluded(DivisorClass(combination), gens)
+
+
+def test_window_minima_match_the_benchmark_pool():
+    # Read-only: the pool holds the window minimum of each query, recorded
+    # before the exclusion existed.
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "monoid-window.json"
+    data = json.loads(pool.read_text(encoding="utf-8"))
+    window = data["window"]
+    for entry in data["entries"][::16]:
+        cfg = find_type(entry["label"]).config()
+        best = brute_force_alpha_hat(
+            cfg, tuple(entry["m"]), d_max=window["d_max"], m_max=window["m_max"])
+        assert best == Fraction(entry["value"]), entry
 
 
 def test_monoid_subset_of_cone():

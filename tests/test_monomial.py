@@ -87,14 +87,23 @@ def test_pair_budget():
     mono.product(chain(39), chain(49))
     with pytest.raises(MonomialError, match="budget"):
         mono.product(chain(40), chain(49))
-    # Intersections are not budgeted: their lcm candidates mostly collapse.
-    mono.intersect(chain(60), chain(49))
+    # Intersections have their own, larger budget.
+    assert len(chain(79).generators) * len(chain(49).generators) == mono.LCM_PAIR_CAP
+    mono.intersect(chain(79), chain(49))
+    with pytest.raises(MonomialError, match="intersection budget"):
+        mono.intersect(chain(80), chain(49))
 
 
-def test_symbolic_power_is_not_budgeted_by_its_intersections():
+def test_symbolic_power_intersection_budget():
     # 3249 lcm pairs in the last intersection, but small powers.
     i = ideal("x^4*y, x^4*z, x^3*y*z, x^2*y^2*z^2, x*y^3*z^3, y^4*z^4")
     assert mono.alpha(mono.symbolic_power(i, 14)) == 63
+    # (y, z)^m and (x^2, z)^m have m + 1 generators each: 63^2 pairs fit
+    # the budget, 64^2 do not.
+    j = ideal("x^2*y, z")
+    assert mono.alpha(mono.symbolic_power(j, 62)) == 62
+    with pytest.raises(MonomialError, match="4096 generator pairs exceed the intersection budget"):
+        mono.symbolic_power(j, 63)
 
 
 def test_intersect():
