@@ -75,6 +75,12 @@ for key, (ideal, m) in MONOMIAL_IDEALS.items():
         CASES[f"monomial-{op}-{key}.stdout"] = [
             "monomial", op, "--ideal", ideal, "--m", str(m), "--max-m", str(m), "--json",
         ]
+# Text twins: the same argv without --json, recorded before the text form
+# was rendered from the JSON payload.  A monomial text line is the JSON
+# "result" string, so one ideal per operation covers it.
+for name, argv in list(CASES.items()):
+    if not name.startswith("monomial-") or name.endswith("-mixed.stdout"):
+        CASES[name.replace(".stdout", "-text.stdout")] = [a for a in argv if a != "--json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
