@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: candidates, waldschmidt, dp4, monomial.  Results go to
-stdout (tables by default, JSON with --json); diagnostics go to stderr.
+Subcommands: candidates, waldschmidt, dp4, monomial.  Each prints one
+JSON payload (--json) or text rendered from it; diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments or parse errors, 3 configuration
 validation failure, 4 proximity violation, 5 infeasible cone, a
 certificate that failed verification, or a failed dp4 --degenerations or
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable
 
 from . import dp4, monomial
 from .classes import FAMILY_TAGS, candidate_sets
@@ -47,25 +48,33 @@ def _verify(cert: Certificate, cfg: SurfaceConfig) -> bool:
     return False
 
 
+def _emit(args: argparse.Namespace, payload: dict, text: Callable, indent: int | None = 2):
+    """Print a command's one result: the payload as JSON with --json, else the
+    lines text(payload), which reads nothing but the payload."""
+    print(json.dumps(payload, indent=indent) if args.json else "\n".join(text(payload)))
+
+
+def _certificate_text(head: str, cert: dict, verified: bool, terms: Iterable[str] = ()):
+    """`head`, the certificate line, any decomposition terms, the verdict line."""
+    yield head
+    yield f"certificate: d={cert['d']} m={cert['m']} nef={cert['nef']}"
+    yield from terms
+    yield f"certificate {'verified' if verified else 'FAILED VERIFICATION'}"
+
+
 def _cmd_candidates(args: argparse.Namespace) -> int:
     fams = candidate_sets(args.r)
     if args.family:
         fams = [f for f in fams if f.tag == args.family]
         if not fams:
             return _fail(EXIT_USAGE, f"family {args.family} is empty at r={args.r}")
-    if args.json:
-        payload = {
-            "r": args.r,
-            "families": [
-                {"family": f.tag, "members": [format_class(c) for c in f.members]}
-                for f in fams
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for f in fams:
-            for c in f.members:
-                print(f"{f.tag}\t{format_class(c)}")
+    _emit(args, {
+        "r": args.r,
+        "families": [
+            {"family": f.tag, "members": [format_class(c) for c in f.members]}
+            for f in fams
+        ],
+    }, lambda p: (f"{f['family']}\t{c}" for f in p["families"] for c in f["members"]))
     return EXIT_OK
 
 
@@ -88,19 +97,15 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
         m = (1,) * cfg.r
     value, cert = waldschmidt(cfg, m)
     verified = _verify(cert, cfg)
-    if args.json:
-        payload = {
-            "alpha_hat": frac_str(value),
-            "certificate": cert.to_dict(),
-            "verified": verified,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"alpha_hat = {frac_str(value)}")
-        print(f"certificate: d={cert.d} m={cert.m} nef={format_class(cert.nef)}")
-        for g, c in cert.decomposition:
-            print(f"  {frac_str(c)} * {format_class(g)}")
-        print(f"certificate {'verified' if verified else 'FAILED VERIFICATION'}")
+    _emit(args, {
+        "alpha_hat": frac_str(value),
+        "certificate": cert.to_dict(),
+        "verified": verified,
+    }, lambda p: _certificate_text(
+        f"alpha_hat = {p['alpha_hat']}", p["certificate"], p["verified"],
+        (f"  {t['coefficient']} * {t['generator']}"
+         for t in p["certificate"]["decomposition"]),
+    ))
     return EXIT_OK if verified else EXIT_INFEASIBLE
 
 
@@ -115,6 +120,24 @@ def _dp4_row(row: dp4.TableRow) -> dict:
     }
 
 
+def _degenerations_text(p: dict) -> Iterable[str]:
+    for e in p["edges"]:
+        mark = "flagged" if e["flagged"] else ("ok" if e["ok"] else "VIOLATED")
+        yield (
+            f"{e['general']} -> {e['special']}: "
+            f"{e['special_value']} <= {e['general_value']} [{mark}]"
+        )
+    yield f"all unflagged edges pass: {p['ok']}"
+
+
+def _table_text(p: dict) -> Iterable[str]:
+    width = max(len(row["label"]) for row in p["rows"])
+    for row in p["rows"]:
+        cert = "verified" if row["certificate_verified"] else "UNVERIFIED"
+        match = "" if row["matches_expected"] else f"  (expected {row['expected']})"
+        yield f"{row['label']:<{width}}  {row['alpha_hat']:>4}  {cert}{match}"
+
+
 def _cmd_dp4(args: argparse.Namespace) -> int:
     if args.type:
         try:
@@ -124,83 +147,60 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
         cfg = entry.config()
         value, cert = waldschmidt(cfg, (1,) * dp4.R5)
         verified = _verify(cert, cfg)
-        if args.json:
-            print(json.dumps({
-                "label": entry.label,
-                "alpha_hat": frac_str(value),
-                "expected": frac_str(entry.expected_alpha_hat),
-                "roots": [format_class(c) for c in entry.roots],
-                "lines": [format_class(c) for c in entry.lines],
-                "certificate": cert.to_dict(),
-                "certificate_verified": verified,
-            }, indent=2))
-        else:
-            print(f"{entry.label}: alpha_hat = {frac_str(value)}")
-            print(f"certificate: d={cert.d} m={cert.m} nef={format_class(cert.nef)}")
-            print(f"certificate {'verified' if verified else 'FAILED VERIFICATION'}")
+        _emit(args, {
+            "label": entry.label,
+            "alpha_hat": frac_str(value),
+            "expected": frac_str(entry.expected_alpha_hat),
+            "roots": [format_class(c) for c in entry.roots],
+            "lines": [format_class(c) for c in entry.lines],
+            "certificate": cert.to_dict(),
+            "certificate_verified": verified,
+        }, lambda p: _certificate_text(
+            f"{p['label']}: alpha_hat = {p['alpha_hat']}",
+            p["certificate"], p["certificate_verified"],
+        ))
         return EXIT_OK if verified else EXIT_INFEASIBLE
 
     table = dp4.compute_table()
     if args.degenerations:
         report = dp4.check_degenerations(table)
-        if args.json:
-            print(json.dumps({
-                "edges": [
-                    {
-                        "general": e.general,
-                        "special": e.special,
-                        "general_value": frac_str(e.general_value),
-                        "special_value": frac_str(e.special_value),
-                        "ok": e.ok,
-                        "flagged": e.flagged,
-                    }
-                    for e in report.edges
-                ],
-                "ok": report.ok,
-            }, indent=2))
-        else:
-            for e in report.edges:
-                mark = "flagged" if e.flagged else ("ok" if e.ok else "VIOLATED")
-                print(
-                    f"{e.general} -> {e.special}: "
-                    f"{frac_str(e.special_value)} <= {frac_str(e.general_value)} [{mark}]"
-                )
-            print(f"all unflagged edges pass: {report.ok}")
+        _emit(args, {
+            "edges": [
+                {
+                    "general": e.general,
+                    "special": e.special,
+                    "general_value": frac_str(e.general_value),
+                    "special_value": frac_str(e.special_value),
+                    "ok": e.ok,
+                    "flagged": e.flagged,
+                }
+                for e in report.edges
+            ],
+            "ok": report.ok,
+        }, _degenerations_text)
         return EXIT_OK if report.ok else EXIT_INFEASIBLE
     if args.bounds:
         report = dp4.check_bounds(table)
-        values = sorted(report.value_set)
-        if args.json:
-            print(json.dumps({
-                "lower": frac_str(report.lower),
-                "upper": frac_str(report.upper),
-                "within_bounds": report.within_bounds,
-                "value_set": [frac_str(v) for v in values],
-            }, indent=2))
-        else:
-            print(f"bounds: {frac_str(report.lower)} <= alpha_hat <= {frac_str(report.upper)}")
-            print(f"within bounds: {report.within_bounds}")
-            print("value set: " + ", ".join(frac_str(v) for v in values))
+        _emit(args, {
+            "lower": frac_str(report.lower),
+            "upper": frac_str(report.upper),
+            "within_bounds": report.within_bounds,
+            "value_set": [frac_str(v) for v in sorted(report.value_set)],
+        }, lambda p: [
+            f"bounds: {p['lower']} <= alpha_hat <= {p['upper']}",
+            f"within bounds: {p['within_bounds']}",
+            "value set: " + ", ".join(p["value_set"]),
+        ])
         return EXIT_OK if report.within_bounds else EXIT_INFEASIBLE
 
-    if args.json:
-        print(json.dumps({
-            "rows": [_dp4_row(row) for row in table.rows],
-            "all_verified": table.all_verified,
-            "mismatches": [row.label for row in table.mismatches],
-        }, indent=2))
-    else:
-        width = max(len(row.label) for row in table.rows)
-        for row in table.rows:
-            cert = "verified" if row.verified else "UNVERIFIED"
-            match = "" if row.matches else f"  (expected {frac_str(row.expected)})"
-            print(f"{row.label:<{width}}  {frac_str(row.alpha_hat):>4}  {cert}{match}")
-        if table.mismatches:
-            print(
-                "mismatched expected values: "
-                + ", ".join(row.label for row in table.mismatches),
-                file=sys.stderr,
-            )
+    mismatches = [row.label for row in table.mismatches]
+    if mismatches:
+        print("mismatched expected values: " + ", ".join(mismatches), file=sys.stderr)
+    _emit(args, {
+        "rows": [_dp4_row(row) for row in table.rows],
+        "all_verified": table.all_verified,
+        "mismatches": mismatches,
+    }, _table_text)
     return EXIT_OK
 
 
@@ -220,10 +220,7 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
         out = monomial.alpha(ideal)
     else:  # "estimate"; argparse restricts the choices
         out = f"<= {frac_str(monomial.waldschmidt_estimate(ideal, args.max_m))}"
-    if args.json:
-        print(json.dumps({"operation": op, "result": str(out)}))
-    else:
-        print(out)
+    _emit(args, {"operation": op, "result": str(out)}, lambda p: [p["result"]], indent=None)
     return EXIT_OK
 
 

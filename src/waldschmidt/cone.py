@@ -211,20 +211,22 @@ def monoid_membership(
 ) -> dict[DivisorClass, int] | None:
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
-    A call runs four stages in this order: input checks, root tests,
+    A call runs four stages in this order: input checks, root test,
     exclusion, search.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
-    must pair >= 1 with every generator, and every generator must have
-    line degree g0 >= 0; a D of negative A-degree is then no sum.
+    must pair >= 1 with every generator, every generator must have line
+    degree g0 >= 0, and the precondition below must hold.  They run
+    before any answer, so a malformed list raises whatever D is.  A D of
+    negative A-degree is then no sum.
 
-    Root tests.  A sum has line degree >= 0, and a positive line degree
-    needs a generator with g0 > 0.  The need prune below, applied to D
-    itself, rejects D before anything else is built.
+    Root test.  The need prune below, applied to D itself, rejects D
+    before anything else is built.
 
     Exclusion (_excluded) repeats these steps, using only the
     bilinearity of the intersection pairing:
-    - D0 < 0 or A.D < 0: D is no sum, as above.
+    - D0 < 0 or A.D < 0: D is no sum, since every generator has g0 >= 0
+      and A-degree >= 1.
     - Otherwise take the first generator C with D.C < 0.  If C.C < 0 and
       C.h >= 0 for every generator h with other coefficients, write a sum
       as D = sum n_g g; then D.C = n_C C.C + sum_{h != C} n_h h.C
@@ -267,23 +269,15 @@ def monoid_membership(
     r = D.r
     if any(g.r != r for g in generators):
         raise ConfigurationError("generator rank mismatch")
-    if D.is_zero():
-        return {}
-    if not generators:
-        return None
     signed_a = _signed_bounding_class(r)
     degs = [sum(map(mul, signed_a, g.coeffs)) for g in generators]
-    if min(degs) < 1:
+    if min(degs, default=1) < 1:
         raise BoundingFailureError(
             "no bounding functional is positive on every generator: "
             + ", ".join(
                 format_class(g) for g, d in zip(generators, degs) if d < 1
             )
         )
-    budget = sum(map(mul, signed_a, D.coeffs))
-    if budget < 0:
-        return None
-
     pgens, zleads = [], []
     for g, ga in zip(generators, degs):
         c = g.coeffs
@@ -301,14 +295,17 @@ def monoid_membership(
                 f"share the leading index {lead}; no valid configuration has both"
             )
     zsteps = [(lead, g.coeffs) for lead, g in zleads]
+    if D.is_zero():
+        return {}
+    budget = sum(map(mul, signed_a, D.coeffs))
+    if budget < 0:
+        return None
 
     # Need per budget: each unit of line degree spent on generator g
     # lowers the total point-multiplicity deficit by at most
     # ratio(g) = need_drop(g) / g0.
     sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
     b0, need = D.coeffs[0], -sum(D.coeffs[1:])
-    if b0 < 0 or (b0 and not pgens):
-        return None
     if b0 and sharp and need > 0 and all(
         need * g.coeffs[0] > nd * b0 for g, _, nd in pgens
     ):

@@ -166,9 +166,15 @@ def test_monoid_requires_bounding_positivity():
 def test_monoid_membership_input_checks():
     with pytest.raises(ConfigurationError, match="rank mismatch"):
         monoid_membership(DivisorClass((1, 0)), [DivisorClass((1, 0, 0))])
-    # A-degree 6*(-1) + 100 > 0 passes the bounding check; the line degree fails.
-    with pytest.raises(BoundingFailureError, match="negative line degree"):
-        monoid_membership(DivisorClass((1, 0)), [DivisorClass((-1, 100))])
+    # A-degree 6*(-1) + 100 > 0 passes the bounding check; the line degree fails,
+    # also for a target of negative A-degree and for the zero target.
+    for target in [(1, 0), (-1, 0), (0, 0)]:
+        with pytest.raises(BoundingFailureError, match="negative line degree"):
+            monoid_membership(DivisorClass(target), [DivisorClass((-1, 100))])
+    # Two degree-zero generators with leading index 1 break the precondition.
+    for target in [(0, 2, -1), (0, -2, 1), (0, 0, 0)]:
+        with pytest.raises(ConfigurationError, match="share the leading index"):
+            monoid_membership(DivisorClass(target), parse_classes(["E_1", "E_12"], 2))
 
 
 def test_monoid_search_uses_no_fraction(monkeypatch):

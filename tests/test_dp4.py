@@ -83,12 +83,14 @@ def test_plane_point_count_matches_verticals():
         assert t.n == R5 - len(verticals), t.label
 
 
-def test_general_position_lines_are_all_exceptional_classes():
-    t = find_type("(5,∅,16)")
-    assert not t.roots
-    assert sorted(c.coeffs for c in t.lines) == [
-        c.coeffs for c in enumerate_exceptional(5)
-    ]
+def test_lines_are_the_exceptional_classes_meeting_every_root_nonnegatively():
+    # The lines are typed in by hand; a dropped or mistyped one would change
+    # alpha_hat while the certificate still verifies against the wrong list.
+    # With no roots, as for (5,∅,16), they are all 16 exceptional classes.
+    exceptional = enumerate_exceptional(R5)
+    for t in catalog():
+        meeting = {e for e in exceptional if all(pairing(e, a) >= 0 for a in t.roots)}
+        assert set(t.lines) == meeting, t.label
 
 
 def test_named_examples():
