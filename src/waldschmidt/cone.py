@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import ceil, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Sequence
@@ -134,6 +135,7 @@ def _cone_lp(
     return res
 
 
+@cache
 def _signed_bounding_class(r: int) -> tuple[int, ...]:
     """A = (3*2^r)*e0 - sum 2^(r-i)*e_i with its point coefficients negated.
 
@@ -143,13 +145,18 @@ def _signed_bounding_class(r: int) -> tuple[int, ...]:
     return (3 * 2**r,) + tuple(2 ** (r - i) for i in range(1, r + 1))
 
 
+def _a_degree(coeffs: tuple[int, ...]) -> int:
+    """A.c for the bounding class A, given the coefficients of c."""
+    return sum(map(mul, _signed_bounding_class(len(coeffs) - 1), coeffs))
+
+
 def _leading_index(c: DivisorClass) -> int:
     """Index of the first nonzero point coefficient of a nonzero class."""
     return next(i for i, a in enumerate(c.coeffs[1:], start=1) if a)
 
 
 def _solve_triangular(
-    residual: Sequence[int], zsteps: list[tuple[int, tuple[int, ...]]]
+    residual: Sequence[int], zsteps: Sequence[tuple[int, tuple[int, ...]]]
 ) -> list[int] | None:
     """Express a degree-zero residual over zero-degree generators.
 
@@ -173,14 +180,14 @@ def _excluded(D: DivisorClass, generators: Sequence[DivisorClass]) -> bool:
     """True when D is proved to be no nonnegative integer sum of `generators`.
 
     Needs every generator to have line degree >= 0 and A-degree >= 1 for
-    the bounding class A.  False means inconclusive.  The steps and their
-    proofs are in the docstring of monoid_membership.  D itself is never
-    rebuilt: a step D <- D - t*C updates its line degree, its A-degree,
-    its square and its pairings with the generators, the last through
-    C's pairings with them.
+    the bounding class A; the A-degrees come from _prepare, which checks
+    that.  False means inconclusive.  The steps and their proofs are in
+    the docstring of monoid_membership.  D itself is never rebuilt: a step
+    D <- D - t*C updates its line degree, its A-degree, its square and its
+    pairings with the generators, the last through C's pairings with them.
     """
-    signed_a = _signed_bounding_class(D.r)
-    d0, adeg, dd = D.coeffs[0], sum(map(mul, signed_a, D.coeffs)), pairing(D, D)
+    degs = _prepare(_key(generators)).degs
+    d0, adeg, dd = D.coeffs[0], _a_degree(D.coeffs), pairing(D, D)
     dots = [pairing(D, g) for g in generators]
     rows: dict[int, list[int]] = {}  # C's pairings, for each C that passed
     while d0 >= 0 and adeg >= 0:
@@ -200,10 +207,102 @@ def _excluded(D: DivisorClass, generators: Sequence[DivisorClass]) -> bool:
         dc = dots[i]
         t = -(dc // -cc)  # ceil(D.C / C.C)
         d0 -= t * c.coeffs[0]
-        adeg -= t * sum(map(mul, signed_a, c.coeffs))
+        adeg -= t * degs[i]
         dd += t * (t * cc - 2 * dc)
         dots = [x - t * y for x, y in zip(dots, row)]
     return True
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """What monoid_membership derives from a generator list alone.
+
+    Generators appear as positions in the list, never as objects.
+    """
+
+    degs: tuple[int, ...]  # A-degree of each generator
+    roots: tuple[tuple[int, int], ...]  # (g0, need_drop) of each g0 > 0
+    sharp: bool  # no degree-zero generator has need_drop > 0
+    den: int
+    # (coefficients, line degree, A-degree, need_drop, bound) per step.
+    steps: tuple[tuple[tuple[int, ...], int, int, int, int], ...]
+    order: tuple[int, ...]  # position of each step's generator
+    zsteps: tuple[tuple[int, tuple[int, ...]], ...]  # for _solve_triangular
+    zorder: tuple[int, ...]  # position of each zsteps entry's generator
+
+
+def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
+    """The coefficient tuples of `generators`: _prepare's cache key."""
+    # From a list, not a generator: tuple() over a generator resizes its
+    # result, and CPython then keeps the resized tuples on its free lists,
+    # 1.5 MB of peak RSS over the benchmark's monoid-window workload.
+    return tuple([g.coeffs for g in generators])
+
+
+@lru_cache(maxsize=1)
+def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
+    """Check the generator list with coefficient tuples `key` and build its
+    _Prepared record; raises as documented in monoid_membership."""
+    if len({len(c) for c in key}) > 1:
+        raise ConfigurationError("generator rank mismatch")
+    generators = [DivisorClass(c) for c in key]
+    degs = tuple(_a_degree(c) for c in key)
+    if min(degs, default=1) < 1:
+        raise BoundingFailureError(
+            "no bounding functional is positive on every generator: "
+            + ", ".join(
+                format_class(g) for g, d in zip(generators, degs) if d < 1
+            )
+        )
+    positive, zleads = [], []
+    for p, g in enumerate(generators):
+        c = g.coeffs
+        if c[0] > 0:
+            positive.append(p)
+        elif c[0] == 0:
+            zleads.append((_leading_index(g), p))
+        else:
+            raise BoundingFailureError("generator with negative line degree")
+    zleads.sort(key=itemgetter(0))
+    for (lead, p), (lead2, q) in zip(zleads, zleads[1:]):
+        if lead == lead2:
+            raise ConfigurationError(
+                f"degree-zero generators {format_class(generators[p])} and "
+                f"{format_class(generators[q])} share the leading index {lead}; "
+                "no valid configuration has both"
+            )
+    zsteps = tuple((lead, key[p]) for lead, p in zleads)
+    roots = tuple((key[p][0], -sum(key[p][1:])) for p in positive)
+
+    # Need per budget: each unit of line degree spent on generator g
+    # lowers the total point-multiplicity deficit by at most
+    # ratio(g) = need_drop(g) / g0.
+    sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
+    # The search scales every ratio by den to an integer.
+    den = lcm(*(g0 for g0, _ in roots))
+    # Sorted, these tuples run by descending ratio, then coefficients, then
+    # input position; positions differ, so nothing after them is compared.
+    ranked = sorted(
+        (-nd * (den // g0), key[p], p, degs[p], nd)
+        for p, (g0, nd) in zip(positive, roots)
+    )
+    # bound is den times the largest ratio from its step on, and at least 0.
+    steps = []
+    bound = 0
+    for scaled, c, _, ga, nd in reversed(ranked):
+        bound = max(bound, -scaled)
+        steps.append((c, c[0], ga, nd, bound))
+    steps.reverse()
+    return _Prepared(
+        degs=degs,
+        roots=roots,
+        sharp=sharp,
+        den=den,
+        steps=tuple(steps),
+        order=tuple(t[2] for t in ranked),
+        zsteps=zsteps,
+        zorder=tuple(p for _, p in zleads),
+    )
 
 
 def monoid_membership(
@@ -211,8 +310,16 @@ def monoid_membership(
 ) -> dict[DivisorClass, int] | None:
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
-    A call runs four stages in this order: input checks, root test,
-    exclusion, search.
+    The work splits in two.  _prepare runs once per distinct generator
+    list: every input check but the rank of D, the A-degrees, the root
+    test's pairs, den, the ranked search steps with their bounds and the
+    degree-zero triangular system.  It keeps the last list only, keyed by
+    value (the tuple of coefficient tuples), so a list mutated in place is
+    prepared again; lru_cache never stores an exception, so a malformed
+    list raises on every call whatever D is.  The record holds positions
+    in the list, and the answer maps them back to the caller's own
+    generator objects.  Each target then runs these stages in this order:
+    rank check of D, root test, exclusion, search.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
     must pair >= 1 with every generator, every generator must have line
@@ -266,72 +373,26 @@ def monoid_membership(
     with the same leading index pair to <= -1, which validation rejects.
     Any other generator set raises ConfigurationError.
     """
-    r = D.r
-    if any(g.r != r for g in generators):
+    key = _key(generators)
+    if key and len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
-    signed_a = _signed_bounding_class(r)
-    degs = [sum(map(mul, signed_a, g.coeffs)) for g in generators]
-    if min(degs, default=1) < 1:
-        raise BoundingFailureError(
-            "no bounding functional is positive on every generator: "
-            + ", ".join(
-                format_class(g) for g, d in zip(generators, degs) if d < 1
-            )
-        )
-    pgens, zleads = [], []
-    for g, ga in zip(generators, degs):
-        c = g.coeffs
-        if c[0] > 0:
-            pgens.append((g, ga, -sum(c[1:])))
-        elif c[0] == 0:
-            zleads.append((_leading_index(g), g))
-        else:
-            raise BoundingFailureError("generator with negative line degree")
-    zleads.sort(key=itemgetter(0))
-    for (lead, g), (lead2, h) in zip(zleads, zleads[1:]):
-        if lead == lead2:
-            raise ConfigurationError(
-                f"degree-zero generators {format_class(g)} and {format_class(h)} "
-                f"share the leading index {lead}; no valid configuration has both"
-            )
-    zsteps = [(lead, g.coeffs) for lead, g in zleads]
+    prep = _prepare(key)
     if D.is_zero():
         return {}
-    budget = sum(map(mul, signed_a, D.coeffs))
+    budget = _a_degree(D.coeffs)
     if budget < 0:
         return None
 
-    # Need per budget: each unit of line degree spent on generator g
-    # lowers the total point-multiplicity deficit by at most
-    # ratio(g) = need_drop(g) / g0.
-    sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
+    sharp = prep.sharp
     b0, need = D.coeffs[0], -sum(D.coeffs[1:])
     if b0 and sharp and need > 0 and all(
-        need * g.coeffs[0] > nd * b0 for g, _, nd in pgens
+        need * g0 > nd * b0 for g0, nd in prep.roots
     ):
         return None
     if _excluded(D, generators):
         return None
 
-    # The search scales every ratio by den to an integer.
-    den = lcm(*(g.coeffs[0] for g, _, _ in pgens))
-    # Sorted, these tuples run by descending ratio, then coefficients, then
-    # input position; positions differ, so nothing after them is compared.
-    ranked = []
-    for g, ga, nd in pgens:
-        c = g.coeffs
-        ranked.append((-nd * (den // c[0]), c, len(ranked), ga, nd, g))
-    ranked.sort()
-    order = [t[-1] for t in ranked]
-    # One step per generator: (coefficients, line degree, A-degree,
-    # need_drop, bound), bound being den times the largest ratio from
-    # this step on, and at least 0.
-    steps = []
-    bound = 0
-    for key, c, _, ga, nd, _ in reversed(ranked):
-        bound = max(bound, -key)
-        steps.append((c, c[0], ga, nd, bound))
-    steps.reverse()
+    den, steps, zsteps = prep.den, prep.steps, prep.zsteps
     last = len(steps)
     chosen = [0] * last
     leaf: tuple[int, list[int]] | None = None
@@ -369,8 +430,8 @@ def monoid_membership(
     if not rec(0, D.coeffs, budget, need):
         return None
     depth, lams = leaf
-    result = {g: n for g, n in zip(order, chosen[:depth]) if n}
-    result.update((g, n) for (_, g), n in zip(zleads, lams) if n)
+    result = {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}
+    result.update((generators[p], n) for p, n in zip(prep.zorder, lams) if n)
     return result
 
 

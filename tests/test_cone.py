@@ -177,6 +177,66 @@ def test_monoid_membership_input_checks():
             monoid_membership(DivisorClass(target), parse_classes(["E_1", "E_12"], 2))
 
 
+WINDOW = [target(d, k) for k in (1, 2, 3) for d in range(1, 9)]
+
+
+def test_interleaved_lists_answer_as_each_does_alone():
+    a = effective_generators(find_type("(1,D5,1)").config())
+    b = effective_generators(find_type("(5,∅,16)").config())
+    alone_a = [monoid_membership(t, a) for t in WINDOW]
+    alone_b = [monoid_membership(t, b) for t in WINDOW]
+    assert alone_a != alone_b and any(alone_b)
+    cone._prepare.cache_clear()
+    for t, hit_a, hit_b in zip(WINDOW, alone_a, alone_b):
+        assert monoid_membership(t, a) == hit_a
+        assert monoid_membership(t, b) == hit_b
+        assert monoid_membership(t, a) == hit_a
+    # Only the last list is kept: each switch prepares again.
+    assert cone._prepare.cache_info().misses == 2 * len(WINDOW) + 1
+
+
+def test_a_list_mutated_in_place_is_prepared_again():
+    gens = list(parse_classes(["L_12", "E_1", "E_2"], 2))
+    line = DivisorClass((1, 0, 0))
+    assert monoid_membership(line, gens) == {g: 1 for g in gens}
+    misses = cone._prepare.cache_info().misses
+    gens[2] = line
+    assert monoid_membership(line, gens) == {line: 1}
+    assert cone._prepare.cache_info().misses == misses + 1
+
+
+def test_a_malformed_list_raises_on_every_call():
+    good = effective_generators(find_type("(1,D5,1)").config())
+    bad = parse_classes(["E_1", "E_12"], 2)
+    hit = monoid_membership(target(5, 3), good)
+    before = cone._prepare.cache_info()
+    for t in [(0, 2, -1), (0, -2, 1), (0, 0, 0)]:
+        with pytest.raises(ConfigurationError, match="share the leading index"):
+            monoid_membership(DivisorClass(t), bad)
+    # No failure is stored, and none evicts the valid list prepared before.
+    after = cone._prepare.cache_info()
+    assert after.misses == before.misses + 3 and after.currsize == 1
+    assert monoid_membership(target(5, 3), good) == hit
+    assert cone._prepare.cache_info().misses == after.misses
+
+
+def test_answers_hold_the_callers_own_generators():
+    gens = effective_generators(find_type("(1,D5,1)").config())
+    twins = [DivisorClass(g.coeffs) for g in gens]
+    assert twins == gens and not any(t is g for t, g in zip(twins, gens))
+    assert monoid_membership(target(5, 3), gens)
+    sol = monoid_membership(target(5, 3), twins)
+    own = {id(t) for t in twins}
+    assert sol and all(id(g) in own for g in sol)
+
+
+def test_one_window_prepares_its_list_once():
+    cone._prepare.cache_clear()
+    assert brute_force_alpha_hat(find_type("(1,D5,1)").config(), ONES) is not None
+    info = cone._prepare.cache_info()
+    assert info.misses == 1 and info.hits > 100
+
+
 def test_monoid_search_uses_no_fraction(monkeypatch):
     gens = effective_generators(find_type("(1,D5,1)").config())
     hit = monoid_membership(target(5, 3), gens)

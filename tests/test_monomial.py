@@ -228,3 +228,49 @@ def test_cross_module_oracle_infinitely_near_pair():
     cone_value, _ = waldschmidt(cfg, (1, 1))
     estimate = mono.waldschmidt_estimate(ideal("x, y^2"), 6)
     assert cone_value == estimate == 1
+
+
+def fat(gens, m):
+    """The m-th power of the ideal generated by `gens`; the unit ideal at m = 0."""
+    return mono.power(ideal(gens), m) if m else ideal("1")
+
+
+# Two r = 3 configurations whose fat-point ideals are monomial, with
+# their NEG lists written by hand:
+# - the coordinate points p_1 = [1:0:0], p_2 = [0:1:0], p_3 = [0:0:1];
+# - p_2 infinitely near p_1 = [0:0:1] along x = 0, and p_3 = [1:0:0].
+#   The cluster's ideal is (x,y)^(m1-m2) (x,y^2)^m2 (Zariski's product
+#   theorem for complete ideals); x = 0 is L_12 and y = 0 is L_13.
+TORIC_R3 = [
+    (["E_1", "E_2", "E_3", "L_12", "L_13", "L_23"], None,
+     lambda m: reduce(mono.intersect, [fat("y, z", m[0]), fat("x, z", m[1]),
+                                       fat("x, y", m[2])]),
+     63),
+    (["E_12", "E_2", "E_3", "L_12", "L_13"], {(2, 1)},
+     lambda m: mono.intersect(
+         mono.product(fat("x, y", m[0] - m[1]), fat("x, y^2", m[1])),
+         fat("y, z", m[2])),
+     39),
+]
+
+
+@pytest.mark.parametrize("neg, pairs, fat_ideal, cases", TORIC_R3,
+                         ids=["coordinate-points", "p2-near-p1"])
+def test_lp_certificate_degree_is_the_monomial_initial_degree(neg, pairs, fat_ideal, cases):
+    # The certificate puts d*L - m*E_Z in the effective cone and shows no
+    # smaller ratio is there, so the least degree of a form in I^(m) should
+    # be d.  The monomial side reads no NEG list.
+    from waldschmidt.config import ProximityMatrix, SurfaceConfig, proximity_check
+    from waldschmidt.cone import waldschmidt
+    from waldschmidt.lattice import parse_classes
+
+    prox = None if pairs is None else ProximityMatrix(3, frozenset(pairs))
+    cfg = SurfaceConfig(3, parse_classes(neg, 3), proximity=prox)
+    checked = 0
+    for m in itertools.product(range(4), repeat=3):
+        if not any(m) or (prox is not None and not proximity_check(m, prox)[1]):
+            continue
+        _, cert = waldschmidt(cfg, m)
+        assert mono.alpha(mono.symbolic_power(fat_ideal(m), cert.m)) == cert.d, m
+        checked += 1
+    assert checked == cases
