@@ -4,6 +4,38 @@ Product, power, intersection, saturation with respect to the irrelevant
 maximal ideal, symbolic powers of zero-dimensional monomial ideals, and
 initial degrees.  Serves as an independent desk-scale oracle for the
 cone computations on infinitely-near-point configurations.
+
+Packed exponents.  Inside each operation an exponent vector e in n
+variables is one int, the word p = sum of e[k] * 2**(w*(n-1-k)): one
+w-bit field per variable, variable 0 in the most significant field.
+Every field the operation holds stays below 2**(w-1), so the top bit of
+each field, its guard bit, is clear.  G holds every guard bit.  Then:
+
+- Fields never overlap, so int order is the lexicographic order of the
+  vectors, and h | g (h[k] <= g[k] for every k) gives h <= g as ints:
+  ascending int order puts every proper divisor before its multiples.
+- The product of two monomials is a + b, field by field with no carry
+  while each sum stays below the guard bit.
+- Divisibility: in (g + G) - h field k holds g[k] + 2**(w-1) - h[k],
+  which lies in (0, 2**w), so no field borrows from the next, and its
+  guard bit is set exactly when h[k] <= g[k].  Hence h | g exactly when
+  ((g + G) - h) & G == G.
+- Maximum (the lcm): t = ((a + G) - b) & G marks the fields where
+  a[k] >= b[k], t - (t >> (w-1)) sets the low w-1 bits of those fields,
+  and b ^ ((a ^ b) & (t - (t >> (w-1)))) takes a's field there and b's
+  elsewhere.
+- Clearing field v (dropping every factor x_v) is an and with a mask.
+
+Width.  Each public operation packs once, with w = B.bit_length() + 1
+for a bound B it can prove on every exponent it forms: the largest
+input exponent for the stripping and minimalisation of an ideal, the
+larger of the two maxima for intersect (a maximum of fields is one of
+them), their sum for product, and m times the maximum for power and
+symbolic_power (a step multiplies an element of I^k, fields at most
+k*max, by one of I, so every field of I^m is at most m*max; stripping
+and intersecting form no larger field).  B < 2**(w-1), so every guard
+bit stays clear.  The bound is proven from the input, never taken from
+fields seen in runs.
 """
 
 from __future__ import annotations
@@ -13,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MonomialError
 
@@ -30,18 +62,6 @@ PAIR_CAP = 2000
 LCM_PAIR_CAP = 4000
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators, sorted."""
@@ -54,7 +74,7 @@ class MonomialIdeal:
         if n == 0:
             raise MonomialError("a monomial ideal needs at least one variable")
         gens = self.generators
-        # Whole-list passes: this runs on every candidate list of intersect.
+        # Whole-list passes: this runs on every ideal a caller builds or parses.
         flat = list(chain.from_iterable(gens))
         if not ({n}.issuperset(map(len, gens)) and {int}.issuperset(map(type, flat))
                 and min(flat, default=0) >= 0):
@@ -69,7 +89,7 @@ class MonomialIdeal:
 
     def contains(self, mono: Monomial) -> bool:
         """Membership of a monomial: divisibility by some generator."""
-        return any(_divides(g, mono) for g in self.generators)
+        return any(all(x <= y for x, y in zip(g, mono)) for g in self.generators)
 
     def __str__(self) -> str:
         return format_ideal(self)
@@ -80,49 +100,127 @@ def _check_order(m: int, what: str) -> None:
         raise MonomialError(f"{what} >= 1, got {m!r}")
 
 
-def _minimal(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # A proper divisor of g has smaller total degree, so in order of degree
-    # it is kept before g is reached, and nothing kept is ever removed.
-    kept: list[Monomial] = []
-    for g in sorted(set(gens), key=sum):
-        if not any(_divides(h, g) for h in kept):
-            kept.append(g)
-    return tuple(sorted(kept, reverse=True))
-
-
-def _pairwise(
-    op: Callable, i: MonomialIdeal, j: MonomialIdeal, cap: int, what: str
-) -> MonomialIdeal:
-    """The ideal generated by op(a, b) over all generator pairs of i and j,
-    refused with MonomialError when there are more than `cap` pairs."""
-    pairs = len(i.generators) * len(j.generators)
+def _check_pairs(pairs: int, cap: int, what: str) -> None:
     if pairs > cap:
         raise MonomialError(f"{pairs} generator pairs exceed the {what} of {cap}")
+
+
+def _top(i: MonomialIdeal) -> int:
+    """The largest exponent in the generators of i (0 if there is none)."""
+    return max(chain.from_iterable(i.generators), default=0)
+
+
+class _Words:
+    """Exponent vectors in n variables packed with w-bit fields, where
+    w = bound.bit_length() + 1 (see "Packed exponents" above).  Every word
+    list a method returns is minimal and ascending, as `unpack` needs."""
+
+    def __init__(self, n: int, bound: int) -> None:
+        w = bound.bit_length() + 1
+        self.shifts = range(w * (n - 1), -1, -w)
+        self.field = (1 << w) - 1
+        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+        self.low = w - 1
+
+    def pack(self, gens: Iterable[Monomial]) -> list[int]:
+        shifts = self.shifts
+        return [sum(e << s for e, s in zip(g, shifts)) for g in gens]
+
+    def unpack(self, words: list[int]) -> tuple[Monomial, ...]:
+        """The vectors of ascending words, in descending order."""
+        shifts, field = self.shifts, self.field
+        return tuple(tuple(p >> s & field for s in shifts) for p in reversed(words))
+
+    def ideal(self, variables: tuple[str, ...], words: list[int]) -> MonomialIdeal:
+        """The ideal with these minimal generators, which need no check."""
+        i = object.__new__(MonomialIdeal)
+        object.__setattr__(i, "variables", variables)
+        object.__setattr__(i, "generators", self.unpack(words))
+        return i
+
+    def minimal(self, words: Iterable[int]) -> list[int]:
+        # In ascending order a proper divisor of g is kept before g is
+        # reached, and nothing kept is ever removed.
+        guard = self.guard
+        kept: list[int] = []
+        for g in sorted(set(words)):
+            g_guard = g + guard
+            for h in kept:
+                if (g_guard - h) & guard == guard:
+                    break
+            else:
+                kept.append(g)
+        return kept
+
+    def strip(self, words: list[int], v: int) -> list[int]:
+        """The stable colon (I : x_v^infinity): clear field v."""
+        keep = ~(self.field << self.shifts[v])
+        return self.minimal([p & keep for p in words])
+
+    def product(self, a_words: list[int], b_words: list[int]) -> list[int]:
+        """The sum of every pair, refused past PAIR_CAP pairs."""
+        _check_pairs(len(a_words) * len(b_words), PAIR_CAP, "budget")
+        return self.minimal([a + b for a in a_words for b in b_words])
+
+    def power(self, words: list[int], m: int) -> list[int]:
+        acc = words
+        for _ in range(m - 1):
+            acc = self.product(acc, words)
+        return acc
+
+    def intersect(self, a_words: list[int], b_words: list[int]) -> list[int]:
+        """The lcm of every pair, refused past LCM_PAIR_CAP pairs."""
+        _check_pairs(len(a_words) * len(b_words), LCM_PAIR_CAP, "intersection budget")
+        guard, low = self.guard, self.low
+        lcms = []
+        for a in a_words:
+            a_guard = a + guard
+            for b in b_words:
+                t = (a_guard - b) & guard
+                lcms.append(b ^ ((a ^ b) & (t - (t >> low))))
+        return self.minimal(lcms)
+
+
+def _minimal(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The generators that no other divides, in descending order."""
+    gens = list(gens)
+    if not gens:
+        return ()
+    words = _Words(len(gens[0]), max(chain.from_iterable(gens)))
+    return words.unpack(words.minimal(words.pack(gens)))
+
+
+def _packed_pair(
+    i: MonomialIdeal, j: MonomialIdeal, bound: int
+) -> tuple[_Words, list[int], list[int]]:
+    """A packing for operations on i and j with exponents up to `bound`,
+    and the words of both."""
     if i.variables != j.variables:
         raise MonomialError(f"variable mismatch: {i.variables} vs {j.variables}")
-    gens = tuple(op(a, b) for a in i.generators for b in j.generators)
-    return MonomialIdeal(i.variables, gens)
+    words = _Words(len(i.variables), bound)
+    return words, words.pack(reversed(i.generators)), words.pack(reversed(j.generators))
 
 
 def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    return _pairwise(_mul, i, j, PAIR_CAP, "budget")
+    words, a, b = _packed_pair(i, j, _top(i) + _top(j))
+    return words.ideal(i.variables, words.product(a, b))
 
 
 def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     _check_order(m, "power requires an integer m")
-    return reduce(product, [i] * (m - 1), i)
+    words = _Words(len(i.variables), m * _top(i))
+    return words.ideal(i.variables, words.power(words.pack(reversed(i.generators)), m))
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    return _pairwise(_lcm, i, j, LCM_PAIR_CAP, "intersection budget")
+    words, a, b = _packed_pair(i, j, max(_top(i), _top(j)))
+    return words.ideal(i.variables, words.intersect(a, b))
 
 
 def _strip_variable(i: MonomialIdeal, v: int) -> MonomialIdeal:
     """The stable colon (I : x_v^infinity): drop all x_v factors."""
-    gens = tuple(
-        tuple(0 if k == v else e for k, e in enumerate(g)) for g in i.generators
-    )
-    return MonomialIdeal(i.variables, gens)
+    words = _Words(len(i.variables), _top(i))
+    return words.ideal(i.variables, words.strip(words.pack(i.generators), v))
 
 
 def saturate_irrelevant(i: MonomialIdeal) -> MonomialIdeal:
@@ -139,13 +237,16 @@ def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     generators of I, and stripping x_v from a product strips it from each
     factor, so (I^m : x_v^infinity) = (I : x_v^infinity)^m.  Hence (I^m)^sat
     is the intersection over v of the m-th powers of the stripped ideals,
-    and I^m itself is never formed.  Each product step of a power is
-    refused past PAIR_CAP generator pairs, each intersection past
+    and I^m itself is never formed.  Every power is formed first, in
+    variable order, each product step refused past PAIR_CAP generator
+    pairs; then the intersections from left to right, each refused past
     LCM_PAIR_CAP.
     """
     _check_order(m, "symbolic power requires an integer m")
-    parts = [power(_strip_variable(i, v), m) for v in range(len(i.variables))]
-    return reduce(intersect, parts)
+    words = _Words(len(i.variables), m * _top(i))
+    packed = words.pack(i.generators)
+    parts = [words.power(words.strip(packed, v), m) for v in range(len(i.variables))]
+    return words.ideal(i.variables, reduce(words.intersect, parts))
 
 
 def alpha(i: MonomialIdeal) -> int:

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waldschmidt.errors import MonomialError
 from waldschmidt import monomial as mono
@@ -47,8 +47,19 @@ def naive_minimal(gens):
     ))
 
 
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
-                max_size=12))
+def vector_lists(n, min_size, max_size):
+    """Lists of exponent vectors in n variables.  Each list draws its entries
+    as k * scale + r with small k and r; the scales 2**29 and 2**59 make the
+    packed fields wider than 30 and 60 bits."""
+    def lists(scale):
+        entry = st.builds(lambda k, r: k * scale + r, st.integers(0, 3), st.integers(0, 1))
+        return st.lists(st.tuples(*[entry] * n), min_size=min_size, max_size=max_size)
+    return st.sampled_from([1, 2**29, 2**59]).flatmap(lists)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: vector_lists(n, 0, 12)))
+@example([(0, 0, 0)])
+@example([(2**40, 0), (2**40 + 1, 1), (0, 2**40), (3, 2**40)])
 def test_minimal_matches_all_pairs_reference(gens):
     assert mono._minimal(gens) == naive_minimal(gens)
 
@@ -187,22 +198,45 @@ def test_saturation_idempotent_and_extensive(i):
     assert all(s.contains(g) for g in i.generators)
 
 
-def naive_symbolic_power(gens, m):
-    """(I^m)^sat by brute force: all m-fold products, then the intersection
-    over v of the ideals with x_v stripped, by all lcm pairs."""
+def naive_product(a, b):
+    return naive_minimal(tuple(map(sum, zip(g, h))) for g in a for h in b)
+
+
+def naive_intersection(a, b):
+    return naive_minimal(tuple(map(max, g, h)) for g in a for h in b)
+
+
+def naive_symbolic_power(gens, m, n):
+    """(I^m)^sat in n variables by brute force: all m-fold products, then the
+    intersection over v of the ideals with x_v stripped, by all lcm pairs."""
     powers = naive_minimal(tuple(map(sum, zip(*c))) for c in itertools.product(gens, repeat=m))
     stripped = [
         naive_minimal(tuple(0 if k == v else e for k, e in enumerate(g)) for g in powers)
-        for v in range(len(XYZ))
+        for v in range(n)
     ]
-    return reduce(
-        lambda a, b: naive_minimal(tuple(map(max, g, h)) for g in a for h in b), stripped
-    )
+    return reduce(naive_intersection, stripped)
 
 
-@given(small_ideals, st.integers(1, 4))
-def test_symbolic_power_matches_brute_force(i, m):
-    assert mono.symbolic_power(i, m).generators == naive_symbolic_power(i.generators, m)
+def ideal_pairs(n):
+    variables = ("x", "y", "z", "w")[:n]
+    ideals = vector_lists(n, 1, 4).map(lambda gens: mono.MonomialIdeal(variables, tuple(gens)))
+    return st.tuples(ideals, ideals)
+
+
+UNIT_XY = mono.parse_ideal("1", ("x", "y"))
+HUGE_XY = mono.parse_ideal(f"x^{2**40}, x*y^{2**40}, y^{2**40 + 1}", ("x", "y"))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(ideal_pairs), st.integers(1, 4))
+@example((UNIT_XY, HUGE_XY), 3)
+@example((HUGE_XY, UNIT_XY), 4)
+def test_symbolic_power_matches_brute_force(pair, m):
+    i, j = pair
+    n = len(i.variables)
+    assert mono.symbolic_power(i, m).generators == naive_symbolic_power(i.generators, m, n)
+    assert mono.product(i, j).generators == naive_product(i.generators, j.generators)
+    assert mono.intersect(i, j).generators == naive_intersection(i.generators, j.generators)
 
 
 @given(small_ideals, st.integers(1, 2), st.integers(1, 2))
@@ -270,7 +304,12 @@ def test_lp_certificate_degree_is_the_monomial_initial_degree(neg, pairs, fat_id
     for m in itertools.product(range(4), repeat=3):
         if not any(m) or (prox is not None and not proximity_check(m, prox)[1]):
             continue
-        _, cert = waldschmidt(cfg, m)
-        assert mono.alpha(mono.symbolic_power(fat_ideal(m), cert.m)) == cert.d, m
+        value, cert = waldschmidt(cfg, m)
+        i = fat_ideal(m)
+        assert mono.alpha(mono.symbolic_power(i, cert.m)) == cert.d, m
+        # The least ratio alpha(I^(k))/k over k <= K is the LP value once K
+        # reaches the certificate's k.
+        for top in (cert.m, cert.m + 3):
+            assert mono.waldschmidt_estimate(i, top) == value, (m, top)
         checked += 1
     assert checked == cases
