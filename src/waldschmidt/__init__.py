@@ -6,6 +6,8 @@ the finitely generated effective cone, emits machine-checkable
 certificates, and reproduces the degree-4 weak del Pezzo catalog.
 """
 
+from importlib import import_module
+
 from .classes import (
     CandidateFamily,
     candidate_sets,
@@ -40,7 +42,6 @@ from .config import (
     strict_transform_components,
     validate_config,
 )
-from .dp4 import Dp4Type, catalog, check_bounds, check_degenerations, compute_table
 from .lattice import (
     DivisorClass,
     canonical_class,
@@ -51,7 +52,6 @@ from .lattice import (
     parse_class,
     point_class,
 )
-from .monomial import MonomialIdeal, parse_ideal
 
 __version__ = "0.1.0"
 
@@ -100,3 +100,21 @@ __all__ = [
     "waldschmidt",
     "weyl_orbit",
 ]
+
+# Public names of dp4 and monomial, imported on first use (PEP 562): the
+# candidates and waldschmidt commands never load those modules.
+_LAZY = {
+    "Dp4Type": "dp4",
+    "catalog": "dp4",
+    "check_bounds": "dp4",
+    "check_degenerations": "dp4",
+    "compute_table": "dp4",
+    "MonomialIdeal": "monomial",
+    "parse_ideal": "monomial",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

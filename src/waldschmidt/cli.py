@@ -6,6 +6,15 @@ Exit codes: 0 success, 2 bad arguments or parse errors, 3 configuration
 validation failure, 4 proximity violation, 5 infeasible cone, a
 certificate that failed verification, or a failed dp4 --degenerations or
 --bounds check.
+
+One parser per call, for the command it runs.  COMMANDS defines every
+subcommand's arguments once.  When argv[0] names a command, `main` builds
+the top-level parser with only that subcommand in it; any other argv
+(empty, -h, an unknown command) gets the parser of all four.  The output
+is the same either way: a subcommand's parser and its messages do not
+depend on its siblings, the one-command parser's usage line still lists
+every command, and only the full parser ever reports a missing or unknown
+command.  The dp4 and monomial modules are imported by their handlers.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
-from . import dp4, monomial
 from .classes import FAMILY_TAGS, candidate_sets
 from .cone import Certificate, certificate_failures, frac_str, verify_certificate, waldschmidt
 from .config import SurfaceConfig, load_config, validate_config
@@ -26,6 +35,9 @@ from .errors import (
     WaldschmidtError,
 )
 from .lattice import format_class
+
+if TYPE_CHECKING:
+    from . import dp4
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,6 +151,8 @@ def _table_text(p: dict) -> Iterable[str]:
 
 
 def _cmd_dp4(args: argparse.Namespace) -> int:
+    from . import dp4
+
     if args.type:
         try:
             entry = dp4.find_type(args.type)
@@ -205,6 +219,8 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
 
 
 def _cmd_monomial(args: argparse.Namespace) -> int:
+    from . import monomial
+
     variables = args.vars.split(",") if args.vars else ["x", "y", "z"]
     ideal = monomial.parse_ideal(args.ideal, variables)
     op = args.operation
@@ -224,35 +240,25 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="waldschmidt",
-        description="Exact Waldschmidt constants on blowups of the plane.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("candidates", help="list candidate negative classes")
+def _candidates_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--family", choices=FAMILY_TAGS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_candidates)
 
-    p = sub.add_parser("waldschmidt", help="compute alpha_hat for a configuration")
+
+def _waldschmidt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a configuration JSON file")
     p.add_argument("--m", help="comma-separated multiplicities (default all ones)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_waldschmidt)
 
-    p = sub.add_parser("dp4", help="degree-4 catalog operations")
+
+def _dp4_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--type", help='type label, e.g. "(3,2A1A2,4)"')
     group.add_argument("--degenerations", action="store_true")
     group.add_argument("--bounds", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dp4)
 
-    p = sub.add_parser("monomial", help="monomial ideal operations")
+
+def _monomial_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "operation",
         choices=("sat", "power", "symbolic-power", "alpha", "estimate"),
@@ -261,9 +267,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--max-m", type=int, default=6, dest="max_m")
     p.add_argument("--vars", help="comma-separated variables (default x,y,z)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_monomial)
 
+
+# Every subcommand, in usage order: (name, help, argument adder, handler).
+# Each also takes --json, added after its own arguments.
+COMMANDS: tuple[tuple[str, str, Callable, Callable], ...] = (
+    ("candidates", "list candidate negative classes", _candidates_args, _cmd_candidates),
+    ("waldschmidt", "compute alpha_hat for a configuration", _waldschmidt_args,
+     _cmd_waldschmidt),
+    ("dp4", "degree-4 catalog operations", _dp4_args, _cmd_dp4),
+    ("monomial", "monomial ideal operations", _monomial_args, _cmd_monomial),
+)
+_NAMES = tuple(name for name, _, _, _ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    A one-command parser takes the full parser's subcommand list as its
+    metavar, so its usage line is the same.  The full parser keeps none:
+    its "invalid choice" and "required" messages name the argument
+    "command", as a metavar would replace that name.
+    """
+    parser = argparse.ArgumentParser(
+        prog="waldschmidt",
+        description="Exact Waldschmidt constants on blowups of the plane.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_NAMES) + "}",
+    )
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -279,8 +318,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv and argv[0] in _NAMES else None).parse_args(argv)
     try:
         return args.func(args)
     except ProximityViolationError as exc:

@@ -38,7 +38,7 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
-        if any(type(a) is not int for a in coeffs):
+        if not {int}.issuperset(map(type, coeffs)):
             raise ClassParseError(f"class coefficients must be integers, got {coeffs!r}")
         if len(coeffs) < 1 or len(coeffs) > MAX_RANK + 1:
             raise UnsupportedRankError(
@@ -154,7 +154,7 @@ def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
 def parse_class(text: str, r: int) -> DivisorClass:
     """Parse a class string at rank r; the grammar is in the module docstring."""
     _check_rank_arg(r)
-    s = re.sub(r"\s+", "", text)
+    s = "".join(str.split(text))  # without whitespace; TypeError unless text is a str
     if not s:
         raise ClassParseError("empty class string")
     if s == "L":

@@ -78,9 +78,8 @@ class MonomialIdeal:
         flat = list(chain.from_iterable(gens))
         if not ({n}.issuperset(map(len, gens)) and {int}.issuperset(map(type, flat))
                 and min(flat, default=0) >= 0):
-            bad = next(g for g in gens
-                       if len(g) != n or set(map(type, g)) != {int} or min(g) < 0)
-            raise MonomialError(f"bad exponent vector {bad} in {n} variables")
+            for g in gens:
+                _check_exponents(g, n)
         object.__setattr__(self, "generators", _minimal(gens))
 
     @property
@@ -88,11 +87,20 @@ class MonomialIdeal:
         return not self.generators
 
     def contains(self, mono: Monomial) -> bool:
-        """Membership of a monomial: divisibility by some generator."""
+        """Membership of a monomial: divisibility by some generator.
+
+        Raises MonomialError unless `mono` has one nonnegative int exponent
+        per variable, as each generator does."""
+        _check_exponents(mono, len(self.variables))
         return any(all(x <= y for x, y in zip(g, mono)) for g in self.generators)
 
     def __str__(self) -> str:
         return format_ideal(self)
+
+
+def _check_exponents(e: Sequence[int], n: int) -> None:
+    if not (len(e) == n and set(map(type, e)) == {int} and min(e) >= 0):
+        raise MonomialError(f"bad exponent vector {e} in {n} variables")
 
 
 def _check_order(m: int, what: str) -> None:

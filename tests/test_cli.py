@@ -308,3 +308,41 @@ def test_waldschmidt_warns_on_a_point_proximate_to_three(capsys, tmp_path):
         "warning: point p_4 proximate to 3 points; "
         "a planar point can be proximate to at most 2\n"
     )
+
+
+COMMANDS = ("candidates", "waldschmidt", "dp4", "monomial")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "monomial"], *([c, "--help"] for c in COMMANDS), ["bogus"],
+    ["monomial", "sat", "--ideal", "x", "--bogus"], ["monomial", "cube", "--ideal", "x"],
+    ["dp4"], ["dp4", "--all", "--type", "x"],
+    ["candidates", "--r", "3", "--family", "ZZ"], ["waldschmidt"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    """main builds a parser for the named command only; what argparse prints
+    and the exit code must match the parser that knows every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(call):
+        with pytest.raises(SystemExit) as exc:
+            call(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    expected = outcome(lambda a: cli.build_parser().parse_args(a))
+    assert expected[1] or expected[2]
+    assert outcome(main) == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_missing_or_unknown_command_names_the_command_argument(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: waldschmidt [-h] {candidates,waldschmidt,dp4,monomial} ...")
+    assert message in err

@@ -167,3 +167,47 @@ def test_off_shape_classes_format_raw(coeffs):
     c = DivisorClass(coeffs)
     assert format_class(c) == "[" + ",".join(str(a) for a in coeffs) + "]"
     assert parse_class(format_class(c), c.r) == c
+
+
+# Whitespace as str.split sees it: ASCII, the C0 separators, NEL, no-break,
+# ogham, em, hair, line and paragraph separators, narrow, math and ideographic.
+WHITESPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+              "\u1680\u2003\u200a\u2028\u2029\u202f\u205f\u3000")
+NAMED = st.builds(
+    named_class,
+    st.sampled_from("ELQC"),
+    st.permutations(range(1, 6)).flatmap(lambda p: st.integers(1, 5).map(lambda k: p[:k])),
+    st.just(5),
+)
+
+
+@given(st.one_of(classes(5), NAMED, st.sampled_from([line_class(5), canonical_class(5)])),
+       st.data())
+def test_parse_ignores_whitespace_anywhere(c, data):
+    text = format_class(c)
+    gaps = data.draw(st.lists(st.text(st.sampled_from(WHITESPACE), max_size=3),
+                              min_size=len(text) + 1, max_size=len(text) + 1))
+    spaced = "".join(gap + ch for gap, ch in zip(gaps, text)) + gaps[-1]
+    assert parse_class(spaced, 5) == c
+
+
+@pytest.mark.parametrize("text, r, message", [
+    ("L_129", 5, "index 9 outside 1..5"),
+    ("E_44", 5, "repeated index 4"),
+    ("C_2;25", 5, "repeated index 2"),
+    ("X_12", 5, "unrecognised class string 'X_12'"),
+    ("[1,2]", 2, "raw vector has 2 entries, expected 3"),
+    ("", 3, "empty class string"),
+    (" \t\n\u3000", 3, "empty class string"),
+    ("E_", 5, "unrecognised class string 'E_'"),
+    ("L_0", 5, "index 0 outside 1..5"),
+    (" X _ 1\t2 ", 5, "unrecognised class string ' X _ 1\\t2 '"),
+    ("[1, 2]", 2, "raw vector has 2 entries, expected 3"),
+    ("L_1\xa02\u20039", 5, "index 9 outside 1..5"),
+    ("[1,2.5,0]", 2, "unrecognised class string '[1,2.5,0]'"),
+    ("E_1\u200b", 2, "unrecognised class string 'E_1\\u200b'"),  # zero width: no space
+])
+def test_parse_error_messages(text, r, message):
+    with pytest.raises(ClassParseError) as exc:
+        parse_class(text, r)
+    assert str(exc.value) == message

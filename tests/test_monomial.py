@@ -129,6 +129,15 @@ def test_contains():
     assert not i.contains((1, 0, 9))
 
 
+@pytest.mark.parametrize("vector", [(1,), (0, 2, 0, 5), (1.5, 0, 0), (True, 0, 0), (0, -1, 0)])
+def test_contains_rejects_what_the_constructor_rejects(vector):
+    i = ideal("x, y^2")
+    with pytest.raises(MonomialError, match=re.escape(f"bad exponent vector {vector} in 3")):
+        i.contains(vector)
+    with pytest.raises(MonomialError, match="bad exponent vector"):
+        mono.MonomialIdeal(XYZ, (vector,))
+
+
 def test_saturation_worked_example():
     i2 = mono.power(ideal("x^2, x*y, y^3"), 2)
     assert mono.format_ideal(mono.saturate_irrelevant(i2)) == (
