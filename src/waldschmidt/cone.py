@@ -221,7 +221,6 @@ class _Prepared:
     """
 
     degs: tuple[int, ...]  # A-degree of each generator
-    roots: tuple[tuple[int, int], ...]  # (g0, need_drop) of each g0 > 0
     sharp: bool  # no degree-zero generator has need_drop > 0
     den: int
     # (coefficients, line degree, A-degree, need_drop, bound) per step.
@@ -272,19 +271,19 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
                 "no valid configuration has both"
             )
     zsteps = tuple((lead, key[p]) for lead, p in zleads)
-    roots = tuple((key[p][0], -sum(key[p][1:])) for p in positive)
+    ratios = tuple((key[p][0], -sum(key[p][1:])) for p in positive)
 
     # Need per budget: each unit of line degree spent on generator g
     # lowers the total point-multiplicity deficit by at most
     # ratio(g) = need_drop(g) / g0.
     sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
     # The search scales every ratio by den to an integer.
-    den = lcm(*(g0 for g0, _ in roots))
+    den = lcm(*(g0 for g0, _ in ratios))
     # Sorted, these tuples run by descending ratio, then coefficients, then
     # input position; positions differ, so nothing after them is compared.
     ranked = sorted(
         (-nd * (den // g0), key[p], p, degs[p], nd)
-        for p, (g0, nd) in zip(positive, roots)
+        for p, (g0, nd) in zip(positive, ratios)
     )
     # bound is den times the largest ratio from its step on, and at least 0.
     steps = []
@@ -295,7 +294,6 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
     steps.reverse()
     return _Prepared(
         degs=degs,
-        roots=roots,
         sharp=sharp,
         den=den,
         steps=tuple(steps),
@@ -311,12 +309,12 @@ def monoid_membership(
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
     The work splits in two.  _prepare runs once per distinct generator
-    list: every input check but the rank of D, the A-degrees, the root
-    test's pairs, den, the ranked search steps with their bounds and the
-    degree-zero triangular system.  It keeps the last list only, keyed by
-    value (the tuple of coefficient tuples), so a list mutated in place is
-    prepared again; lru_cache never stores an exception, so a malformed
-    list raises on every call whatever D is.  The record holds positions
+    list: every input check but the rank of D, the A-degrees, den, the
+    ranked search steps with their bounds and the degree-zero triangular
+    system.  It keeps the last list only, keyed by value (the tuple of
+    coefficient tuples), so a list mutated in place is prepared again;
+    lru_cache never stores an exception, so a malformed list raises on
+    every call whatever D is.  The record holds positions
     in the list, and the answer maps them back to the caller's own
     generator objects.  Each target then runs these stages in this order:
     rank check of D, root test, exclusion, search.
@@ -327,8 +325,11 @@ def monoid_membership(
     before any answer, so a malformed list raises whatever D is.  A D of
     negative A-degree is then no sum.
 
-    Root test.  The need prune below, applied to D itself, rejects D
-    before anything else is built.
+    Root test.  The search's own prune below, applied to D itself with
+    the first step's bound (0 when no generator has g0 > 0), rejects D
+    before anything else is built.  With b0 = 0 it rejects need > 0:
+    only degree-zero generators fit, and none has positive need_drop.
+    With b0 < 0, D is no sum whatever the test says.
 
     Exclusion (_excluded) repeats these steps, using only the
     bilinearity of the intersection pairing:
@@ -361,11 +362,11 @@ def monoid_membership(
     positive line degrees and bound = den times that ratio, an integer,
     the test is need * den > bound * b0, so the search does only integer
     arithmetic.  At the root, where every generator is still to come,
-    this is need > 0 and need * g0 > need_drop(g) * b0 for every g.  The
-    search visits the same nodes in the same order, and returns the same
-    witness, as the earlier form of this search that kept the ratios as
-    Fractions and ran on every target; tests/golden/monoid-witnesses.json
-    pins its output.
+    this is, for b0 > 0, need > 0 and need * g0 > need_drop(g) * b0 for
+    every g.  The search visits the same nodes in the same order, and
+    returns the same witness, as the earlier form of this search that
+    kept the ratios as Fractions and ran on every target;
+    tests/golden/monoid-witnesses.json pins its output.
 
     Precondition: the degree-zero generators have distinct leading
     indices, so the degree-zero part of the search is a triangular solve.
@@ -383,16 +384,13 @@ def monoid_membership(
     if budget < 0:
         return None
 
-    sharp = prep.sharp
+    sharp, den, steps, zsteps = prep.sharp, prep.den, prep.steps, prep.zsteps
     b0, need = D.coeffs[0], -sum(D.coeffs[1:])
-    if b0 and sharp and need > 0 and all(
-        need * g0 > nd * b0 for g0, nd in prep.roots
-    ):
+    if sharp and need * den > (steps[0][4] if steps else 0) * b0:
         return None
     if _excluded(D, generators):
         return None
 
-    den, steps, zsteps = prep.den, prep.steps, prep.zsteps
     last = len(steps)
     chosen = [0] * last
     leaf: tuple[int, list[int]] | None = None

@@ -38,6 +38,10 @@ class Dp4Type:
     expected_alpha_hat: Fraction
 
     def config(self) -> SurfaceConfig:
+        """The NEG list with no proximity matrix, so waldschmidt() never
+        checks the proximity inequalities derive_proximity(5, classes())
+        reads off it.  All-ones meets them on every entry; for an m that
+        fails them the LP value need not be the Waldschmidt constant."""
         return SurfaceConfig(r=R5, neg_curves=self.roots + self.lines)
 
     def classes(self) -> tuple[DivisorClass, ...]:

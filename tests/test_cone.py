@@ -5,6 +5,7 @@ import random
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -195,6 +196,18 @@ def test_interleaved_lists_answer_as_each_does_alone():
     assert cone._prepare.cache_info().misses == 2 * len(WINDOW) + 1
 
 
+def test_a_mixed_rank_list_raises_on_every_call():
+    # The first generator has the target's rank, so only _prepare sees
+    # the mismatch; the failure is never cached.
+    gens = [DivisorClass((0, 1, 0)), DivisorClass((0, 1))]
+    cone._prepare.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="generator rank mismatch"):
+            monoid_membership(DivisorClass((1, 0, 0)), gens)
+    info = cone._prepare.cache_info()
+    assert info.misses == 2 and info.currsize == 0
+
+
 def test_a_list_mutated_in_place_is_prepared_again():
     gens = list(parse_classes(["L_12", "E_1", "E_2"], 2))
     line = DivisorClass((1, 0, 0))
@@ -251,7 +264,7 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     # Need 5 per unit of line degree 1 exceeds every generator's ratio, so
     # the prune rejects this target before the first branch.
     assert monoid_membership(target(1, 1), gens) is None
-    # L - 2E_1 passes the root tests; the exclusion proves the miss.
+    # L - 2E_1 passes the root test; the exclusion proves the miss.
     miss = DivisorClass((1, -2, 0, 0, 0, 0))
     assert cone._excluded(miss, gens)
     assert monoid_membership(miss, gens) is None
@@ -318,11 +331,9 @@ def test_exclusion_ends_on_negative_bounding_degree():
     assert monoid_membership(D, [twice]) is None
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_monoid_membership_matches_enumeration_on_random_generators(data):
-    # Generator lists from no valid configuration too; only the lists the
-    # input checks reject are skipped.
+def draw_generators(data):
+    """Rank r and a generator list, from no valid configuration too; only
+    the lists the input checks reject are skipped."""
     r = data.draw(st.integers(1, 3), label="r")
     vector = st.tuples(st.integers(0, 2), *[st.integers(-2, 2)] * r)
     gens = [DivisorClass(c) for c in data.draw(st.lists(vector, min_size=1, max_size=4))]
@@ -330,6 +341,13 @@ def test_monoid_membership_matches_enumeration_on_random_generators(data):
     assume(all(sum(x * y for x, y in zip(a, g.coeffs)) >= 1 for g in gens))
     leads = [cone._leading_index(g) for g in gens if g.coeffs[0] == 0]
     assume(len(set(leads)) == len(leads))
+    return r, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monoid_membership_matches_enumeration_on_random_generators(data):
+    r, gens = draw_generators(data)
     member = naive_monoid_members(gens)
     targets = data.draw(st.lists(
         st.tuples(st.integers(0, 2), *[st.integers(-3, 3)] * r), min_size=1, max_size=12))
@@ -342,6 +360,44 @@ def test_monoid_membership_matches_enumeration_on_random_generators(data):
         if sol is not None:
             assert class_sum(r, [(n, g) for g, n in sol.items()]) == t
     assert not cone._excluded(DivisorClass(combination), gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_root_prune_rejects_as_the_per_generator_root_test(data):
+    # The root test is the search's prune with the first step's bound.  On
+    # targets of line degree b0 > 0 it must reject exactly what the test
+    # over each generator g with g0 > 0 rejects: when no degree-zero
+    # generator has positive need_drop, need > 0 and need * g0 >
+    # need_drop(g) * b0 for every such g.  A rejected target never reaches
+    # the exclusion; any other target does.
+    r, gens = draw_generators(data)
+    a = cone._signed_bounding_class(r)
+    sharp = all(sum(g.coeffs[1:]) >= 0 for g in gens if g.coeffs[0] == 0)
+    positive = [(g.coeffs[0], -sum(g.coeffs[1:])) for g in gens if g.coeffs[0] > 0]
+    targets = data.draw(st.lists(
+        st.tuples(st.integers(1, 3), *[st.integers(-4, 3)] * r), min_size=1, max_size=12))
+    with mock.patch.object(cone, "_excluded", wraps=cone._excluded) as spy:
+        for coeffs in targets:
+            if sum(x * y for x, y in zip(a, coeffs)) < 0:
+                continue
+            b0, need = coeffs[0], -sum(coeffs[1:])
+            rejected = sharp and need > 0 and all(
+                need * g0 > nd * b0 for g0, nd in positive)
+            spy.reset_mock()
+            monoid_membership(DivisorClass(coeffs), gens)
+            assert spy.called != rejected, (coeffs, gens)
+
+
+def test_root_prune_is_off_when_a_degree_zero_generator_raises_need():
+    # E_1 - E_2 - E_3 has line degree 0 and need_drop 1, so need can fall
+    # after the line degree is spent, and no target is rejected at the
+    # root: L + E_1 - E_2 - E_3 has need 1 against a bound of 0.
+    gens = [DivisorClass((0, 1, -1, -1)), DivisorClass((1, 0, 0, 0))]
+    hit = DivisorClass((1, 1, -1, -1))
+    with mock.patch.object(cone, "_excluded", wraps=cone._excluded) as spy:
+        assert monoid_membership(hit, gens) == {g: 1 for g in gens}
+    assert spy.called
 
 
 def test_window_minima_match_the_benchmark_pool():
@@ -380,12 +436,12 @@ def test_is_nef_examples():
 
 def test_waldschmidt_known_values():
     value, cert = waldschmidt(find_type("(1,D5,1)").config(), ONES)
-    assert value == F(5, 3)
+    assert value == F(5, 3) == cert.value
     assert verify_certificate(cert, find_type("(1,D5,1)").config())
 
     cfg3 = three_generic_points()
     value3, cert3 = waldschmidt(cfg3, (1, 1, 1))
-    assert value3 == F(3, 2)
+    assert value3 == F(3, 2) == cert3.value
     assert value3 == brute_force_alpha_hat(cfg3, (1, 1, 1))
     assert verify_certificate(cert3, cfg3)
 

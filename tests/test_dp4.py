@@ -7,7 +7,7 @@ import pytest
 from helpers import brute_force_alpha_hat
 from waldschmidt import cli, dp4
 from waldschmidt.classes import enumerate_exceptional, is_exceptional, is_root
-from waldschmidt.config import validate_config
+from waldschmidt.config import derive_proximity, proximity_check, validate_config
 from waldschmidt.dp4 import (
     R5,
     catalog,
@@ -75,6 +75,16 @@ def test_adjacency_is_the_pairing():
 def test_every_entry_is_a_valid_configuration():
     for t in catalog():
         assert validate_config(t.config()).ok, t.label
+
+
+def test_all_ones_satisfies_the_proximity_inequalities():
+    # The paper's hypothesis for alpha-hat as a cone LP.  A catalog config
+    # carries no proximity matrix, so waldschmidt() never checks it; the
+    # pairs are read off each entry's vertical NEG classes here instead.
+    for t in catalog():
+        prox = derive_proximity(R5, t.classes())
+        assert bool(prox.pairs) == (t.n < R5), t.label
+        assert proximity_check((1,) * R5, prox)[1], t.label
 
 
 def test_plane_point_count_matches_verticals():

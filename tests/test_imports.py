@@ -1,9 +1,12 @@
-"""dp4 and monomial load on first use, and every public name still resolves."""
+"""Public names load their module on first use, and every one resolves."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import waldschmidt
 
@@ -25,10 +28,36 @@ def test_waldschmidt_command_never_imports_dp4_or_monomial():
     assert not imported & {"waldschmidt.dp4", "waldschmidt.monomial"}
 
 
+def test_bare_import_loads_no_submodule():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, waldschmidt; "
+         "print(sorted(m for m in sys.modules if m.startswith('waldschmidt')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "['waldschmidt']\n"
+
+
 def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from waldschmidt import *", namespace)
     assert set(waldschmidt.__all__) <= set(namespace)
-    assert namespace["MonomialIdeal"] is waldschmidt.monomial.MonomialIdeal
-    assert namespace["compute_table"] is waldschmidt.dp4.compute_table
+    assert len(set(waldschmidt.__all__)) == len(waldschmidt.__all__) == 43
+    for name in waldschmidt.__all__:
+        obj = namespace[name]
+        home = obj.__module__
+        assert home.startswith("waldschmidt."), name
+        assert obj is getattr(importlib.import_module(home), name) is getattr(waldschmidt, name)
     assert not hasattr(waldschmidt, "no_such_name")
+
+
+def test_dir_lists_every_public_name():
+    assert set(waldschmidt.__all__) <= set(dir(waldschmidt))
+    assert "__version__" in dir(waldschmidt)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        waldschmidt.no_such_name
+    with pytest.raises(ImportError):
+        exec("from waldschmidt import no_such_name", {})

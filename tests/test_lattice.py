@@ -6,6 +6,7 @@ from waldschmidt.lattice import (
     DivisorClass,
     canonical_class,
     class_sum,
+    divisor,
     format_class,
     line_class,
     named_class,
@@ -150,6 +151,13 @@ def test_rank_bounds():
 def test_coefficients_must_be_integers(coeffs):
     with pytest.raises(ClassParseError):
         DivisorClass(coeffs)
+    with pytest.raises(ClassParseError):
+        divisor(iter(coeffs))
+
+
+def test_divisor_takes_any_integer_iterable():
+    assert divisor(iter([1, -1, 0])) == cls(1, -1, 0)
+    assert divisor(range(3)) == cls(0, 1, 2)
 
 
 @pytest.mark.parametrize(

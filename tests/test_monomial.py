@@ -125,6 +125,7 @@ def test_intersect():
 
 def test_contains():
     i = ideal("x^2, x*y, y^3")
+    assert str(i) == "x^2, x*y, y^3"
     assert i.contains((2, 5, 0))
     assert not i.contains((1, 0, 9))
 
