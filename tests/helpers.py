@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from waldschmidt.config import SurfaceConfig, effective_generators
 from waldschmidt.cone import monoid_membership
@@ -43,3 +44,82 @@ def generic_config(r: int) -> SurfaceConfig:
 def three_generic_points() -> SurfaceConfig:
     return SurfaceConfig(3, parse_classes(
         ["E_1", "E_2", "E_3", "L_12", "L_13", "L_23"], 3))
+
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g
+
+
+def bland_simplex(a, b, c):
+    """min c.x s.t. A x = b, x >= 0 by a plain two-phase Bland tableau.
+
+    The pivot path `simplex.solve_lp` must take: each row of A enters
+    negated when its b entry is negative, with an artificial unit column;
+    phase 1 minimises the sum of the artificials over every column, then
+    each row whose basic column is still an artificial pivots on its first
+    nonzero original column, and phase 2 prices the original columns only.
+    Entering is the smallest column with a negative reduced cost; leaving
+    is the minimum ratio, ties to the smallest basic column.  Every pivot
+    is a Gauss-Jordan step in exact rationals: a row is its integer
+    numerators over one positive denominator, in lowest terms (a Fraction
+    per entry does the same arithmetic about 100 times slower).  Returns
+    (status, x, objective, dual, pivots), status as in `simplex`.
+    """
+    nrows, ncols = len(a), len(c)
+    total = ncols + nrows
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    rows = [
+        ([s * v for v in row] + [int(i == l) for l in range(nrows)] + [s * bi], 1)
+        for i, (row, bi, s) in enumerate(zip(a, b, sign))
+    ]
+    phase1 = [-sum(row[j] for row, _ in rows) for j in range(total + 1)]
+    phase1[ncols:total] = [0] * nrows
+    # The constraint rows, then the phase-2 and phase-1 cost rows.
+    rows += [(list(c) + [0] * (nrows + 1), 1), (phase1, 1)]
+    basis = list(range(ncols, total))
+    pivots = 0
+
+    def pivot(i, q):
+        nonlocal pivots
+        pivots += 1
+        nums, _ = rows[i]
+        s = 1 if nums[q] > 0 else -1
+        pn, pd = rows[i] = _reduced([s * v for v in nums], s * nums[q])
+        for k, (on, od) in enumerate(rows):
+            f = on[q]
+            if k != i and f:
+                rows[k] = _reduced([v * pd - f * w for v, w in zip(on, pn)], od * pd)
+        basis[i] = q
+
+    def run_phase(limit):
+        while True:
+            cost = rows[-1][0]
+            q = next((j for j in range(limit) if cost[j] < 0), None)
+            if q is None:
+                return "optimal"
+            ratios = [(Fraction(rows[i][0][-1], rows[i][0][q]), basis[i], i)
+                      for i in range(nrows) if rows[i][0][q] > 0]
+            if not ratios:
+                return "unbounded"
+            pivot(min(ratios)[2], q)
+
+    assert run_phase(total) == "optimal"
+    if rows[-1][0][-1]:
+        return "infeasible", None, None, None, pivots
+    rows.pop()
+    for i in range(nrows):
+        if basis[i] >= ncols:
+            q = next((j for j in range(ncols) if rows[i][0][j]), None)
+            if q is not None:
+                pivot(i, q)
+    if run_phase(ncols) == "unbounded":
+        return "unbounded", None, None, None, pivots
+    x = [Fraction(0)] * ncols
+    for i, j in enumerate(basis):
+        if j < ncols:
+            x[j] = Fraction(rows[i][0][-1], rows[i][1])
+    cost, den = rows[-1]
+    dual = tuple(Fraction(-s * cost[ncols + i], den) for i, s in enumerate(sign))
+    return "optimal", tuple(x), Fraction(-cost[-1], den), dual, pivots

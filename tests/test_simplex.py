@@ -1,18 +1,21 @@
 import json
+import random
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import generic_config
-from waldschmidt import cone, simplex
+from helpers import bland_simplex, generic_config
+from waldschmidt import cone, dp4, simplex
 from waldschmidt.errors import SolverInvariantError
 from waldschmidt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
-GENERIC_R8_POOL = Path(__file__).parent.parent / "perfbench" / "data" / "generic-r8.json"
+POOLS = Path(__file__).parent.parent / "perfbench" / "data"
+GENERIC_R8_POOL = POOLS / "generic-r8.json"
 
 
 def test_simple_optimum_with_dual():
@@ -78,6 +81,13 @@ def test_exact_fractions_no_drift():
     assert x[0] + 2 * x[1] + x[2] == F(1)
     assert res.objective == sum(x, F(0))
     assert sum(y * q for y, q in zip(res.dual, b)) == res.objective
+
+
+def test_zero_row_lp():
+    # No constraints: x = 0 is the only basis, so a negative cost is unbounded.
+    res = solve_lp([], [], [1, 2])
+    assert res == simplex.LpResult(OPTIMAL, (F(0), F(0)), F(0), ())
+    assert solve_lp([], [], [1, -2]).status == UNBOUNDED
 
 
 def test_unbounded_phase_one_raises_typed_error(monkeypatch):
@@ -217,3 +227,61 @@ def test_wide_entry_lps_satisfy_the_optimality_conditions(lp):
     # Negative b, redundant rows (so negative pivots when artificials are
     # driven out) and huge entries, which force wide packed slots.
     _check_optimality_conditions(lp)
+
+
+def _assert_bland_path(a, b, c):
+    """solve_lp gives the result of the plain tableau (helpers.bland_simplex)
+    after as many pivots, counted through _Tableau.pivot."""
+    pivots = [0]
+    original = simplex._Tableau.pivot
+
+    def counting_pivot(self, row, col):
+        pivots[0] += 1
+        return original(self, row, col)
+
+    with mock.patch.object(simplex._Tableau, "pivot", counting_pivot):
+        res = solve_lp(a, b, c)
+    assert (res.status, res.x, res.objective, res.dual, pivots[0]) == bland_simplex(a, b, c)
+
+
+def _pool_lps(queries):
+    """The LP that cone.waldschmidt solves for each (config, m)."""
+    lps = []
+    real = cone.solve_lp
+
+    def recording(a, b, c):
+        lps.append((a, b, c))
+        return real(a, b, c)
+
+    with mock.patch.object(cone, "solve_lp", recording):
+        for cfg, m in queries:
+            cone.waldschmidt(cfg, m)
+    assert len(lps) == len(queries)
+    return lps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lps())
+def test_small_lps_take_the_plain_bland_path(lp):
+    _assert_bland_path(*_integer_lp(*lp[:3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lps(_WIDE_ENTRIES))
+def test_wide_entry_lps_take_the_plain_bland_path(lp):
+    _assert_bland_path(*_integer_lp(*lp[:3]))
+
+
+def test_generic_r8_pool_lps_take_the_plain_bland_path():
+    entries = json.loads(GENERIC_R8_POOL.read_text(encoding="utf-8"))["entries"]
+    cfg = generic_config(8)
+    for lp in _pool_lps([(cfg, tuple(e["m"])) for e in entries]):
+        _assert_bland_path(*lp)
+
+
+def test_dp4_catalog_pool_lps_take_the_plain_bland_path():
+    entries = json.loads((POOLS / "dp4-catalog.json").read_text(encoding="utf-8"))["entries"]
+    models = {e.label: e.config() for e in dp4.catalog()}
+    sample = random.Random(18).sample(entries, 120)
+    for lp in _pool_lps([(models[e["label"]], tuple(e["m"])) for e in sample]):
+        _assert_bland_path(*lp)
