@@ -8,15 +8,34 @@ rational value times D, the absolute value of the current basis
 determinant, and D > 0.  A pivot on entry p turns each entry x of
 another row into (p*x - f*y) // D, where f is that row's entry in the
 pivot column and y the pivot row's entry in x's column; the division is
-exact.  D then becomes |p|.  Both cost rows are tableau rows, pivoted
-with the others, so reduced costs and duals are read off, never
-recomputed.  Bland's anti-cycling rule (smallest eligible index enters,
-smallest basic index leaves) guarantees termination.
+exact.  D then becomes |p|.  Bland's anti-cycling rule (smallest
+eligible index enters, smallest basic index leaves) guarantees
+termination.
+
+Revised form.  The tableau has the constraint rows [A | I | b] (each
+row of A and b negated where b is negative), then the phase-2 cost row
+[c | 0 | 0] and the phase-1 row, minus the sum of the constraint rows
+outside their artificial columns.  Row operations are linear, and the
+artificial columns start as an identity, so every current row is a
+combination of the starting constraint rows a_l whose weights are that
+row's entries in the artificial columns: a constraint row is
+sum_l T[art l] * a_l, and a cost row is D times its starting form plus
+sum_l T[art l] * a_l.  So the solver keeps only the block of artificial
+columns and right-hand side, for all rows, cost rows included, and
+pivots that block with the step above.  The constraint rows are packed
+once and never rewritten.  Each iteration prices the active cost row
+from its block entries, and the entering column comes from the block's
+columns weighted by the fixed entries A[l][q].  Every value the solver
+reads is an entry of the current tableau: a block entry, a priced
+reduced cost or right-hand side, or an entering-column entry.  So
+Bland's choices, the pivot count and the results are those of the full
+tableau.
 
 Packed rows.  A row T is stored as one Python int, the sum of
 T[j] * 2**(k*j) over its slots j: the columns in order, then the
-right-hand side in the last slot.  A pivot then costs a few big-int
-operations per row instead of one Python operation per entry.
+right-hand side in the last slot.  The block packs its columns one
+after another, each with one slot per row; the entering column is
+packed like a block column.
 
 Slot width.  By Cramer's rule every entry the solve ever holds is, up
 to sign, a minor of the initial integer tableau: D and the constraint
@@ -30,25 +49,33 @@ rows.  So H, the product of isqrt(sum of squares) + 1 over the
 constraint rows, times the larger of that factor for the phase-2 row
 and isqrt(number of rows) + 1 for the 0/1 row, exceeds every entry in
 absolute value.  k is the least multiple of 8 with 2**(k-1) > H, so
-every slot lies in (-2**(k-1), 2**(k-1)) for the whole solve.  The
-bound is proven from the input, never taken from entry sizes seen in
-runs.
+every entry read lies in (-2**(k-1), 2**(k-1)).  The bound is proven
+from the input, never taken from entry sizes seen in runs.
 
-Exact pivots on packed rows.  The update (p*x - f*y) // D is linear in
-the row and D divides every slot of p*x - f*y, so the same expression
-on whole packed rows, (p*row - f*prow) // D, is exactly the packed new
-row; its slots are the new entries, which the bound keeps in range.
-Negating a packed row negates every slot.
+Exact arithmetic on packed ints.  A packed int is exactly the sum of
+its slot values times powers of 2**k, whatever those values are, so a
+linear combination of packed ints is exactly the packed combination of
+their slots, even where an intermediate slot value overflows its width.
+Only decoding needs every slot in range, and the solver decodes only
+tableau entries.  The priced row D*init + sum_l w_l * a_l and the
+entering column sum_l A[l][q] * block_l take a multiply and an add per
+row and no division.  The block pivot is one expression: with F the
+entering column (its pivot-row slot lowered by D, so that the pivot row
+stays as it is) and Y the pivot row spread one slot per block column,
+the product F*Y has f_i * y_j in the slot of row i, column j, so
+(p*block - F*Y) // D is exactly the packed new block: D divides every
+slot.  The exact // D runs only on that short int, never on a full
+tableau row.  Negating a packed int negates every slot.
 
-Reading slots.  `offset` holds 2**(k-1) in every slot.  In
-row + offset each slot is T[j] + 2**(k-1), which lies in [0, 2**k), so
+Reading slots.  An offset holds 2**(k-1) in every slot.  In
+T + offset each slot is T[j] + 2**(k-1), which lies in [0, 2**k), so
 no slot borrows from the next and
-T[j] = ((row + offset) >> k*j & (2**k - 1)) - 2**(k-1).  There the top
+T[j] = ((T + offset) >> k*j & (2**k - 1)) - 2**(k-1).  There the top
 bit of a slot is clear exactly when the entry is negative, so Bland's
 entering column is the lowest slot below the column limit with that bit
 clear: the lowest set bit, `negative & -negative`, of the clear top
 bits.  An entry is zero exactly when its slot of
-(row + offset) ^ offset is.
+(T + offset) ^ offset is.
 """
 
 from __future__ import annotations
@@ -77,92 +104,146 @@ class LpResult:
 
 
 class _Tableau:
-    """Packed integer tableau: the constraint rows, then the cost rows.
+    """The revised form of the packed integer tableau.
 
-    `rows[i]` packs row i into `k`-bit slots, the last one holding its
-    right-hand side.  `basis[i]` is the column basic in constraint row i;
-    `d` is the common denominator D.
+    `a` and `rows` are the constraint rows, as lists and packed, with the
+    right-hand side last; `start` packs the two cost rows as they begin.
+    `block` packs the artificial columns and the right-hand side of every
+    current row: its column j (j = n is the right-hand side) holds the
+    rows 0..n-1, then the phase-2 row n and the phase-1 row n+1, in R =
+    n+2 slots.  `basis[i]` is the column basic in constraint row i, `d`
+    the common denominator D, and `active` the cost row being priced.
     """
 
     def __init__(self, rows: list[list[int]], cost: list[int]) -> None:
         """Pack the constraint rows, whose artificial columns (just before
         the right-hand side) form an identity, and the phase-2 cost row;
         the phase-1 row is derived from them."""
-        nrows = len(rows)
-        ncols = len(cost) - 1 - nrows
+        n = self.n = len(rows)
+        ncols = self.ncols = len(cost) - 1 - n
         # Hadamard's bound H (module docstring).
-        bound = max(isqrt(sum(map(mul, cost, cost))), isqrt(nrows)) + 1
+        bound = max(isqrt(sum(map(mul, cost, cost))), isqrt(n)) + 1
         for r in rows:
             bound *= isqrt(sum(map(mul, r, r))) + 1
         k = self.k = (bound.bit_length() + 8) // 8 * 8
-        self.mask = (1 << k) - 1
-        self.half = 1 << (k - 1)
-        self.offset = self.half * (((1 << k * len(cost)) - 1) // self.mask)
-        self.rhs_shift = k * (len(cost) - 1)
-        self.rows = [self._pack(r) for r in rows]
-        self.rows.append(self._pack(cost))
+        mask = self.mask = (1 << k) - 1
+        half = self.half = 1 << (k - 1)
+        width = len(cost)
+        self.offset = half * (((1 << k * width) - 1) // mask)
+        self.a = rows
+        self.cost = cost
+        # Pack a row as the bytes of its biased slots, each value encoded once.
+        nbytes, offset = k // 8, self.offset
+        slot = {v: (v + half).to_bytes(nbytes, "little") for v in set(cost).union(*rows)}
+        packed = [int.from_bytes(b"".join(map(slot.__getitem__, r)), "little") - offset
+                  for r in [*rows, cost]]
+        phase2 = packed.pop()
+        self.rows = packed
         # Phase 1 minimises the sum of the artificials: minus the sum of the
         # constraint rows, plus their artificial unit slots.
-        units = ((1 << k * nrows) - 1) // self.mask << k * ncols
-        self.rows.append(units - sum(self.rows[:nrows]))
-        self.basis = list(range(ncols, ncols + nrows))
+        units = ((1 << k * n) - 1) // mask << k * ncols
+        self.start = [phase2, units - sum(packed)]
+        span = self.span = k * (n + 2)
+        col_mask = self.col_mask = (1 << span) - 1
+        self.col_offset = half * (col_mask // mask)
+        # Y's slots (slot 0 of every block column), and the block's offset.
+        spread = ((1 << span * (n + 1)) - 1) // col_mask
+        self.stride, self.stride_half = mask * spread, half * spread
+        self.block_offset = self.col_offset * spread
+        # The identity, then b and its negated sum in the right-hand side.
+        rhs = [r[-1] for r in rows]
+        block = ((1 << (span + k) * n) - 1) // ((1 << span + k) - 1)
+        for i, v in enumerate(rhs):
+            block += v << span * n + k * i
+        self.block = block - (sum(rhs) << span * n + k * (n + 1))
+        self.basis = list(range(ncols, ncols + n))
         self.d = 1
-
-    def _pack(self, values: list[int]) -> int:
-        half, nbytes = self.half, self.k // 8
-        slots = b"".join([(v + half).to_bytes(nbytes, "little") for v in values])
-        return int.from_bytes(slots, "little") - self.offset
+        self.active = n + 1
+        self.entering = (-1, 0)
 
     def entry(self, row: int, col: int) -> int:
-        return ((self.rows[row] + self.offset) >> self.k * col & self.mask) - self.half
+        """The block entry of `row` in artificial column `col` (col = n:
+        the right-hand side)."""
+        shift = self.span * col + self.k * row
+        return ((self.block + self.block_offset) >> shift & self.mask) - self.half
+
+    def row(self, i: int) -> int:
+        """Row i of the current tableau, packed: its block entries weight
+        the constraint rows, and a cost row adds D times its start."""
+        k, span, mask, half = self.k, self.span, self.mask, self.half
+        u = (self.block + self.block_offset) >> k * i
+        total = self.d * self.start[i - self.n] if i >= self.n else 0
+        for r in self.rows:
+            w = (u & mask) - half
+            if w:
+                total += w * r
+            u >>= span
+        return total
+
+    def column(self, q: int) -> int:
+        """Column q of the current tableau, packed like a block column,
+        and kept as the entering column for the next pivot."""
+        span, col_mask = self.span, self.col_mask
+        u = self.block + self.block_offset
+        f = total = 0
+        for r in self.a:
+            v = r[q]
+            if v:
+                total += v
+                f += v * (u & col_mask)
+            u >>= span
+        # u & col_mask is a block column plus col_offset; the cost rows
+        # start with c[q] and, on an original column, -total.
+        phase1 = total if q < self.ncols else 0
+        k = self.k
+        f += (self.d * (self.cost[q] - (phase1 << k)) << k * self.n) - total * self.col_offset
+        self.entering = (q, f)
+        return f
 
     def pivot(self, row: int, col: int) -> None:
-        rows = self.rows
-        offset, mask, half = self.offset, self.mask, self.half
-        shift = self.k * col
-        prow = rows[row]
-        p = ((prow + offset) >> shift & mask) - half
-        d = self.d
-        for i, r in enumerate(rows):
-            if i == row:
-                continue
-            f = ((r + offset) >> shift & mask) - half
-            if f:
-                rows[i] = (p * r - f * prow) // d
-            elif p != d:
-                rows[i] = p * r // d
+        q, f = self.entering
+        if q != col:
+            f = self.column(col)
+        k, d = self.k, self.d
+        shift = k * row
+        p = ((f + self.col_offset) >> shift & self.mask) - self.half
+        y = ((self.block + self.block_offset) >> shift & self.stride) - self.stride_half
+        block = (p * self.block - (f - (d << shift)) * y) // d
         if p < 0:
-            rows[:] = [-r for r in rows]
-            p = -p
+            block, p = -block, -p
+        self.block = block
         self.d = p
         self.basis[row] = col
+        self.entering = (-1, 0)
 
 
 def _run_phase(t: _Tableau, limit: int) -> str:
-    """Bland pivots on the last row's reduced costs, entering only
+    """Bland pivots on the active cost row's reduced costs, entering only
     columns below `limit`, until optimal or unbounded."""
-    k, offset, mask, half, rhs_shift = t.k, t.offset, t.mask, t.half, t.rhs_shift
-    rows, basis = t.rows, t.basis
+    k, offset, mask, half = t.k, t.offset, t.mask, t.half
+    basis, row, column, active = t.basis, t.row, t.column, t.active
+    rhs_shift = t.span * t.n
     tops = offset & ((1 << k * limit) - 1)
     while True:
-        negative = tops & ~(rows[-1] + offset)
+        negative = tops & ~(row(active) + offset)
         if not negative:
             return OPTIMAL
-        shift = (negative & -negative).bit_length() - k
+        q = (negative & -negative).bit_length() // k - 1
+        u = column(q) + t.col_offset
+        rhs = (t.block + t.block_offset) >> rhs_shift
         leave = -1
         for i, j in enumerate(basis):
-            u = rows[i] + offset
-            a = (u >> shift & mask) - half
+            a = (u >> k * i & mask) - half
             if a > 0:
-                rhs = (u >> rhs_shift) - half
-                # rhs / a against best_rhs / best_a, both a > 0.
-                if leave < 0 or rhs * best_a < best_rhs * a or (
-                    rhs * best_a == best_rhs * a and j < basis[leave]
+                b = (rhs >> k * i & mask) - half
+                # b / a against best_b / best_a, both a > 0.
+                if leave < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and j < basis[leave]
                 ):
-                    leave, best_rhs, best_a = i, rhs, a
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return UNBOUNDED
-        t.pivot(leave, shift // k)
+        t.pivot(leave, q)
 
 
 def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> LpResult:
@@ -203,16 +284,16 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
     if status != OPTIMAL:
         raise SolverInvariantError(f"phase 1 ended {status}; it is bounded below by 0")
     # The phase-1 right-hand side is minus the sum of the artificials, times D.
-    if t.entry(-1, total) != 0:
+    if t.entry(nrows + 1, nrows) != 0:
         return LpResult(INFEASIBLE, None, None, None)
-    t.rows.pop()
+    t.active = nrows
 
     # Drive any residual zero-valued artificials out of the basis: pivot
     # on the row's first nonzero entry among the original columns.
     low = (1 << t.k * ncols) - 1
     for i in range(nrows):
         if t.basis[i] >= ncols:
-            nonzero = ((t.rows[i] + t.offset) ^ t.offset) & low
+            nonzero = ((t.row(i) + t.offset) ^ t.offset) & low
             if nonzero:
                 t.pivot(i, ((nonzero & -nonzero).bit_length() - 1) // t.k)
 
@@ -223,7 +304,7 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
     x = [_ZERO] * ncols
     for i, j in enumerate(t.basis):
         if j < ncols:
-            x[j] = Fraction(t.entry(i, total), d)
-    objective = Fraction(-t.entry(-1, total), d)
-    dual = tuple([Fraction(-s * t.entry(-1, ncols + i), d) for i, s in enumerate(sign)])
+            x[j] = Fraction(t.entry(i, nrows), d)
+    objective = Fraction(-t.entry(nrows, nrows), d)
+    dual = tuple([Fraction(-s * t.entry(nrows, i), d) for i, s in enumerate(sign)])
     return LpResult(OPTIMAL, tuple(x), objective, dual)
