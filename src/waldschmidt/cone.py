@@ -530,9 +530,11 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
     """Each condition the certificate fails, named; empty when it verifies.
 
     Conditions: d >= 0 and m > 0; one multiplicity per point; the
-    decomposition has nonnegative coefficients over the configuration's
-    generators and sums to d*L - m*E_Z; F has rank r, is nonzero and nef;
-    (d*L - m*E_Z).F = 0.  Raises ConfigurationError if `cfg` is invalid.
+    decomposition has nonnegative int or Fraction coefficients (a bool or
+    float is named as a failure) over the configuration's generators and
+    sums to d*L - m*E_Z, checked in integers scaled by the lcm of the
+    denominators; F has rank r, is nonzero and nef; (d*L - m*E_Z).F = 0.
+    Raises ConfigurationError if `cfg` is invalid.
     """
     gens = effective_generators(cfg)
     r = cfg.r
@@ -544,25 +546,31 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
     # Look up coefficient tuples: hash(-1) == hash(-2), so at r=8 a set of
     # classes would resolve its many collisions with DivisorClass.__eq__.
     gen_coeffs = {g.coeffs for g in gens}
+    terms = []
     for g, q in cert.decomposition:
         if g.coeffs not in gen_coeffs:
             failures.append(f"{format_class(g)} is not an effective-cone generator")
-        elif q < 0:
-            failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
+        elif type(q) not in (int, Fraction):
+            failures.append(f"{format_class(g)} has coefficient {q!r}, not an int or a Fraction")
+        else:
+            if q < 0:
+                failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
+            terms.append((g.coeffs, q))
     target = None
     if len(cert.multiplicities) != r:
         failures.append(f"{len(cert.multiplicities)} multiplicities for {r} points")
     else:
         target = cert.target()
-        acc = [Fraction(0)] * (r + 1)
-        for g, q in cert.decomposition:
-            if g.coeffs in gen_coeffs:
-                for j, a in enumerate(g.coeffs):
-                    acc[j] += q * a
-        if acc != [Fraction(v) for v in target.coeffs]:
+        # The sum times the lcm of the denominators, in integers.
+        scale = lcm(*[q.denominator for _, q in terms])
+        acc = [0] * (r + 1)
+        for coeffs, q in terms:
+            w = q.numerator * (scale // q.denominator)
+            acc = [x + w * a for x, a in zip(acc, coeffs)]
+        if acc != [scale * v for v in target.coeffs]:
             failures.append(
                 "decomposition sums to ["
-                + ",".join(frac_str(v) for v in acc)
+                + ",".join(frac_str(Fraction(v, scale)) for v in acc)
                 + f"], not d*L - m*E_Z = {format_class(target)}"
             )
     nef = cert.nef

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_force_alpha_hat, three_generic_points
+from helpers import brute_force_alpha_hat, generic_config, three_generic_points
 from waldschmidt import cone, config
 from waldschmidt.cone import (
     Certificate,
@@ -610,6 +610,44 @@ def test_verify_certificate_rejects_bad_data():
     assert not verify_certificate(cert, invalid)
     with pytest.raises(ConfigurationError):
         certificate_failures(cert, invalid)
+
+
+@pytest.mark.parametrize("coefficients", [
+    pytest.param(lambda q: float(q), id="float-sums-exactly"),
+    pytest.param(lambda q: float(q) / 10, id="float-sums-inexactly"),
+    pytest.param(lambda q: q == 1, id="bool"),
+])
+def test_certificate_coefficient_that_is_no_int_or_fraction_is_named(coefficients):
+    # The all-ones certificate at r = 6 has six coefficients 1: as floats
+    # (or bools) they sum exactly, and divided by 10 they do not.
+    cfg = generic_config(6)
+    _, cert = waldschmidt(cfg, (1,) * 6)
+    bad = dataclasses.replace(cert, decomposition=tuple(
+        (g, coefficients(q)) for g, q in cert.decomposition
+    ))
+    assert not verify_certificate(bad, cfg)
+    failures = certificate_failures(bad, cfg)
+    assert failures[:6] == [
+        f"{format_class(g)} has coefficient {q!r}, not an int or a Fraction"
+        for g, q in bad.decomposition
+    ]
+    assert failures[6].startswith("decomposition sums to [0,0,0,0,0,0,0], not")
+
+
+def test_certificate_failures_sums_mixed_denominators():
+    cfg = find_type("(3,4A1,4)").config()
+    _, cert = waldschmidt(cfg, ONES)
+    assert {q.denominator for _, q in cert.decomposition} == {1, 2}
+    assert certificate_failures(cert, cfg) == []
+    (g, q), *rest = cert.decomposition
+    off = dataclasses.replace(cert, decomposition=((g, q + F(1, 7)), *rest))
+    sums = [F(0)] * 6
+    for h, c in off.decomposition:
+        sums = [s + c * a for s, a in zip(sums, h.coeffs)]
+    assert certificate_failures(off, cfg)[0] == (
+        "decomposition sums to [" + ",".join(cone.frac_str(v) for v in sums)
+        + f"], not d*L - m*E_Z = {format_class(cert.target())}"
+    )
 
 
 def test_certificate_json_roundtrip():
