@@ -15,21 +15,23 @@ termination.
 Revised form.  The tableau has the constraint rows [A | I | b] (each
 row of A and b negated where b is negative), then the phase-2 cost row
 [c | 0 | 0] and the phase-1 row, minus the sum of the constraint rows
-outside their artificial columns.  Row operations are linear, and the
+outside their artificial columns.  Row operations are linear and the
 artificial columns start as an identity, so every current row is a
 combination of the starting constraint rows a_l whose weights are that
 row's entries in the artificial columns: a constraint row is
 sum_l T[art l] * a_l, and a cost row is D times its starting form plus
-sum_l T[art l] * a_l.  So the solver keeps only the block of artificial
-columns and right-hand side, for all rows, cost rows included, and
-pivots that block with the step above.  The constraint rows are packed
-once and never rewritten.  Each iteration prices the active cost row
-from its block entries, and the entering column comes from the block's
-columns weighted by the fixed entries A[l][q].  Every value the solver
-reads is an entry of the current tableau: a block entry, a priced
-reduced cost or right-hand side, or an entering-column entry.  So
-Bland's choices, the pivot count and the results are those of the full
-tableau.
+sum_l T[art l] * a_l.  (In phase 2 the weight T[art l] is minus D times
+the dual of a_l.)  So the solver keeps, for every row, cost rows
+included, only its artificial columns and right-hand side, the block,
+and pivots the block with the step above.  The constraint rows are
+packed once and never rewritten.  Each iteration prices the active
+cost row from its block entries, and the entering column q is
+sum_l a_l[q] * (block column l), plus D times the cost rows' starting
+entries in column q.  Every value the solver decodes is an entry of the
+current tableau: a block entry, a priced reduced cost, or an entry of
+the entering column.  So Bland's choices, the pivot count and the
+results are those of the full tableau.  The phase-1 row stays in the
+block through phase 2, pivoted like the others and never read.
 
 Packed rows.  A row T is stored as one Python int, the sum of
 T[j] * 2**(k*j) over its slots j: the columns in order, then the
@@ -37,7 +39,7 @@ right-hand side in the last slot.  The block packs its columns one
 after another, each with one slot per row; the entering column is
 packed like a block column.
 
-Slot width.  By Cramer's rule every entry the solve ever holds is, up
+Slot width.  By Cramer's rule every tableau entry of the solve is, up
 to sign, a minor of the initial integer tableau: D and the constraint
 entries are minors of the constraint rows, and a cost entry is a minor
 of all the constraint rows and that one cost row.  The phase-1 row is
@@ -55,17 +57,18 @@ from the input, never taken from entry sizes seen in runs.
 Exact arithmetic on packed ints.  A packed int is exactly the sum of
 its slot values times powers of 2**k, whatever those values are, so a
 linear combination of packed ints is exactly the packed combination of
-their slots, even where an intermediate slot value overflows its width.
+their slots, even where an intermediate slot value leaves its width.
 Only decoding needs every slot in range, and the solver decodes only
-tableau entries.  The priced row D*init + sum_l w_l * a_l and the
-entering column sum_l A[l][q] * block_l take a multiply and an add per
-row and no division.  The block pivot is one expression: with F the
-entering column (its pivot-row slot lowered by D, so that the pivot row
-stays as it is) and Y the pivot row spread one slot per block column,
-the product F*Y has f_i * y_j in the slot of row i, column j, so
-(p*block - F*Y) // D is exactly the packed new block: D divides every
-slot.  The exact // D runs only on that short int, never on a full
-tableau row.  Negating a packed int negates every slot.
+tableau entries.  Pricing and the entering column take one multiply
+and one add per constraint row (none for a zero weight) and no
+division.  The block pivot is one expression: with F the entering
+column, its pivot-row slot lowered by D so that the pivot row stays as
+it is, and Y the pivot row's block entries, one in the first slot of
+each block column, the product F*Y holds f_i * y_j in the slot of row i
+and column j.  So (p*block - F*Y) // D is exactly the packed new block,
+as D divides every slot of p*block - F*Y.  The exact // D runs only on
+that short int, never on a full tableau row.  Negating a packed int
+negates every slot.
 
 Reading slots.  An offset holds 2**(k-1) in every slot.  In
 T + offset each slot is T[j] + 2**(k-1), which lies in [0, 2**k), so
@@ -112,7 +115,8 @@ class _Tableau:
     current row: its column j (j = n is the right-hand side) holds the
     rows 0..n-1, then the phase-2 row n and the phase-1 row n+1, in R =
     n+2 slots.  `basis[i]` is the column basic in constraint row i, `d`
-    the common denominator D, and `active` the cost row being priced.
+    the common denominator D, `active` the cost row being priced, and
+    `entering` the last column computed, kept for the pivot that follows.
     """
 
     def __init__(self, rows: list[list[int]], cost: list[int]) -> None:
@@ -128,13 +132,11 @@ class _Tableau:
         k = self.k = (bound.bit_length() + 8) // 8 * 8
         mask = self.mask = (1 << k) - 1
         half = self.half = 1 << (k - 1)
-        width = len(cost)
-        self.offset = half * (((1 << k * width) - 1) // mask)
+        offset = self.offset = half * (((1 << k * len(cost)) - 1) // mask)
         self.a = rows
         self.cost = cost
         # Pack a row as the bytes of its biased slots, each value encoded once.
-        nbytes, offset = k // 8, self.offset
-        slot = {v: (v + half).to_bytes(nbytes, "little") for v in set(cost).union(*rows)}
+        slot = {v: (v + half).to_bytes(k // 8, "little") for v in set(cost).union(*rows)}
         packed = [int.from_bytes(b"".join(map(slot.__getitem__, r)), "little") - offset
                   for r in [*rows, cost]]
         phase2 = packed.pop()
