@@ -491,9 +491,7 @@ def _solve(
             f"optimal line degree {t} is not positive for nonzero multiplicities"
         )
     d, den = t.numerator, t.denominator
-    decomposition = tuple(
-        (g, den * res.x[i]) for i, g in enumerate(gens) if res.x[i] != 0
-    )
+    decomposition = tuple((g, den * q) for g, q in zip(gens, res.x) if q)
     nef = _dual_to_nef(res.dual)
     cert = Certificate(
         d=d, m=den, multiplicities=mm, decomposition=decomposition, nef=nef
@@ -529,26 +527,52 @@ def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
 def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
     """Each condition the certificate fails, named; empty when it verifies.
 
-    Conditions: d >= 0 and m > 0; one multiplicity per point; the
-    decomposition has nonnegative int or Fraction coefficients (a bool or
-    float is named as a failure) over the configuration's generators and
-    sums to d*L - m*E_Z, checked in integers scaled by the lcm of the
-    denominators; F has rank r, is nonzero and nef; (d*L - m*E_Z).F = 0.
-    Raises ConfigurationError if `cfg` is invalid.
+    Conditions: d is an int >= 0 and m an int > 0; the multiplicities are
+    a tuple or list of ints, one per point; the decomposition is a
+    sequence of (generator, coefficient) pairs whose generators are
+    DivisorClass objects among the configuration's generators and whose
+    coefficients are nonnegative ints or Fractions, and it sums to
+    d*L - m*E_Z, checked in integers scaled by the lcm of the
+    denominators; F is a DivisorClass of rank r, nonzero and nef;
+    (d*L - m*E_Z).F = 0.  A field of the wrong type (a bool or float is
+    no int) is named as a failure, and the conditions that need it are
+    skipped.  Raises ConfigurationError if `cfg` is invalid.
     """
     gens = effective_generators(cfg)
     r = cfg.r
     failures = []
-    if cert.d < 0:
-        failures.append(f"degree d = {cert.d} is negative")
-    if cert.m <= 0:
-        failures.append(f"multiplicity scale m = {cert.m} is not positive")
-    # Look up coefficient tuples: hash(-1) == hash(-2), so at r=8 a set of
-    # classes would resolve its many collisions with DivisorClass.__eq__.
-    gen_coeffs = {g.coeffs for g in gens}
+    d, m, mults, decomposition, nef = (
+        cert.d, cert.m, cert.multiplicities, cert.decomposition, cert.nef
+    )
+    typed = type(d) is int and type(m) is int  # then d*L - m*E_Z can be formed
+    if type(d) is not int:
+        failures.append(f"degree d = {d!r} is not an int")
+    elif d < 0:
+        failures.append(f"degree d = {d} is negative")
+    if type(m) is not int:
+        failures.append(f"multiplicity scale m = {m!r} is not an int")
+    elif m <= 0:
+        failures.append(f"multiplicity scale m = {m} is not positive")
+    try:
+        pairs = [(g, q) for g, q in decomposition]
+    except (TypeError, ValueError):
+        failures.append(
+            f"decomposition {decomposition!r} is not a sequence of "
+            "(generator, coefficient) pairs"
+        )
+        pairs = None
+    gen_coeffs = [g.coeffs for g in gens]
+    # The decomposition's coefficient tuples that are generators'.  Not a set
+    # of the generators' tuples: hash(-1) == hash(-2), so at r=8 their 241
+    # tuples share 111 hashes, and building that set costs four times this.
+    known = {
+        g.coeffs for g, _ in pairs or () if isinstance(g, DivisorClass)
+    }.intersection(gen_coeffs)
     terms = []
-    for g, q in cert.decomposition:
-        if g.coeffs not in gen_coeffs:
+    for g, q in pairs or ():
+        if not isinstance(g, DivisorClass):
+            failures.append(f"decomposition generator {g!r} is not a DivisorClass")
+        elif g.coeffs not in known:
             failures.append(f"{format_class(g)} is not an effective-cone generator")
         elif type(q) not in (int, Fraction):
             failures.append(f"{format_class(g)} has coefficient {q!r}, not an int or a Fraction")
@@ -556,11 +580,14 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
             if q < 0:
                 failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
             terms.append((g.coeffs, q))
-    target = None
-    if len(cert.multiplicities) != r:
-        failures.append(f"{len(cert.multiplicities)} multiplicities for {r} points")
-    else:
-        target = cert.target()
+    if not isinstance(mults, (tuple, list)) or not {int}.issuperset(map(type, mults)):
+        failures.append(f"multiplicities {mults!r} are not a tuple or list of ints")
+        typed = False
+    elif len(mults) != r:
+        failures.append(f"{len(mults)} multiplicities for {r} points")
+        typed = False
+    target = cert.target() if typed else None
+    if target is not None and pairs is not None:
         # The sum times the lcm of the denominators, in integers.
         scale = lcm(*[q.denominator for _, q in terms])
         acc = [0] * (r + 1)
@@ -573,13 +600,22 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
                 + ",".join(frac_str(Fraction(v, scale)) for v in acc)
                 + f"], not d*L - m*E_Z = {format_class(target)}"
             )
-    nef = cert.nef
+    if not isinstance(nef, DivisorClass):
+        failures.append(f"nef class {nef!r} is not a DivisorClass")
+        return failures
     if nef.r != r:
         failures.append(f"nef class {format_class(nef)} has rank {nef.r}, not {r}")
         return failures
     if nef.is_zero():
         failures.append("nef class is zero")
-    negative = [format_class(g) for g in gens if pairing(nef, g) < 0]
+    n = nef.coeffs
+    n2 = 2 * n[0]
+    # F.g = 2*f0*g0 - sum(f_i * g_i, i >= 0), as in lattice.pairing.
+    negative = [
+        format_class(g)
+        for g, c in zip(gens, gen_coeffs)
+        if n2 * c[0] < sum(map(mul, n, c))
+    ]
     if negative:
         failures.append(
             f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .classes import candidate_members
@@ -96,7 +97,6 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
     r = cfg.r
     candidates = candidate_members(r) if 2 <= r <= 8 else None
     seen: set[tuple[int, ...]] = set()
-    K = canonical_class(r)
     # The curves of rank r; `others` holds the positions of the non-(-1)-classes.
     kept: list[DivisorClass] = []
     others: list[int] = []
@@ -108,12 +108,14 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
         if coeffs in seen:
             errors.append(f"{c}: duplicate negative curve")
         seen.add(coeffs)
-        square = pairing(c, c)
+        a0 = coeffs[0]
+        square = 2 * a0 * a0 - sum(map(mul, coeffs, coeffs))  # pairing(c, c)
         if square >= 0:
             errors.append(f"{c}: nonnegative self-intersection {square}")
         elif candidates is not None and coeffs not in candidates:
             errors.append(f"{c}: not a candidate negative class at rank {r}")
-        if square != -1 or pairing(K, c) != -1:
+        # K.c = -3*a0 - (a1 + ... + ar) = -2*a0 - sum(coeffs)
+        if square != -1 or -2 * a0 - sum(coeffs) != -1:
             others.append(len(kept))
         kept.append(c)
     # Distinct (-1)-classes E, F never pair negatively: E - F lies in K-perp,

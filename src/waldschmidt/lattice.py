@@ -16,6 +16,12 @@ a0*e0 + b*e_d1 + c*(e_d2 + ... + e_ds) with (a0, b, c) = SHAPES[H]:
     C  ( 3, -2, -1)  cubic with a node at p_d1, through the others
 
 Whitespace is ignored.
+
+Types and rank are checked where a class enters: DivisorClass(...)
+checks that its coefficients are ints and its rank is 0..MAX_RANK, and
+parse_class, line_class and canonical_class check the rank argument.
+named_class checks its indices and then the rank.  The classes these
+build from ints they produced themselves skip DivisorClass's checks.
 """
 
 from __future__ import annotations
@@ -73,6 +79,14 @@ class DivisorClass:
         return format_class(self)
 
 
+def _prechecked(coeffs: tuple[int, ...]) -> DivisorClass:
+    """DivisorClass(coeffs) without its checks, for callers that have just
+    built `coeffs` from ints and checked its length to be 1..MAX_RANK + 1."""
+    c = object.__new__(DivisorClass)
+    object.__setattr__(c, "coeffs", coeffs)
+    return c
+
+
 def _check_rank(u: DivisorClass, v: DivisorClass) -> None:
     if u.r != v.r:
         raise RankMismatchError(f"rank mismatch: {u.r} vs {v.r}")
@@ -99,7 +113,7 @@ def _check_rank_arg(r: int) -> None:
 def line_class(r: int) -> DivisorClass:
     """e0, the pullback of a general line."""
     _check_rank_arg(r)
-    return DivisorClass((1,) + (0,) * r)
+    return _prechecked((1,) + (0,) * r)
 
 
 def point_class(r: int, i: int) -> DivisorClass:
@@ -113,7 +127,7 @@ def point_class(r: int, i: int) -> DivisorClass:
 def canonical_class(r: int) -> DivisorClass:
     """k = -3*e0 + e1 + ... + er."""
     _check_rank_arg(r)
-    return DivisorClass((-3,) + (1,) * r)
+    return _prechecked((-3,) + (1,) * r)
 
 
 def class_sum(r: int, terms: Iterable[tuple[int, DivisorClass]]) -> DivisorClass:
@@ -138,7 +152,8 @@ _HEADS = {a0: head for head, (a0, _, _) in SHAPES.items()}
 def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
     """The class of shape SHAPES[head] on the given 1-based indices at rank r.
 
-    Raises ClassParseError for an index outside 1..r or a repeated index.
+    Raises ClassParseError for an index outside 1..r or a repeated index,
+    then UnsupportedRankError for r > MAX_RANK.
     """
     a0, first, other = SHAPES[head]
     acc = [a0] + [0] * r
@@ -148,7 +163,9 @@ def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
         if acc[i]:
             raise ClassParseError(f"repeated index {i}")
         acc[i] = other if n else first
-    return DivisorClass(tuple(acc))
+    if r > MAX_RANK:
+        raise UnsupportedRankError(f"rank {r} outside supported range 0..{MAX_RANK}")
+    return _prechecked(tuple(acc))
 
 
 def parse_class(text: str, r: int) -> DivisorClass:
@@ -163,16 +180,16 @@ def parse_class(text: str, r: int) -> DivisorClass:
         return canonical_class(r)
     m = _RAW_RE.match(s)
     if m:
-        coeffs = tuple(int(t) for t in m.group(1).split(","))
+        coeffs = tuple(map(int, m.group(1).split(",")))
         if len(coeffs) != r + 1:
             raise ClassParseError(
                 f"raw vector has {len(coeffs)} entries, expected {r + 1}"
             )
-        return DivisorClass(coeffs)
+        return _prechecked(coeffs)
     m = _NAMED_RE.match(s)
     if m:
-        digits = (m.group(2) or "") + m.group(3)
-        return named_class(m.group(1) or "C", [int(d) for d in digits], r)
+        head, first, rest = m.groups("")
+        return named_class(head or "C", list(map(int, first + rest)), r)
     raise ClassParseError(f"unrecognised class string {text!r}")
 
 

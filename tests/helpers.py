@@ -105,7 +105,10 @@ def bland_simplex(a, b, c):
                 return "unbounded"
             pivot(min(ratios)[2], q)
 
-    assert run_phase(total) == "optimal"
+    # Phase 1 is bounded below by 0, so it always ends optimal.  Not in an
+    # assert: under python -O that would skip phase 1 altogether.
+    if run_phase(total) != "optimal":
+        raise AssertionError("phase 1 of the oracle ended unbounded")
     if rows[-1][0][-1]:
         return "infeasible", None, None, None, pivots
     rows.pop()

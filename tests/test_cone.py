@@ -634,6 +634,27 @@ def test_certificate_coefficient_that_is_no_int_or_fraction_is_named(coefficient
     assert failures[6].startswith("decomposition sums to [0,0,0,0,0,0,0], not")
 
 
+def test_certificate_field_of_the_wrong_type_is_named():
+    cfg = generic_config(6)
+    _, cert = waldschmidt(cfg, (1,) * 6)
+    (g, q), *rest = cert.decomposition
+    bad = {
+        "degree d = None is not an int": dataclasses.replace(cert, d=None),
+        "multiplicity scale m = '1' is not an int": dataclasses.replace(cert, m="1"),
+        "multiplicities None are not a tuple or list of ints":
+            dataclasses.replace(cert, multiplicities=None),
+        f"nef class {cert.nef.coeffs!r} is not a DivisorClass":
+            dataclasses.replace(cert, nef=cert.nef.coeffs),
+        f"decomposition generator {g.coeffs!r} is not a DivisorClass":
+            dataclasses.replace(cert, decomposition=((g.coeffs, q), *rest)),
+        "decomposition None is not a sequence of (generator, coefficient) pairs":
+            dataclasses.replace(cert, decomposition=None),
+    }
+    for reason, bad_cert in bad.items():
+        assert not verify_certificate(bad_cert, cfg)
+        assert reason in certificate_failures(bad_cert, cfg), reason
+
+
 def test_certificate_failures_sums_mixed_denominators():
     cfg = find_type("(3,4A1,4)").config()
     _, cert = waldschmidt(cfg, ONES)

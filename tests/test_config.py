@@ -296,13 +296,13 @@ def test_validation_pairs_no_two_exceptional_classes(monkeypatch):
     real = config.pairing
     monkeypatch.setattr(config, "pairing", lambda u, v: pairings.append(1) or real(u, v))
     exc = enumerate_exceptional(8)
+    # C.C and K.C come from the coefficients, so every call is the pair loop's.
     assert validate_config(SurfaceConfig(8, tuple(exc))).ok
-    assert len(pairings) == 2 * 240  # C.C and K.C per class
-    pairings.clear()
+    assert len(pairings) == 0
     root = parse_class("E_12", 8)  # pairs to -1 with E_1, so the config is invalid
     assert not validate_config(SurfaceConfig(8, tuple(exc) + (root,))).ok
-    # The root has square -2, so K.root is skipped; it pairs with each class.
-    assert len(pairings) == 241 + 240 + 240
+    # The root has square -2; it alone pairs, with each of the 240 classes.
+    assert len(pairings) == 240
 
 
 def test_candidates_enumerated_once_per_rank(monkeypatch):

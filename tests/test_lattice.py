@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from waldschmidt.classes import candidate_sets, enumerate_exceptional
 from waldschmidt.errors import ClassParseError, RankMismatchError, UnsupportedRankError
 from waldschmidt.lattice import (
     DivisorClass,
@@ -53,6 +54,39 @@ def test_point_class_index_and_class_sum_rank_checks():
         point_class(3, 4)
     with pytest.raises(RankMismatchError):
         class_sum(3, [(1, line_class(2))])
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_parsed_classes_equal_checked_construction(r):
+    # parse_class, named_class, line_class and canonical_class skip
+    # DivisorClass's checks; what they build must still be the same object.
+    known = [line_class(r), canonical_class(r)]
+    if r >= 1:
+        known += enumerate_exceptional(r)
+    if r >= 2:
+        known += [c for fam in candidate_sets(r) for c in fam.members]
+    for c in known:
+        parsed = parse_class(format_class(c), r)
+        checked = DivisorClass(c.coeffs)
+        assert type(parsed) is DivisorClass
+        assert {type(a) for a in parsed.coeffs} == {int}
+        assert parsed == checked
+        assert hash(parsed) == hash(checked)
+        assert repr(parsed) == repr(checked)
+
+
+@pytest.mark.parametrize("head, indices, error, message", [
+    ("E", [1, 2], UnsupportedRankError, "rank 9 outside supported range 0..8"),
+    ("E", [10], ClassParseError, "index 10 outside 1..9"),
+    ("E", [0], ClassParseError, "index 0 outside 1..9"),
+    ("L", [3, 3], ClassParseError, "repeated index 3"),
+])
+def test_named_class_above_rank_8(head, indices, error, message):
+    # The index checks come first, then the rank check.
+    with pytest.raises(error) as exc:
+        named_class(head, indices, 9)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_canonical_class_values():
