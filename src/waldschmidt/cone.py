@@ -150,9 +150,9 @@ def _a_degree(coeffs: tuple[int, ...]) -> int:
     return sum(map(mul, _signed_bounding_class(len(coeffs) - 1), coeffs))
 
 
-def _leading_index(c: DivisorClass) -> int:
+def _leading_index(coeffs: tuple[int, ...]) -> int:
     """Index of the first nonzero point coefficient of a nonzero class."""
-    return next(i for i, a in enumerate(c.coeffs[1:], start=1) if a)
+    return next(i for i, a in enumerate(coeffs[1:], start=1) if a)
 
 
 def _solve_triangular(
@@ -222,8 +222,7 @@ class _Prepared:
 
     degs: tuple[int, ...]  # A-degree of each generator
     sharp: bool  # no degree-zero generator has need_drop > 0
-    den: int
-    # (coefficients, line degree, A-degree, need_drop, bound) per step.
+    # (coefficients, g0, A-degree, need_drop, max(need_drop, 0)) per step.
     steps: tuple[tuple[tuple[int, ...], int, int, int, int], ...]
     order: tuple[int, ...]  # position of each step's generator
     zsteps: tuple[tuple[int, tuple[int, ...]], ...]  # for _solve_triangular
@@ -244,59 +243,43 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
     _Prepared record; raises as documented in monoid_membership."""
     if len({len(c) for c in key}) > 1:
         raise ConfigurationError("generator rank mismatch")
-    generators = [DivisorClass(c) for c in key]
     degs = tuple(_a_degree(c) for c in key)
     if min(degs, default=1) < 1:
         raise BoundingFailureError(
             "no bounding functional is positive on every generator: "
             + ", ".join(
-                format_class(g) for g, d in zip(generators, degs) if d < 1
+                format_class(DivisorClass(c)) for c, d in zip(key, degs) if d < 1
             )
         )
     positive, zleads = [], []
-    for p, g in enumerate(generators):
-        c = g.coeffs
+    for p, c in enumerate(key):
         if c[0] > 0:
-            positive.append(p)
+            positive.append((p, -sum(c[1:])))  # need_drop
         elif c[0] == 0:
-            zleads.append((_leading_index(g), p))
+            zleads.append((_leading_index(c), p))
         else:
             raise BoundingFailureError("generator with negative line degree")
     zleads.sort(key=itemgetter(0))
     for (lead, p), (lead2, q) in zip(zleads, zleads[1:]):
         if lead == lead2:
             raise ConfigurationError(
-                f"degree-zero generators {format_class(generators[p])} and "
-                f"{format_class(generators[q])} share the leading index {lead}; "
+                f"degree-zero generators {format_class(DivisorClass(key[p]))} and "
+                f"{format_class(DivisorClass(key[q]))} share the leading index {lead}; "
                 "no valid configuration has both"
             )
     zsteps = tuple((lead, key[p]) for lead, p in zleads)
-    ratios = tuple((key[p][0], -sum(key[p][1:])) for p in positive)
-
-    # Need per budget: each unit of line degree spent on generator g
-    # lowers the total point-multiplicity deficit by at most
-    # ratio(g) = need_drop(g) / g0.
     sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
-    # The search scales every ratio by den to an integer.
-    den = lcm(*(g0 for g0, _ in ratios))
-    # Sorted, these tuples run by descending ratio, then coefficients, then
-    # input position; positions differ, so nothing after them is compared.
-    ranked = sorted(
-        (-nd * (den // g0), key[p], p, degs[p], nd)
-        for p, (g0, nd) in zip(positive, ratios)
-    )
-    # bound is den times the largest ratio from its step on, and at least 0.
-    steps = []
-    bound = 0
-    for scaled, c, _, ga, nd in reversed(ranked):
-        bound = max(bound, -scaled)
-        steps.append((c, c[0], ga, nd, bound))
-    steps.reverse()
+    # Each unit of line degree spent on generator g lowers the need (minus
+    # the sum of the point coefficients) by at most need_drop(g) / g0.
+    # Sorted, these tuples run by descending ratio (scaled to integers by
+    # den), then coefficients, then input position; positions differ, so
+    # nothing after them is compared.
+    den = lcm(*(key[p][0] for p, _ in positive))
+    ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
     return _Prepared(
         degs=degs,
         sharp=sharp,
-        den=den,
-        steps=tuple(steps),
+        steps=tuple((c, c[0], degs[p], nd, max(nd, 0)) for _, c, p, nd in ranked),
         order=tuple(t[2] for t in ranked),
         zsteps=zsteps,
         zorder=tuple(p for _, p in zleads),
@@ -309,15 +292,15 @@ def monoid_membership(
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
     The work splits in two.  _prepare runs once per distinct generator
-    list: every input check but the rank of D, the A-degrees, den, the
-    ranked search steps with their bounds and the degree-zero triangular
-    system.  It keeps the last list only, keyed by value (the tuple of
-    coefficient tuples), so a list mutated in place is prepared again;
-    lru_cache never stores an exception, so a malformed list raises on
-    every call whatever D is.  The record holds positions
-    in the list, and the answer maps them back to the caller's own
-    generator objects.  Each target then runs these stages in this order:
-    rank check of D, root test, exclusion, search.
+    list: every input check but the rank of D, the A-degrees, the ranked
+    search steps and the degree-zero triangular system.  It keeps the
+    last list only, keyed by value (the tuple of coefficient tuples), so
+    a list mutated in place is prepared again; lru_cache never stores an
+    exception, so a malformed list raises on every call whatever D is.
+    The record holds positions in the list, and the answer maps them
+    back to the caller's own generator objects.  Each target then runs
+    these stages in this order: rank check of D, root test, exclusion,
+    search.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
     must pair >= 1 with every generator, every generator must have line
@@ -326,10 +309,10 @@ def monoid_membership(
     negative A-degree is then no sum.
 
     Root test.  The search's own prune below, applied to D itself with
-    the first step's bound (0 when no generator has g0 > 0), rejects D
-    before anything else is built.  With b0 = 0 it rejects need > 0:
-    only degree-zero generators fit, and none has positive need_drop.
-    With b0 < 0, D is no sum whatever the test says.
+    the first step's (g0, max(need_drop, 0)), or (1, 0) when no generator
+    has g0 > 0, rejects D before anything else is built.  With b0 = 0 it
+    rejects need > 0: only degree-zero generators fit, and none has
+    positive need_drop.  With b0 < 0, D is no sum whatever the test says.
 
     Exclusion (_excluded) repeats these steps, using only the
     bilinearity of the intersection pairing:
@@ -358,15 +341,12 @@ def monoid_membership(
     degree-zero generators.  Prune: when no degree-zero generator has
     positive need_drop, a node with residual need `need` (minus the sum
     of its point coefficients) and line degree b0 is cut if need exceeds
-    b0 times the largest ratio still to come.  With den the lcm of the
-    positive line degrees and bound = den times that ratio, an integer,
-    the test is need * den > bound * b0, so the search does only integer
-    arithmetic.  At the root, where every generator is still to come,
+    b0 times the largest ratio still to come, taken as 0 when negative.
+    The steps run by descending ratio, so that is the node's own step's
+    ratio, and the test is need * g0 > max(need_drop, 0) * b0 in
+    integers.  At the root, where every generator is still to come,
     this is, for b0 > 0, need > 0 and need * g0 > need_drop(g) * b0 for
-    every g.  The search visits the same nodes in the same order, and
-    returns the same witness, as the earlier form of this search that
-    kept the ratios as Fractions and ran on every target;
-    tests/golden/monoid-witnesses.json pins its output.
+    every g.  tests/golden/monoid-witnesses.json pins the witnesses.
 
     Precondition: the degree-zero generators have distinct leading
     indices, so the degree-zero part of the search is a triangular solve.
@@ -378,37 +358,33 @@ def monoid_membership(
     if key and len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
     prep = _prepare(key)
-    if D.is_zero():
-        return {}
     budget = _a_degree(D.coeffs)
     if budget < 0:
         return None
 
-    sharp, den, steps, zsteps = prep.sharp, prep.den, prep.steps, prep.zsteps
+    sharp, steps, zsteps = prep.sharp, prep.steps, prep.zsteps
     b0, need = D.coeffs[0], -sum(D.coeffs[1:])
-    if sharp and need * den > (steps[0][4] if steps else 0) * b0:
+    g0, cap = (steps[0][1], steps[0][4]) if steps else (1, 0)
+    if sharp and need * g0 > cap * b0:
         return None
     if _excluded(D, generators):
         return None
 
     last = len(steps)
     chosen = [0] * last
-    leaf: tuple[int, list[int]] | None = None
 
-    def rec(idx: int, res: tuple[int, ...], adeg: int, need: int) -> bool:
-        nonlocal leaf
+    def rec(
+        idx: int, res: tuple[int, ...], adeg: int, need: int
+    ) -> tuple[int, list[int]] | None:
         b0 = res[0]
         if b0 == 0:
             lams = _solve_triangular(res, zsteps)
-            if lams is None:
-                return False
-            leaf = idx, lams
-            return True
+            return None if lams is None else (idx, lams)
         if idx == last:
-            return False
-        coeffs, g0, ga, nd, bound = steps[idx]
-        if sharp and need * den > bound * b0:
-            return False
+            return None
+        coeffs, g0, ga, nd, cap = steps[idx]
+        if sharp and need * g0 > cap * b0:
+            return None
         # Children from lam = top down to 0; each adds g back once.
         lam = min(b0 // g0, adeg // ga)
         child = tuple([x - lam * a for x, a in zip(res, coeffs)])
@@ -416,16 +392,16 @@ def monoid_membership(
         need -= lam * nd
         while True:
             chosen[idx] = lam
-            if rec(idx + 1, child, adeg, need):
-                return True
-            if not lam:
-                return False
+            leaf = rec(idx + 1, child, adeg, need)
+            if leaf is not None or not lam:
+                return leaf
             lam -= 1
             child = tuple(map(add, child, coeffs))
             adeg += ga
             need += nd
 
-    if not rec(0, D.coeffs, budget, need):
+    leaf = rec(0, D.coeffs, budget, need)
+    if leaf is None:
         return None
     depth, lams = leaf
     result = {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}

@@ -225,12 +225,6 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     return words.ideal(i.variables, words.intersect(a, b))
 
 
-def _strip_variable(i: MonomialIdeal, v: int) -> MonomialIdeal:
-    """The stable colon (I : x_v^infinity): drop all x_v factors."""
-    words = _Words(len(i.variables), _top(i))
-    return words.ideal(i.variables, words.strip(words.pack(i.generators), v))
-
-
 def saturate_irrelevant(i: MonomialIdeal) -> MonomialIdeal:
     """I : m^infinity for the irrelevant ideal m = (all variables), i.e. (I^1)^sat."""
     return symbolic_power(i, 1)

@@ -30,7 +30,7 @@ from waldschmidt.config import (
     effective_generators,
     validate_config,
 )
-from waldschmidt.dp4 import find_type
+from waldschmidt.dp4 import catalog, find_type
 from waldschmidt.errors import (
     BoundingFailureError,
     ConfigurationError,
@@ -270,6 +270,31 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     assert monoid_membership(miss, gens) is None
 
 
+def test_preparation_builds_no_divisor_class_on_a_valid_list(monkeypatch):
+    gens = effective_generators(find_type("(1,D5,1)").config())
+    hit, miss = target(5, 3), target(4, 3)
+    cone._prepare.cache_clear()
+
+    def no_class(*args, **kwargs):
+        raise AssertionError("preparing a valid list built a DivisorClass")
+
+    monkeypatch.setattr(cone, "DivisorClass", no_class)
+    assert monoid_membership(hit, gens) is not None
+    assert monoid_membership(miss, gens) is None
+    assert cone._prepare.cache_info().misses == 1
+
+
+def test_the_zero_target_is_the_empty_sum():
+    # 0 takes the search's own path: the root has line degree 0, so it is
+    # a triangular solve of a zero residual, which takes no generator.
+    for t in catalog():
+        gens = effective_generators(t.config())
+        assert monoid_membership(DivisorClass((0,) * 6), gens) == {}
+    zero = DivisorClass((0,) * 3)
+    assert monoid_membership(zero, []) == {}
+    assert monoid_membership(zero, parse_classes(["E_12", "E_2"], 2)) == {}
+
+
 def test_exclusion_subtracts_a_forced_curve_several_times():
     # p_2 infinitely near p_1.  D = L - 3E_1 + 2E_2 pairs -2 with E_2,
     # which has square -1 and pairs >= 0 with E_12, so any sum uses E_2
@@ -339,7 +364,7 @@ def draw_generators(data):
     gens = [DivisorClass(c) for c in data.draw(st.lists(vector, min_size=1, max_size=4))]
     a = cone._signed_bounding_class(r)
     assume(all(sum(x * y for x, y in zip(a, g.coeffs)) >= 1 for g in gens))
-    leads = [cone._leading_index(g) for g in gens if g.coeffs[0] == 0]
+    leads = [cone._leading_index(g.coeffs) for g in gens if g.coeffs[0] == 0]
     assume(len(set(leads)) == len(leads))
     return r, gens
 
@@ -387,6 +412,30 @@ def test_root_prune_rejects_as_the_per_generator_root_test(data):
             spy.reset_mock()
             monoid_membership(DivisorClass(coeffs), gens)
             assert spy.called != rejected, (coeffs, gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_each_step_prunes_on_the_largest_ratio_still_to_come(data):
+    # The steps are the generators with g0 > 0, by descending ratio
+    # need_drop/g0, then coefficients, then position; so each step's own
+    # max(need_drop, 0)/g0 is the largest ratio from it on, or 0 if that
+    # is negative.  Ratios are compared by cross-multiplication.
+    _, gens = draw_generators(data)
+    prep = cone._prepare(cone._key(gens))
+    assert sorted(prep.order) == [p for p, g in enumerate(gens) if g.coeffs[0] > 0]
+    steps = [(g0, nd, c, p) for (c, g0, _, nd, _), p in zip(prep.steps, prep.order)]
+    for (c, g0, ga, nd, _), p in zip(prep.steps, prep.order):
+        assert c == gens[p].coeffs and g0 == c[0] and nd == -sum(c[1:])
+        assert ga == cone._a_degree(c)
+    for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
+        assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
+    for i, (_, g0, _, nd, cap) in enumerate(prep.steps):
+        top, top0 = 0, 1  # the largest ratio from step i on, or 0
+        for h0, nd2, _, _ in steps[i:]:
+            if nd2 * top0 > top * h0:
+                top, top0 = nd2, h0
+        assert cap == max(nd, 0) and cap * top0 == top * g0
 
 
 def test_root_prune_is_off_when_a_degree_zero_generator_raises_need():

@@ -151,7 +151,9 @@ def test_saturation_worked_example():
     # fixes the ideal (stripping z alone would give the colon by z).
     zy = mono.parse_ideal("x*z, y*z", XYZ)
     assert mono.saturate_irrelevant(zy) == zy
-    assert mono.format_ideal(mono._strip_variable(zy, 2)) == "x, y"
+    words = mono._Words(3, mono._top(zy))
+    stripped = words.strip(words.pack(zy.generators), 2)
+    assert mono.format_ideal(words.ideal(XYZ, stripped)) == "x, y"
 
 
 def test_symbolic_power_worked_example():
