@@ -145,11 +145,6 @@ def _signed_bounding_class(r: int) -> tuple[int, ...]:
     return (3 * 2**r,) + tuple(2 ** (r - i) for i in range(1, r + 1))
 
 
-def _a_degree(coeffs: tuple[int, ...]) -> int:
-    """A.c for the bounding class A, given the coefficients of c."""
-    return sum(map(mul, _signed_bounding_class(len(coeffs) - 1), coeffs))
-
-
 def _leading_index(coeffs: tuple[int, ...]) -> int:
     """Index of the first nonzero point coefficient of a nonzero class."""
     return next(i for i, a in enumerate(coeffs[1:], start=1) if a)
@@ -176,37 +171,31 @@ def _solve_triangular(
     return None if any(res) else lams
 
 
-def _excluded(D: DivisorClass, generators: Sequence[DivisorClass]) -> bool:
-    """True when D is proved to be no nonnegative integer sum of `generators`.
+def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
+    """True when D is proved to be no nonnegative integer sum of the
+    generators `prep` was built from; False means inconclusive.
 
-    Needs every generator to have line degree >= 0 and A-degree >= 1 for
-    the bounding class A; the A-degrees come from _prepare, which checks
-    that.  False means inconclusive.  The steps and their proofs are in
-    the docstring of monoid_membership.  D itself is never rebuilt: a step
-    D <- D - t*C updates its line degree, its A-degree, its square and its
-    pairings with the generators, the last through C's pairings with them.
+    The steps and their proofs are in the docstring of monoid_membership.
+    D itself is never rebuilt: a step D <- D - t*C updates its line
+    degree, its A-degree, its square and its pairings with the
+    generators, the last through C's stored row (_Prepared.row).
     """
-    degs = _prepare(_key(generators)).degs
-    d0, adeg, dd = D.coeffs[0], _a_degree(D.coeffs), pairing(D, D)
-    dots = [pairing(D, g) for g in generators]
-    rows: dict[int, list[int]] = {}  # C's pairings, for each C that passed
+    coeffs, signed, degs = D.coeffs, prep.signed, prep.degs
+    d0, adeg = coeffs[0], sum(map(mul, prep.bound, coeffs))
+    dd = 2 * d0 * d0 - sum(map(mul, coeffs, coeffs))
+    dots = [sum(map(mul, s, coeffs)) for s in signed]
     while d0 >= 0 and adeg >= 0:
         i = next((i for i, x in enumerate(dots) if x < 0), None)
         if i is None:
             # D = 0 has square 0, so a negative square also means D != 0.
             return dd < 0
-        c = generators[i]
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = [pairing(c, h) for h in generators]
-            if row[i] >= 0 or any(
-                x < 0 for h, x in zip(generators, row) if h.coeffs != c.coeffs
-            ):
-                return False
+        row, forced = prep.row(i)
+        if not forced:
+            return False
         cc = row[i]
         dc = dots[i]
         t = -(dc // -cc)  # ceil(D.C / C.C)
-        d0 -= t * c.coeffs[0]
+        d0 -= t * signed[i][0]
         adeg -= t * degs[i]
         dd += t * (t * cc - 2 * dc)
         dots = [x - t * y for x, y in zip(dots, row)]
@@ -215,12 +204,21 @@ def _excluded(D: DivisorClass, generators: Sequence[DivisorClass]) -> bool:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What monoid_membership derives from a generator list alone.
+    """What monoid_membership derives from a nonempty generator list alone.
 
-    Generators appear as positions in the list, never as objects.
+    Generators appear as positions in the list, never as objects.  `rows`
+    starts with no row filled; row(i) fills the i-th the first time the
+    exclusion subtracts (or rejects) that generator, and keeps it for
+    every later target on the same list.  So preparing stays linear in
+    the list's length, and only the rows of curves some target reaches
+    are ever computed.
     """
 
+    coeffs: tuple[tuple[int, ...], ...]  # the generators' coefficients
+    signed: tuple[tuple[int, ...], ...]  # (g0, -g1, ..., -gr): D.g is a dot product
+    bound: tuple[int, ...]  # the bounding class A, signed the same way
     degs: tuple[int, ...]  # A-degree of each generator
+    rows: list[tuple[tuple[int, ...], bool] | None]  # see row()
     sharp: bool  # no degree-zero generator has need_drop > 0
     # (coefficients, g0, A-degree, need_drop, max(need_drop, 0)) per step.
     steps: tuple[tuple[tuple[int, ...], int, int, int, int], ...]
@@ -228,23 +226,40 @@ class _Prepared:
     zsteps: tuple[tuple[int, tuple[int, ...]], ...]  # for _solve_triangular
     zorder: tuple[int, ...]  # position of each zsteps entry's generator
 
+    def row(self, i: int) -> tuple[tuple[int, ...], bool]:
+        """The pairings C.h of the i-th generator C with every generator h,
+        and whether C is forced: C.C < 0 and C.h >= 0 for every h with
+        other coefficients (copies of C do not count).  Computed on first
+        use, then kept."""
+        row = self.rows[i]
+        if row is None:
+            c, s = self.coeffs[i], self.signed[i]
+            pairs = tuple([sum(map(mul, s, h)) for h in self.coeffs])
+            forced = pairs[i] < 0 and all(
+                x >= 0 for h, x in zip(self.coeffs, pairs) if h != c
+            )
+            row = self.rows[i] = (pairs, forced)
+        return row
+
 
 def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
     """The coefficient tuples of `generators`: _prepare's cache key."""
-    # From a list, not a generator: tuple() over a generator resizes its
-    # result, and CPython then keeps the resized tuples on its free lists,
-    # 1.5 MB of peak RSS over the benchmark's monoid-window workload.
+    # From a list, not a generator, as is every tuple _prepare builds:
+    # tuple() over a generator resizes its result, and CPython then keeps
+    # the resized tuples on its free lists, 1.5 MB of peak RSS over the
+    # benchmark's monoid-window workload.
     return tuple([g.coeffs for g in generators])
 
 
 @lru_cache(maxsize=1)
 def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
-    """Check the generator list with coefficient tuples `key` and build its
-    _Prepared record; raises as documented in monoid_membership."""
+    """Check the nonempty generator list with coefficient tuples `key` and
+    build its _Prepared record; raises as documented in monoid_membership."""
     if len({len(c) for c in key}) > 1:
         raise ConfigurationError("generator rank mismatch")
-    degs = tuple(_a_degree(c) for c in key)
-    if min(degs, default=1) < 1:
+    bound = _signed_bounding_class(len(key[0]) - 1)
+    degs = tuple([sum(map(mul, bound, c)) for c in key])
+    if min(degs) < 1:
         raise BoundingFailureError(
             "no bounding functional is positive on every generator: "
             + ", ".join(
@@ -267,22 +282,26 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
                 f"{format_class(DivisorClass(key[q]))} share the leading index {lead}; "
                 "no valid configuration has both"
             )
-    zsteps = tuple((lead, key[p]) for lead, p in zleads)
+    zsteps = tuple([(lead, key[p]) for lead, p in zleads])
     sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
     # Each unit of line degree spent on generator g lowers the need (minus
     # the sum of the point coefficients) by at most need_drop(g) / g0.
     # Sorted, these tuples run by descending ratio (scaled to integers by
     # den), then coefficients, then input position; positions differ, so
     # nothing after them is compared.
-    den = lcm(*(key[p][0] for p, _ in positive))
+    den = lcm(*[key[p][0] for p, _ in positive])
     ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
     return _Prepared(
+        coeffs=key,
+        signed=tuple([(c[0], *[-x for x in c[1:]]) for c in key]),
+        bound=bound,
         degs=degs,
+        rows=[None] * len(key),
         sharp=sharp,
-        steps=tuple((c, c[0], degs[p], nd, max(nd, 0)) for _, c, p, nd in ranked),
-        order=tuple(t[2] for t in ranked),
+        steps=tuple([(c, c[0], degs[p], nd, max(nd, 0)) for _, c, p, nd in ranked]),
+        order=tuple([t[2] for t in ranked]),
         zsteps=zsteps,
-        zorder=tuple(p for _, p in zleads),
+        zorder=tuple([p for _, p in zleads]),
     )
 
 
@@ -291,16 +310,17 @@ def monoid_membership(
 ) -> dict[DivisorClass, int] | None:
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
-    The work splits in two.  _prepare runs once per distinct generator
-    list: every input check but the rank of D, the A-degrees, the ranked
-    search steps and the degree-zero triangular system.  It keeps the
-    last list only, keyed by value (the tuple of coefficient tuples), so
-    a list mutated in place is prepared again; lru_cache never stores an
-    exception, so a malformed list raises on every call whatever D is.
-    The record holds positions in the list, and the answer maps them
-    back to the caller's own generator objects.  Each target then runs
-    these stages in this order: rank check of D, root test, exclusion,
-    search.
+    The empty list sums to the zero class only.  Otherwise the work
+    splits in two.  _prepare runs once per distinct generator list: every
+    input check but the rank of D, the signed generators and bounding
+    class, the A-degrees, the ranked search steps and the degree-zero
+    triangular system.  It keeps the last list only, keyed by value (the
+    tuple of coefficient tuples), so a list mutated in place is prepared
+    again; lru_cache never stores an exception, so a malformed list
+    raises on every call whatever D is.  The record holds positions in
+    the list, and the answer maps them back to the caller's own
+    generator objects.  Each target then runs these stages in this
+    order: rank check of D, root test, exclusion, search.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
     must pair >= 1 with every generator, every generator must have line
@@ -318,18 +338,22 @@ def monoid_membership(
     bilinearity of the intersection pairing:
     - D0 < 0 or A.D < 0: D is no sum, since every generator has g0 >= 0
       and A-degree >= 1.
-    - Otherwise take the first generator C with D.C < 0.  If C.C < 0 and
-      C.h >= 0 for every generator h with other coefficients, write a sum
-      as D = sum n_g g; then D.C = n_C C.C + sum_{h != C} n_h h.C
-      >= n_C C.C, where n_C counts all copies of C, so n_C >= t =
-      ceil(D.C / C.C).  D is a sum exactly when D - t*C is, so D becomes
-      D - t*C.  Each step lowers A.D by t*A.C >= 1, so the loop ends.
-    - If that C has C.C >= 0 or pairs negatively with another generator,
-      the exclusion is inconclusive.
+    - Otherwise take the first generator C with D.C < 0.  If C is forced,
+      that is C.C < 0 and C.h >= 0 for every generator h with other
+      coefficients, write a sum as D = sum n_g g; then D.C = n_C C.C +
+      sum_{h != C} n_h h.C >= n_C C.C, where n_C counts all copies of C,
+      so n_C >= t = ceil(D.C / C.C).  D is a sum exactly when D - t*C is,
+      so D becomes D - t*C.  Each step lowers A.D by t*A.C >= 1, so the
+      loop ends.
+    - If that C is not forced, the exclusion is inconclusive.
     - If no generator pairs negatively with D, a sum has D.D = sum n_g
       D.g >= 0, so D != 0 with D.D < 0 is no sum; otherwise inconclusive.
-    Every target the exclusion proves is absent gets None at once; the
-    rest, all hits among them, go to the search.
+    D's pairings with the generators are dot products with the prepared
+    signed vectors, and a step updates them by C's row of pairings and
+    its forced flag (_Prepared.row), computed the first time any target
+    reaches C and kept for the rest of the list's targets; D itself is
+    never rebuilt.  Every target the exclusion proves is absent gets
+    None at once; the rest, all hits among them, go to the search.
 
     Search: the bounded depth-first search, whose A-degree caps every
     coefficient.  Its order: the positive-degree generators g, sorted by
@@ -355,10 +379,12 @@ def monoid_membership(
     Any other generator set raises ConfigurationError.
     """
     key = _key(generators)
-    if key and len(key[0]) != len(D.coeffs):
+    if not key:
+        return {} if D.is_zero() else None
+    if len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
     prep = _prepare(key)
-    budget = _a_degree(D.coeffs)
+    budget = sum(map(mul, prep.bound, D.coeffs))
     if budget < 0:
         return None
 
@@ -367,7 +393,7 @@ def monoid_membership(
     g0, cap = (steps[0][1], steps[0][4]) if steps else (1, 0)
     if sharp and need * g0 > cap * b0:
         return None
-    if _excluded(D, generators):
+    if _excluded(D, prep):
         return None
 
     last = len(steps)

@@ -87,6 +87,18 @@ def validate_config(cfg: SurfaceConfig) -> ValidationReport:
     checked again.  Distinct (-1)-classes E, F (E.E = K.E = -1) always
     pair to E.F >= 0 when r <= 8, because K-perp is then negative definite
     and even; so only pairs holding some other class are computed.
+
+    A (-1)-class is never looked up among the candidates: for r <= 8 every
+    one is a candidate.  Write c = a0*e0 + a1*e1 + ... + ar*er; then
+    c.c = K.c = -1 reads sum(ai) = 1 - 3*a0 and sum(ai^2) = a0^2 + 1, so
+    Cauchy-Schwarz, sum(ai)^2 <= r*sum(ai^2), gives
+    (9 - r)*a0^2 - 6*a0 + 1 - r <= 0.  For a0 = -b with b >= 1 the left
+    side is (9 - r)*b^2 + 6*b + 1 - r >= b^2 + 6*b - 7 >= 0, with equality
+    only at r = 8 and a0 = -1; equality in Cauchy-Schwarz makes every ai
+    equal to sum(ai)/r = 1/2, which is no integer.  So a0 >= 0, and c is
+    one of the classes classes.enumerate_exceptional(r) lists (its search
+    is exhaustive for a0 >= 0), all of which are candidates (a test pins
+    this for r = 2..8).
     """
     return cfg.report
 
@@ -110,12 +122,13 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
         seen.add(coeffs)
         a0 = coeffs[0]
         square = 2 * a0 * a0 - sum(map(mul, coeffs, coeffs))  # pairing(c, c)
+        # K.c = -3*a0 - (a1 + ... + ar) = -2*a0 - sum(coeffs)
+        minus_one = square == -1 and -2 * a0 - sum(coeffs) == -1
         if square >= 0:
             errors.append(f"{c}: nonnegative self-intersection {square}")
-        elif candidates is not None and coeffs not in candidates:
+        elif not minus_one and candidates is not None and coeffs not in candidates:
             errors.append(f"{c}: not a candidate negative class at rank {r}")
-        # K.c = -3*a0 - (a1 + ... + ar) = -2*a0 - sum(coeffs)
-        if square != -1 or -2 * a0 - sum(coeffs) != -1:
+        if not minus_one:
             others.append(len(kept))
         kept.append(c)
     # Distinct (-1)-classes E, F never pair negatively: E - F lies in K-perp,

@@ -7,7 +7,7 @@ from math import gcd
 
 from waldschmidt.config import SurfaceConfig, effective_generators
 from waldschmidt.cone import monoid_membership
-from waldschmidt.lattice import DivisorClass, parse_classes
+from waldschmidt.lattice import DivisorClass, pairing, parse_classes
 
 
 def brute_force_alpha_hat(
@@ -32,6 +32,36 @@ def brute_force_alpha_hat(
             if monoid_membership(target, gens) is not None:
                 best = q
     return best
+
+
+def reference_exclusion(
+    D: DivisorClass, gens: list[DivisorClass]
+) -> tuple[bool, list[int]]:
+    """The exclusion of `monoid_membership`, done plainly: (proved, reached).
+
+    Every pairing is a `lattice.pairing` call and D is rebuilt at each
+    step.  While D has line degree >= 0 and A-degree >= 0 for the bounding
+    class A, it takes the first generator C with D.C < 0; a C with
+    C.C < 0 that pairs >= 0 with every generator other than its copies is
+    subtracted ceil(D.C / C.C) times, any other C ends the search
+    unproved.  With no such C, D is proved absent when D.D < 0.
+    `reached` lists the position of each C taken, in order: all were
+    subtracted but the last of an unproved search.
+    """
+    r = D.r
+    bound = DivisorClass((3 * 2**r,) + tuple(-(2 ** (r - i)) for i in range(1, r + 1)))
+    reached: list[int] = []
+    while D.coeffs[0] >= 0 and pairing(bound, D) >= 0:
+        i = next((i for i, g in enumerate(gens) if pairing(D, g) < 0), None)
+        if i is None:
+            return pairing(D, D) < 0, reached
+        reached.append(i)
+        c = gens[i]
+        if pairing(c, c) >= 0 or any(pairing(c, h) < 0 for h in gens if h != c):
+            return False, reached
+        t = -(pairing(D, c) // -pairing(c, c))
+        D = D - t * c
+    return True, reached
 
 
 def generic_config(r: int) -> SurfaceConfig:

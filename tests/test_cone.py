@@ -10,7 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_force_alpha_hat, generic_config, three_generic_points
+from helpers import (
+    brute_force_alpha_hat,
+    generic_config,
+    reference_exclusion,
+    three_generic_points,
+)
 from waldschmidt import cone, config
 from waldschmidt.cone import (
     Certificate,
@@ -58,6 +63,11 @@ def target(d, m, r=5):
 
 def by_name(sol):
     return {format_class(g): c for g, c in sol.items()}
+
+
+def excluded(D, gens):
+    """The exclusion of monoid_membership on the list's prepared record."""
+    return cone._excluded(D, cone._prepare(cone._key(gens)))
 
 
 def test_cone_membership_triangular_example():
@@ -266,7 +276,7 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     assert monoid_membership(target(1, 1), gens) is None
     # L - 2E_1 passes the root test; the exclusion proves the miss.
     miss = DivisorClass((1, -2, 0, 0, 0, 0))
-    assert cone._excluded(miss, gens)
+    assert excluded(miss, gens)
     assert monoid_membership(miss, gens) is None
 
 
@@ -307,7 +317,7 @@ def test_exclusion_subtracts_a_forced_curve_several_times():
     assert pairing(e2, e12) >= 0
     rest = D - 2 * e2
     assert all(pairing(rest, g) >= 0 for g in gens) and pairing(rest, rest) == -8
-    assert cone._excluded(D, gens)
+    assert excluded(D, gens)
     assert monoid_membership(D, gens) is None
     assert not naive_monoid_members(gens)(D.coeffs)
 
@@ -318,7 +328,7 @@ def test_exclusion_is_inconclusive_without_a_forced_curve():
     pencil = DivisorClass((1, -1))
     miss = DivisorClass((1, -2))
     assert pairing(miss, pencil) < 0 and pairing(pencil, pencil) == 0
-    assert not cone._excluded(miss, [pencil])
+    assert not excluded(miss, [pencil])
     assert monoid_membership(miss, [pencil]) is None
     # E_12 pairs -1 with L + E_1, so L + 2E_1 - E_2, which pairs -3 with
     # E_12, is not reduced either; it is a hit, which the exclusion must
@@ -326,7 +336,7 @@ def test_exclusion_is_inconclusive_without_a_forced_curve():
     gens = [parse_class("E_12", 2), DivisorClass((1, 1, 0))]
     hit = DivisorClass((1, 2, -1))
     assert pairing(hit, gens[0]) < 0 and pairing(gens[0], gens[1]) < 0
-    assert not cone._excluded(hit, gens)
+    assert not excluded(hit, gens)
     assert class_sum(2, [(n, g) for g, n in monoid_membership(hit, gens).items()]) == hit
 
 
@@ -336,11 +346,11 @@ def test_exclusion_skips_copies_of_the_forced_curve():
     gens = parse_classes(["L_12", "E_1", "E_2", "L_12"], 2)
     miss = DivisorClass((1, -3, -1))
     assert pairing(miss, gens[0]) == -3
-    assert cone._excluded(miss, gens)
+    assert excluded(miss, gens)
     assert monoid_membership(miss, gens) is None
     assert not naive_monoid_members(gens)(miss.coeffs)
     hit = DivisorClass((2, -2, -2))
-    assert not cone._excluded(hit, gens)
+    assert not excluded(hit, gens)
     assert monoid_membership(hit, gens) == {gens[0]: 2}
 
 
@@ -352,7 +362,7 @@ def test_exclusion_ends_on_negative_bounding_degree():
     rest = D - twice
     a = cone._signed_bounding_class(1)
     assert rest.coeffs[0] == 0 and sum(x * y for x, y in zip(a, rest.coeffs)) < 0
-    assert cone._excluded(D, [twice])
+    assert excluded(D, [twice])
     assert monoid_membership(D, [twice]) is None
 
 
@@ -384,7 +394,51 @@ def test_monoid_membership_matches_enumeration_on_random_generators(data):
         assert (sol is not None) == member(coeffs), (t, gens)
         if sol is not None:
             assert class_sum(r, [(n, g) for g, n in sol.items()]) == t
-    assert not cone._excluded(DivisorClass(combination), gens)
+    assert not excluded(DivisorClass(combination), gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prepared_rows_match_plain_pairings(data):
+    # Row i holds C.h for the i-th generator C and every generator h, and
+    # C is forced when C.C < 0 and C.h >= 0 for every h but C's own
+    # copies.  The exclusion reading the rows agrees with the plain one
+    # in helpers, and fills exactly the rows of the curves it reaches.
+    r, gens = draw_generators(data)
+    cone._prepare.cache_clear()
+    prep = cone._prepare(cone._key(gens))
+    assert prep.rows == [None] * len(gens)
+    targets = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), *[st.integers(-4, 3)] * r), min_size=1, max_size=12))
+    reached = set()
+    for coeffs in targets:
+        D = DivisorClass(coeffs)
+        proved, taken = reference_exclusion(D, gens)
+        assert cone._excluded(D, prep) == proved, (D, gens)
+        reached.update(taken)
+        assert {i for i, row in enumerate(prep.rows) if row is not None} == reached
+    for i, c in enumerate(gens):
+        pairs, forced = prep.row(i)
+        assert list(pairs) == [pairing(c, h) for h in gens]
+        others = [pairing(c, h) for h in gens if h != c]
+        assert forced == (pairing(c, c) < 0 and min(others, default=0) >= 0)
+
+
+def test_preparing_the_generic_r8_list_fills_no_row():
+    # Preparing stays linear in the length of the list: no pairing row is
+    # built before the exclusion reaches its curve.  L - 3E_1 + E_2 + E_3
+    # meets E_3 at -1, then E_2 at -1, and L - 3E_1 meets L_12 at -2; it
+    # minus 2L_12 has line degree -1.  So the miss fills those three rows.
+    gens = effective_generators(generic_config(8))
+    cone._prepare.cache_clear()
+    prep = cone._prepare(cone._key(gens))
+    assert len(gens) == 241 and prep.rows == [None] * 241
+    miss = DivisorClass((1, -3, 1, 1) + (0,) * 5)
+    proved, reached = reference_exclusion(miss, gens)
+    assert proved and [format_class(gens[i]) for i in reached] == ["E_3", "E_2", "L_12"]
+    assert monoid_membership(miss, gens) is None
+    assert cone._prepare.cache_info().misses == 1
+    assert [i for i, row in enumerate(prep.rows) if row is not None] == sorted(reached)
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,7 +481,8 @@ def test_each_step_prunes_on_the_largest_ratio_still_to_come(data):
     steps = [(g0, nd, c, p) for (c, g0, _, nd, _), p in zip(prep.steps, prep.order)]
     for (c, g0, ga, nd, _), p in zip(prep.steps, prep.order):
         assert c == gens[p].coeffs and g0 == c[0] and nd == -sum(c[1:])
-        assert ga == cone._a_degree(c)
+        bound = cone._signed_bounding_class(len(c) - 1)
+        assert ga == sum(x * y for x, y in zip(bound, c))
     for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
         assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
     for i, (_, g0, _, nd, cap) in enumerate(prep.steps):

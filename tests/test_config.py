@@ -66,6 +66,21 @@ def test_duplicates_and_non_candidates_rejected():
     assert any("candidate" in e for e in report.errors)
 
 
+def test_minus_one_classes_need_no_candidate_lookup():
+    # _validate skips the candidate lookup for (-1)-classes (c.c = K.c = -1):
+    # for r <= 8 each has a0 >= 0 (Cauchy-Schwarz), so it is one of the
+    # exceptional classes, and every exceptional class is a candidate.
+    for r in range(2, 9):
+        assert {c.coeffs for c in enumerate_exceptional(r)} <= candidate_members(r)
+    # Classes that miss one of the two conditions are still looked up:
+    # L - 2E_1 has K.c = -1 but square -3, and -E_1 square -1 but K.c = 1.
+    for coeffs in [(1, -2, 0), (0, -1, 0)]:
+        c = DivisorClass(coeffs)
+        assert coeffs not in candidate_members(2)
+        report = validate_config(SurfaceConfig(2, (c,)))
+        assert report.errors == (f"{c}: not a candidate negative class at rank 2",)
+
+
 def test_rank_mismatch_detected():
     report = validate_config(SurfaceConfig(3, (parse_class("E_1", 2),)))
     assert not report.ok
