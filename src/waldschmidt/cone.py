@@ -220,8 +220,8 @@ class _Prepared:
     degs: tuple[int, ...]  # A-degree of each generator
     rows: list[tuple[tuple[int, ...], bool] | None]  # see row()
     sharp: bool  # no degree-zero generator has need_drop > 0
-    # (coefficients, g0, A-degree, need_drop, max(need_drop, 0)) per step.
-    steps: tuple[tuple[tuple[int, ...], int, int, int, int], ...]
+    root: tuple[int, int]  # the first step's (g0, max(need_drop, 0)), or (1, 0)
+    steps: tuple[tuple[tuple[int, ...], int], ...]  # (coefficients, g0) per step
     order: tuple[int, ...]  # position of each step's generator
     zsteps: tuple[tuple[int, tuple[int, ...]], ...]  # for _solve_triangular
     zorder: tuple[int, ...]  # position of each zsteps entry's generator
@@ -298,7 +298,8 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
         degs=degs,
         rows=[None] * len(key),
         sharp=sharp,
-        steps=tuple([(c, c[0], degs[p], nd, max(nd, 0)) for _, c, p, nd in ranked]),
+        root=(ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0),
+        steps=tuple([(c, c[0]) for _, c, _, _ in ranked]),
         order=tuple([t[2] for t in ranked]),
         zsteps=zsteps,
         zorder=tuple([p for _, p in zleads]),
@@ -328,11 +329,16 @@ def monoid_membership(
     before any answer, so a malformed list raises whatever D is.  A D of
     negative A-degree is then no sum.
 
-    Root test.  The search's own prune below, applied to D itself with
-    the first step's (g0, max(need_drop, 0)), or (1, 0) when no generator
-    has g0 > 0, rejects D before anything else is built.  With b0 = 0 it
-    rejects need > 0: only degree-zero generators fit, and none has
-    positive need_drop.  With b0 < 0, D is no sum whatever the test says.
+    Root test.  Write need(D) = -(D1 + ... + Dr) and need_drop(g) =
+    need(g) for a generator g.  When no degree-zero generator has
+    positive need_drop (`sharp`), take the first search step's g0 and
+    cap = max(need_drop, 0), or (g0, cap) = (1, 0) when no generator has
+    g0 > 0 (_Prepared.root).  The steps run by descending need_drop/g0,
+    so every generator h with h0 > 0 has need_drop(h) * g0 <= cap * h0,
+    and every degree-zero h has need_drop(h) * g0 <= 0 = cap * h0.  Both
+    sides are linear, so any sum D = sum n_h h with n_h >= 0 has
+    need(D) * g0 <= cap * D0, and a D with need * g0 > cap * D0 is no sum.
+    The test rejects it before anything else is built.
 
     Exclusion (_excluded) repeats these steps, using only the
     bilinearity of the intersection pairing:
@@ -355,22 +361,15 @@ def monoid_membership(
     never rebuilt.  Every target the exclusion proves is absent gets
     None at once; the rest, all hits among them, go to the search.
 
-    Search: the bounded depth-first search, whose A-degree caps every
-    coefficient.  Its order: the positive-degree generators g, sorted by
-    descending ratio need_drop(g)/g0 (need_drop is minus the sum of the
-    point coefficients), then by coefficient tuple, then by input
-    position, so repeated generators keep their order.  Each takes a
-    multiplicity from its largest feasible value down to 0; once the
-    line degree is used up, the rest is a triangular solve over the
-    degree-zero generators.  Prune: when no degree-zero generator has
-    positive need_drop, a node with residual need `need` (minus the sum
-    of its point coefficients) and line degree b0 is cut if need exceeds
-    b0 times the largest ratio still to come, taken as 0 when negative.
-    The steps run by descending ratio, so that is the node's own step's
-    ratio, and the test is need * g0 > max(need_drop, 0) * b0 in
-    integers.  At the root, where every generator is still to come,
-    this is, for b0 > 0, need > 0 and need * g0 > need_drop(g) * b0 for
-    every g.  tests/golden/monoid-witnesses.json pins the witnesses.
+    Search: a depth-first search for the witness, with no prune of its
+    own.  Its steps are the positive-degree generators g, sorted by
+    descending ratio need_drop(g)/g0, then by coefficient tuple, then by
+    input position, so repeated generators keep their order.  Each takes
+    a multiplicity from b0 // g0 (b0 the residual line degree) down to 0;
+    every step has g0 >= 1, so the search is finite.  Once the line
+    degree is used up, the rest is a triangular solve over the
+    degree-zero generators, and the first solution found is the answer.
+    tests/golden/monoid-witnesses.json pins the witnesses.
 
     Precondition: the degree-zero generators have distinct leading
     indices, so the degree-zero part of the search is a triangular solve.
@@ -384,49 +383,40 @@ def monoid_membership(
     if len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
     prep = _prepare(key)
-    budget = sum(map(mul, prep.bound, D.coeffs))
-    if budget < 0:
+    if sum(map(mul, prep.bound, D.coeffs)) < 0:
         return None
 
-    sharp, steps, zsteps = prep.sharp, prep.steps, prep.zsteps
     b0, need = D.coeffs[0], -sum(D.coeffs[1:])
-    g0, cap = (steps[0][1], steps[0][4]) if steps else (1, 0)
-    if sharp and need * g0 > cap * b0:
+    g0, cap = prep.root
+    if prep.sharp and need * g0 > cap * b0:
         return None
     if _excluded(D, prep):
         return None
 
+    steps, zsteps = prep.steps, prep.zsteps
     last = len(steps)
     chosen = [0] * last
 
-    def rec(
-        idx: int, res: tuple[int, ...], adeg: int, need: int
-    ) -> tuple[int, list[int]] | None:
+    def rec(idx: int, res: tuple[int, ...]) -> tuple[int, list[int]] | None:
         b0 = res[0]
         if b0 == 0:
             lams = _solve_triangular(res, zsteps)
             return None if lams is None else (idx, lams)
         if idx == last:
             return None
-        coeffs, g0, ga, nd, cap = steps[idx]
-        if sharp and need * g0 > cap * b0:
-            return None
-        # Children from lam = top down to 0; each adds g back once.
-        lam = min(b0 // g0, adeg // ga)
+        coeffs, g0 = steps[idx]
+        # Children from lam = b0 // g0 down to 0; each adds g back once.
+        lam = b0 // g0
         child = tuple([x - lam * a for x, a in zip(res, coeffs)])
-        adeg -= lam * ga
-        need -= lam * nd
         while True:
             chosen[idx] = lam
-            leaf = rec(idx + 1, child, adeg, need)
+            leaf = rec(idx + 1, child)
             if leaf is not None or not lam:
                 return leaf
             lam -= 1
             child = tuple(map(add, child, coeffs))
-            adeg += ga
-            need += nd
 
-    leaf = rec(0, D.coeffs, budget, need)
+    leaf = rec(0, D.coeffs)
     if leaf is None:
         return None
     depth, lams = leaf

@@ -98,7 +98,8 @@ def validate_config(cfg: SurfaceConfig) -> ValidationReport:
     equal to sum(ai)/r = 1/2, which is no integer.  So a0 >= 0, and c is
     one of the classes classes.enumerate_exceptional(r) lists (its search
     is exhaustive for a0 >= 0), all of which are candidates (a test pins
-    this for r = 2..8).
+    this for r = 2..8).  So a list of (-1)-classes alone, such as the
+    generic one, never fetches the candidate set.
     """
     return cfg.report
 
@@ -107,7 +108,9 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     r = cfg.r
-    candidates = candidate_members(r) if 2 <= r <= 8 else None
+    candidates = None  # fetched for the first class that needs the lookup
+    # Negated coefficients: hash(-1) == hash(-2), so the tuples themselves
+    # collide often (110 hashes for the 240 exceptional tuples at r = 8).
     seen: set[tuple[int, ...]] = set()
     # The curves of rank r; `others` holds the positions of the non-(-1)-classes.
     kept: list[DivisorClass] = []
@@ -117,17 +120,21 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
         if len(coeffs) != r + 1:
             errors.append(f"{c}: rank {c.r} does not match configuration rank {r}")
             continue
-        if coeffs in seen:
+        key = tuple([-x for x in coeffs])
+        if key in seen:
             errors.append(f"{c}: duplicate negative curve")
-        seen.add(coeffs)
+        seen.add(key)
         a0 = coeffs[0]
         square = 2 * a0 * a0 - sum(map(mul, coeffs, coeffs))  # pairing(c, c)
         # K.c = -3*a0 - (a1 + ... + ar) = -2*a0 - sum(coeffs)
         minus_one = square == -1 and -2 * a0 - sum(coeffs) == -1
         if square >= 0:
             errors.append(f"{c}: nonnegative self-intersection {square}")
-        elif not minus_one and candidates is not None and coeffs not in candidates:
-            errors.append(f"{c}: not a candidate negative class at rank {r}")
+        elif not minus_one and 2 <= r <= 8:
+            if candidates is None:
+                candidates = candidate_members(r)
+            if coeffs not in candidates:
+                errors.append(f"{c}: not a candidate negative class at rank {r}")
         if not minus_one:
             others.append(len(kept))
         kept.append(c)

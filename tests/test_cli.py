@@ -112,6 +112,15 @@ def test_waldschmidt_malformed_config_exits_3(capsys, tmp_path, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("r", [9, -1])
+def test_waldschmidt_unsupported_rank_exits_2(capsys, tmp_path, r):
+    p = tmp_path / "rank.json"
+    p.write_text(json.dumps({"r": r, "negative_curves": []}))
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p))
+    assert code == 2 and out == ""
+    assert err == f"rank {r} outside supported range 0..8\n"
+
+
 def test_waldschmidt_validates_the_config_once(capsys, d5_path, monkeypatch):
     calls = []
     real = config.candidate_members

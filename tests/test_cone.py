@@ -151,7 +151,8 @@ def naive_monoid_members(gens):
 
 
 def test_unpruned_monoid_search_matches_enumeration():
-    # E_123 has positive need_drop, so the search runs without its prune.
+    # E_123 has line degree 0 and positive need_drop, so the root test is
+    # off and every target the exclusion leaves reaches the search.
     # The order only keeps the enumeration's memo small.
     gens = parse_classes(["E_123", "L_12", "E_23", "E_3"], 3)
     assert validate_config(SurfaceConfig(3, gens)).ok
@@ -272,7 +273,7 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     assert hit is not None
     assert monoid_membership(target(4, 3), gens) is None
     # Need 5 per unit of line degree 1 exceeds every generator's ratio, so
-    # the prune rejects this target before the first branch.
+    # the root test rejects this target before the exclusion.
     assert monoid_membership(target(1, 1), gens) is None
     # L - 2E_1 passes the root test; the exclusion proves the miss.
     miss = DivisorClass((1, -2, 0, 0, 0, 0))
@@ -444,8 +445,8 @@ def test_preparing_the_generic_r8_list_fills_no_row():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_root_prune_rejects_as_the_per_generator_root_test(data):
-    # The root test is the search's prune with the first step's bound.  On
-    # targets of line degree b0 > 0 it must reject exactly what the test
+    # The root test compares D with the first step's ratio.  On targets
+    # of line degree b0 > 0 it must reject exactly what the test
     # over each generator g with g0 > 0 rejects: when no degree-zero
     # generator has positive need_drop, need > 0 and need * g0 >
     # need_drop(g) * b0 for every such g.  A rejected target never reaches
@@ -470,27 +471,26 @@ def test_root_prune_rejects_as_the_per_generator_root_test(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_each_step_prunes_on_the_largest_ratio_still_to_come(data):
+def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     # The steps are the generators with g0 > 0, by descending ratio
-    # need_drop/g0, then coefficients, then position; so each step's own
-    # max(need_drop, 0)/g0 is the largest ratio from it on, or 0 if that
-    # is negative.  Ratios are compared by cross-multiplication.
+    # need_drop/g0, then coefficients, then position; the root test's
+    # (g0, cap) is the first step's g0 and max(need_drop, 0), so cap/g0
+    # is the largest ratio of all, or 0 if that is negative, and (1, 0)
+    # when there is no step.  Ratios are compared by cross-multiplication.
     _, gens = draw_generators(data)
     prep = cone._prepare(cone._key(gens))
     assert sorted(prep.order) == [p for p, g in enumerate(gens) if g.coeffs[0] > 0]
-    steps = [(g0, nd, c, p) for (c, g0, _, nd, _), p in zip(prep.steps, prep.order)]
-    for (c, g0, ga, nd, _), p in zip(prep.steps, prep.order):
-        assert c == gens[p].coeffs and g0 == c[0] and nd == -sum(c[1:])
-        bound = cone._signed_bounding_class(len(c) - 1)
-        assert ga == sum(x * y for x, y in zip(bound, c))
+    for (c, g0), p in zip(prep.steps, prep.order):
+        assert c == gens[p].coeffs and g0 == c[0]
+    steps = [(c[0], -sum(c[1:]), c, p) for (c, _), p in zip(prep.steps, prep.order)]
     for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
         assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
-    for i, (_, g0, _, nd, cap) in enumerate(prep.steps):
-        top, top0 = 0, 1  # the largest ratio from step i on, or 0
-        for h0, nd2, _, _ in steps[i:]:
-            if nd2 * top0 > top * h0:
-                top, top0 = nd2, h0
-        assert cap == max(nd, 0) and cap * top0 == top * g0
+    top, top0 = 0, 1  # the largest ratio, or 0
+    for h0, nd, _, _ in steps:
+        if nd * top0 > top * h0:
+            top, top0 = nd, h0
+    g0, cap = prep.root
+    assert g0 == (steps[0][0] if steps else 1) and cap * top0 == top * g0
 
 
 def test_root_prune_is_off_when_a_degree_zero_generator_raises_need():

@@ -26,7 +26,7 @@ from waldschmidt.config import (
 )
 from waldschmidt.cone import waldschmidt
 from waldschmidt.dp4 import find_type
-from waldschmidt.errors import ConfigurationError
+from waldschmidt.errors import ConfigurationError, UnsupportedRankError
 from waldschmidt.lattice import (
     DivisorClass,
     format_class,
@@ -223,6 +223,12 @@ def test_config_from_dict_roundtrip():
         config_from_dict([2])
 
 
+@pytest.mark.parametrize("r", [9, -1])
+def test_config_from_dict_rejects_an_unsupported_rank(r):
+    with pytest.raises(UnsupportedRankError, match=rf"^rank {r} outside supported range 0\.\.8$"):
+        config_from_dict({"r": r})
+
+
 def naive_validate(cfg):
     """Reference validation: every check on every pair, nothing skipped."""
     errors, warnings = [], []
@@ -326,5 +332,18 @@ def test_candidates_enumerated_once_per_rank(monkeypatch):
     real = classes.candidate_sets
     monkeypatch.setattr(classes, "candidate_sets", lambda r: calls.append(r) or real(r))
     for _ in range(2):
-        assert validate_config(generic_config(8)).ok
+        # E_12 has square -2, so validating it needs the candidates.
+        assert validate_config(SurfaceConfig(8, (parse_class("E_12", 8),))).ok
+    assert calls == [8]
+
+
+def test_candidates_fetched_only_for_a_class_that_needs_them(monkeypatch):
+    calls = []
+    real = config.candidate_members
+    monkeypatch.setattr(config, "candidate_members", lambda r: calls.append(r) or real(r))
+    # Every generic class is a (-1)-class, which is never looked up.
+    assert validate_config(generic_config(8)).ok
+    assert calls == []
+    # Two classes of square -2 share one lookup.
+    assert validate_config(SurfaceConfig(8, tuple(parse_classes(["E_12", "E_34"], 8)))).ok
     assert calls == [8]
