@@ -35,8 +35,19 @@ class ProximityMatrix:
     pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
-        for j, i in self.pairs:
+        if type(self.r) is not int:
+            raise ConfigurationError(f"proximity rank must be an integer, got {self.r!r}")
+        try:
+            pairs = frozenset(map(tuple, self.pairs))
+        except TypeError:
+            raise ConfigurationError(
+                f"proximity pairs must be pairs of integers, got {self.pairs!r}"
+            ) from None
+        object.__setattr__(self, "pairs", pairs)
+        for p in pairs:
+            if len(p) != 2 or not _is_int_list(p):
+                raise ConfigurationError(f"proximity pair {p!r} is not a pair of integers")
+            j, i = p
             if not (1 <= i < j <= self.r):
                 raise ConfigurationError(
                     f"proximity pair ({j}, {i}) must satisfy 1 <= i < j <= {self.r}"
@@ -51,16 +62,35 @@ class ProximityMatrix:
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """r, the NEG(X) class list, and an optional proximity matrix."""
+    """r, the NEG(X) class list, and an optional proximity matrix.
+
+    The constructor checks types and the rank; validate_config checks the
+    lattice conditions.
+    """
 
     r: int
     neg_curves: tuple[DivisorClass, ...]
     proximity: ProximityMatrix | None = None
 
     def __post_init__(self) -> None:
+        if type(self.r) is not int:
+            raise ConfigurationError(f"rank must be an integer, got {self.r!r}")
         if not 0 <= self.r <= 8:
             raise UnsupportedRankError(f"rank {self.r} outside supported range 0..8")
-        object.__setattr__(self, "neg_curves", tuple(self.neg_curves))
+        try:
+            curves = tuple(self.neg_curves)
+        except TypeError:
+            raise ConfigurationError(
+                f"negative curves must be an iterable of classes, got {self.neg_curves!r}"
+            ) from None
+        for c in curves:
+            if not isinstance(c, DivisorClass):
+                raise ConfigurationError(f"negative curve {c!r} is not a DivisorClass")
+        if self.proximity is not None and not isinstance(self.proximity, ProximityMatrix):
+            raise ConfigurationError(
+                f"proximity must be a ProximityMatrix or None, got {self.proximity!r}"
+            )
+        object.__setattr__(self, "neg_curves", curves)
 
     @cached_property
     def report(self) -> ValidationReport:

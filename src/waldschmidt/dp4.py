@@ -4,9 +4,12 @@ Blowups of the plane at 5 essentially distinct points giving a weak del
 Pezzo surface fall into finitely many types (n, sigma, l): n points
 actually on the plane, sigma the Dynkin type of the (-2)-curves, l the
 number of (-1)-curves.  Types admitting two distinct blowup models
-carry an (a)/(b) suffix.  Each entry stores the full NEG(X) list, so
-the Waldschmidt constant of the subscheme p_1 + ... + p_5 is an exact
-linear program over it.
+carry an (a)/(b) suffix.  Each entry stores its label, its roots (the
+(-2)-curves), its degenerations and the paper's value; catalog() reads
+(n, sigma, l) off the label and derives the lines, the exceptional
+classes meeting every root nonnegatively.  Roots and lines make up the
+NEG(X) list, so the Waldschmidt constant of the subscheme
+p_1 + ... + p_5 is an exact linear program over it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .classes import enumerate_exceptional
 from .cone import Certificate, verify_certificate, waldschmidt
 from .config import SurfaceConfig
 from .errors import ConfigurationError
@@ -68,149 +72,73 @@ def sigma_rank(sigma: str) -> int:
 
 _TWO = Fraction(2)
 
-# label, n, sigma, l, roots, lines, degenerations (name, flagged), expected
+# label, roots, degenerations (name, flagged), expected alpha_hat
 _CATALOG_DATA: tuple = (
-    ("(1,D5,1)", 1, "D5", 1,
-     ("E_12", "E_23", "E_34", "E_45", "L_123"),
-     ("E_5",),
+    ("(1,D5,1)", ("E_12", "E_23", "E_34", "E_45", "L_123"),
      (), Fraction(5, 3)),
-    ("(1,A4,3)", 1, "A4", 3,
-     ("E_12", "E_23", "E_34", "E_45"),
-     ("E_5", "Q_12345", "L_12"),
-     (), _TWO),
-    ("(2,2A1A3,2)", 2, "2A1A3", 2,
-     ("E_45", "L_145", "E_12", "E_23", "L_123"),
-     ("E_5", "E_3"),
+    ("(1,A4,3)", ("E_12", "E_23", "E_34", "E_45"), (), _TWO),
+    ("(2,2A1A3,2)", ("E_45", "L_145", "E_12", "E_23", "L_123"),
      (), Fraction(5, 3)),
-    ("(2,D4,2)", 2, "D4", 2,
-     ("L_123", "E_34", "E_45", "E_23"),
-     ("E_1", "E_5"),
-     (), _TWO),
-    ("(2,A4,3)(a)", 2, "A4", 3,
-     ("E_12", "E_23", "L_124", "E_45"),
-     ("E_5", "L_45", "E_3"),
-     (), Fraction(7, 4)),
-    ("(2,A4,3)(b)", 2, "A4", 3,
-     ("L_134", "E_45", "E_34", "E_13"),
-     ("L_12", "E_2", "E_5"),
-     (), _TWO),
-    ("(2,A1A3,3)", 2, "A1A3", 3,
-     ("E_23", "E_12", "L_145", "E_45"),
-     ("E_3", "L_12", "E_5"),
-     (), _TWO),
-    ("(2,2A1A2,4)", 2, "2A1A2", 4,
-     ("E_12", "E_23", "L_123", "E_45"),
-     ("E_3", "L_45", "E_5", "L_14"),
-     (), _TWO),
-    ("(2,A3,5)", 2, "A3", 5,
-     ("E_12", "E_23", "E_34"),
-     ("E_4", "Q_12345", "E_5", "L_15", "L_12"),
-     (("(1,A4,3)", False),), _TWO),
-    ("(2,A1A2,6)", 2, "A1A2", 6,
-     ("E_23", "E_12", "E_45"),
-     ("L_12", "L_45", "E_5", "Q_12345", "E_3", "L_14"),
+    ("(2,D4,2)", ("L_123", "E_34", "E_45", "E_23"), (), _TWO),
+    ("(2,A4,3)(a)", ("E_12", "E_23", "L_124", "E_45"), (), Fraction(7, 4)),
+    ("(2,A4,3)(b)", ("L_134", "E_45", "E_34", "E_13"), (), _TWO),
+    ("(2,A1A3,3)", ("E_23", "E_12", "L_145", "E_45"), (), _TWO),
+    ("(2,2A1A2,4)", ("E_12", "E_23", "L_123", "E_45"), (), _TWO),
+    ("(2,A3,5)", ("E_12", "E_23", "E_34"), (("(1,A4,3)", False),), _TWO),
+    ("(2,A1A2,6)", ("E_23", "E_12", "E_45"), (("(2,A1A3,3)", False),), _TWO),
+    ("(3,A1A3,3)", ("L_123", "E_14", "E_45", "L_145"), (), Fraction(5, 3)),
+    ("(3,2A1A2,4)", ("E_45", "L_124", "E_12", "L_345"), (), Fraction(9, 5)),
+    ("(3,4A1,4)", ("E_12", "E_45", "L_345", "L_123"), (), _TWO),
+    ("(3,A3,4)", ("L_145", "E_12", "E_23"), (("(2,A1A3,3)", False),), _TWO),
+    ("(3,A3,5)(a)", ("E_14", "L_123", "E_25"), (), _TWO),
+    ("(3,A3,5)(b)", ("E_23", "E_34", "L_123"), (("(2,D4,2)", False),), _TWO),
+    ("(3,A1A2,6)(a)", ("E_34", "L_123", "E_12"),
      (("(2,A1A3,3)", False),), _TWO),
-    ("(3,A1A3,3)", 3, "A1A3", 3,
-     ("L_123", "E_14", "E_45", "L_145"),
-     ("E_2", "E_3", "E_5"),
-     (), Fraction(5, 3)),
-    ("(3,2A1A2,4)", 3, "2A1A2", 4,
-     ("E_45", "L_124", "E_12", "L_345"),
-     ("E_2", "L_13", "E_3", "E_5"),
-     (), Fraction(9, 5)),
-    ("(3,4A1,4)", 3, "4A1", 4,
-     ("E_12", "E_45", "L_345", "L_123"),
-     ("E_2", "L_14", "E_5", "E_3"),
-     (), _TWO),
-    ("(3,A3,4)", 3, "A3", 4,
-     ("L_145", "E_12", "E_23"),
-     ("E_4", "E_5", "E_3", "L_12"),
-     (("(2,A1A3,3)", False),), _TWO),
-    ("(3,A3,5)(a)", 3, "A3", 5,
-     ("E_14", "L_123", "E_25"),
-     ("E_5", "L_25", "L_14", "E_4", "E_3"),
-     (), _TWO),
-    ("(3,A3,5)(b)", 3, "A3", 5,
-     ("E_23", "E_34", "L_123"),
-     ("E_1", "L_15", "E_5", "L_25", "E_4"),
-     (("(2,D4,2)", False),), _TWO),
-    ("(3,A1A2,6)(a)", 3, "A1A2", 6,
-     ("E_34", "L_123", "E_12"),
-     ("L_35", "E_5", "L_15", "L_34", "E_4", "E_2"),
-     (("(2,A1A3,3)", False),), _TWO),
-    ("(3,A1A2,6)(b)", 3, "A1A2", 6,
-     ("E_12", "E_23", "L_123"),
-     ("L_14", "E_4", "L_45", "E_5", "L_15", "E_3"),
+    ("(3,A1A2,6)(b)", ("E_12", "E_23", "L_123"),
      (("(2,2A1A2,4)", False),), _TWO),
-    ("(3,3A1,6)", 3, "3A1", 6,
-     ("L_345", "E_12", "E_34"),
-     ("E_2", "L_12", "E_5", "L_15", "L_13", "E_4"),
-     (("(2,2A1A2,4)", False),), _TWO),
-    ("(3,A2,8)", 3, "A2", 8,
-     ("E_23", "E_12"),
-     ("L_15", "E_5", "L_45", "L_12", "E_3", "Q_12345", "E_4", "L_14"),
-     (("(2,A1A2,6)", False),), _TWO),
-    ("(3,2A1,9)", 3, "2A1", 9,
-     ("E_34", "E_12"),
-     ("L_15", "L_34", "E_4", "L_35", "L_12", "E_2", "L_13", "E_5", "Q_12345"),
-     (("(2,A1A2,6)", False),), _TWO),
-    ("(4,A1A2,6)", 4, "A1A2", 6,
-     ("L_123", "E_14", "L_145"),
-     ("E_2", "L_25", "E_5", "L_35", "E_3", "E_4"),
+    ("(3,3A1,6)", ("L_345", "E_12", "E_34"), (("(2,2A1A2,4)", False),), _TWO),
+    ("(3,A2,8)", ("E_23", "E_12"), (("(2,A1A2,6)", False),), _TWO),
+    ("(3,2A1,9)", ("E_34", "E_12"), (("(2,A1A2,6)", False),), _TWO),
+    ("(4,A1A2,6)", ("L_123", "E_14", "L_145"),
      (("(3,A1A3,3)", False),), Fraction(9, 5)),
-    ("(4,3A1,6)", 4, "3A1", 6,
-     ("E_23", "L_123", "L_145"),
-     ("E_1", "E_3", "E_4", "E_5", "L_24", "L_25"),
-     (("(3,4A1,4)", False),), _TWO),
-    ("(4,A2,8)", 4, "A2", 8,
-     ("L_145", "E_12"),
-     ("L_13", "E_3", "L_34", "E_4", "E_5", "L_35", "L_12", "E_2"),
+    ("(4,3A1,6)", ("E_23", "L_123", "L_145"), (("(3,4A1,4)", False),), _TWO),
+    ("(4,A2,8)", ("L_145", "E_12"),
      (("(3,A1A2,6)(a)", False), ("(3,A1A2,6)(b)", False)), _TWO),
-    ("(4,2A1,8)", 4, "2A1", 8,
-     ("E_12", "L_345"),
-     ("E_2", "E_3", "E_4", "E_5", "L_12", "L_13", "L_14", "L_15"),
-     (("(3,3A1,6)", False),), _TWO),
-    ("(4,2A1,9)", 4, "2A1", 9,
-     ("L_123", "E_12"),
-     ("L_14", "L_35", "E_3", "L_45", "E_5", "L_15", "E_2", "E_4", "L_34"),
-     (("(3,3A1,6)", False),), _TWO),
-    ("(4,A1,12)", 4, "A1", 12,
-     ("E_12",),
-     ("E_2", "L_12", "L_34", "E_3", "L_13", "L_15", "E_5", "L_35", "L_14",
-      "E_4", "L_45", "Q_12345"),
-     (("(3,2A1,9)", False),), _TWO),
-    ("(5,2A1,9)", 5, "2A1", 9,
-     ("L_145", "L_123"),
-     ("E_2", "L_24", "E_4", "E_5", "L_35", "E_3", "E_1", "L_25", "L_34"),
-     (("(4,3A1,6)", False),), _TWO),
-    ("(5,A1,12)", 5, "A1", 12,
-     ("L_145",),
-     ("E_4", "L_34", "L_25", "L_13", "E_1", "E_5", "L_35", "E_3", "L_23",
-      "E_2", "L_12", "L_24"),
-     (("(4,2A1,9)", True),), _TWO),
-    ("(5,∅,16)", 5, "", 16,
-     (),
-     ("E_1", "E_2", "E_3", "E_4", "E_5",
-      "L_12", "L_13", "L_14", "L_15", "L_23", "L_24", "L_25", "L_34", "L_35",
-      "L_45", "Q_12345"),
-     (), _TWO),
+    ("(4,2A1,8)", ("E_12", "L_345"), (("(3,3A1,6)", False),), _TWO),
+    ("(4,2A1,9)", ("L_123", "E_12"), (("(3,3A1,6)", False),), _TWO),
+    ("(4,A1,12)", ("E_12",), (("(3,2A1,9)", False),), _TWO),
+    ("(5,2A1,9)", ("L_145", "L_123"), (("(4,3A1,6)", False),), _TWO),
+    ("(5,A1,12)", ("L_145",), (("(4,2A1,9)", True),), _TWO),
+    ("(5,∅,16)", (), (), _TWO),
 )
+
+# "(n,sigma,l)" with an optional (a)/(b) suffix; sigma "∅" is the empty type.
+_LABEL_RE = re.compile(r"\((\d+),([^,]*),(\d+)\)")
 
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[Dp4Type, ...]:
-    """All 30 degree-4 blowup models, in catalog order."""
+    """All 30 degree-4 blowup models, in catalog order.
+
+    n, sigma and l are read off the label.  The lines are the exceptional
+    classes, in enumerate_exceptional order, that pair nonnegatively with
+    every root: on a weak del Pezzo surface these are the (-1)-curves.
+    """
+    exceptional = enumerate_exceptional(R5)
     out = []
-    for label, n, sigma, l, roots, lines, degens, expected in _CATALOG_DATA:
+    for label, root_names, degens, expected in _CATALOG_DATA:
+        n, sigma, l = _LABEL_RE.match(label).groups()
+        roots = parse_classes(root_names, R5)
+        lines = tuple(e for e in exceptional if all(pairing(e, a) >= 0 for a in roots))
         out.append(
             Dp4Type(
                 label=label,
-                n=n,
-                sigma=sigma,
-                l=l,
-                roots=parse_classes(roots, R5),
-                lines=parse_classes(lines, R5),
-                degenerates_to=tuple(degens),
+                n=int(n),
+                sigma="" if sigma == "∅" else sigma,
+                l=int(l),
+                roots=roots,
+                lines=lines,
+                degenerates_to=degens,
                 expected_alpha_hat=expected,
             )
         )

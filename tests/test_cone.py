@@ -760,8 +760,10 @@ def test_certificate_field_of_the_wrong_type_is_named():
 
 
 def test_certificate_failures_sums_mixed_denominators():
+    # A decomposition with coefficients in 1 and 1/2, so the check scales
+    # the sum to integers by a common denominator.
     cfg = find_type("(3,4A1,4)").config()
-    _, cert = waldschmidt(cfg, ONES)
+    _, cert = waldschmidt(cfg, (1, 2, 1, 1, 2))
     assert {q.denominator for _, q in cert.decomposition} == {1, 2}
     assert certificate_failures(cert, cfg) == []
     (g, q), *rest = cert.decomposition

@@ -94,6 +94,31 @@ def test_proximity_matrix_invariants():
         ProximityMatrix(3, frozenset({(4, 1)}))
 
 
+@pytest.mark.parametrize(
+    "build,named",
+    [
+        (lambda: ProximityMatrix(3, frozenset({(1, 2, 3)})), "(1, 2, 3)"),
+        (lambda: ProximityMatrix(3, frozenset({("a", 1)})), "('a', 1)"),
+        (lambda: ProximityMatrix(3, frozenset({(2, True)})), "(2, True)"),
+        (lambda: ProximityMatrix(3, None), "None"),
+        (lambda: ProximityMatrix("3"), "'3'"),
+        (lambda: SurfaceConfig(r="5", neg_curves=()), "'5'"),
+        (lambda: SurfaceConfig(r=True, neg_curves=()), "True"),
+        (lambda: SurfaceConfig(r=2, neg_curves=None), "None"),
+        (lambda: waldschmidt(SurfaceConfig(r=2, neg_curves=("E_1",)), (1, 1)), "'E_1'"),
+        (lambda: SurfaceConfig(r=2, neg_curves=(), proximity=[(2, 1)]), "[(2, 1)]"),
+    ],
+    ids=["triple", "str-index", "bool-index", "pairs-None", "str-prox-rank",
+         "str-rank", "bool-rank", "curves-None", "unparsed-curve", "prox-list"],
+)
+def test_library_configurations_raise_typed_errors(build, named):
+    # A configuration built in the library, not through config_from_dict,
+    # gets a typed error naming the bad value, never a TypeError or worse.
+    with pytest.raises(ConfigurationError) as info:
+        build()
+    assert named in str(info.value)
+
+
 def test_proximity_overload_is_warning_not_error():
     p = ProximityMatrix(4, frozenset({(4, 1), (4, 2), (4, 3)}))
     cfg = SurfaceConfig(4, (), proximity=p)
@@ -204,6 +229,12 @@ def test_derive_proximity_from_verticals():
     cfg = find_type("(1,A4,3)").config()
     prox = derive_proximity(5, cfg.neg_curves)
     assert prox.pairs == frozenset({(2, 1), (3, 2), (4, 3), (5, 4)})
+
+
+def test_derive_proximity_skips_a_vertical_pointing_backwards():
+    # e_2 - e_1 names no point proximate to a later one: no pair, no error.
+    prox = derive_proximity(2, [DivisorClass((0, -1, 1))])
+    assert prox == ProximityMatrix(2)
 
 
 def test_config_from_dict_roundtrip():

@@ -48,6 +48,8 @@ def test_sigma_rank():
 
 
 def test_counts_match_labels():
+    # The lines are derived from the roots, so the paper's l, read off the
+    # label, is an independent check of them.
     for t in catalog():
         assert len(t.lines) == t.l, t.label
         assert len(t.roots) == sigma_rank(t.sigma), t.label
@@ -94,9 +96,10 @@ def test_plane_point_count_matches_verticals():
 
 
 def test_lines_are_the_exceptional_classes_meeting_every_root_nonnegatively():
-    # The lines are typed in by hand; a dropped or mistyped one would change
-    # alpha_hat while the certificate still verifies against the wrong list.
-    # With no roots, as for (5,∅,16), they are all 16 exceptional classes.
+    # catalog() derives the lines by this rule; here it is restated on sets,
+    # and test_counts_match_labels checks the derived counts against the
+    # paper's l.  With no roots, as for (5,∅,16), they are all 16
+    # exceptional classes.
     exceptional = enumerate_exceptional(R5)
     for t in catalog():
         meeting = {e for e in exceptional if all(pairing(e, a) >= 0 for a in t.roots)}
@@ -110,6 +113,10 @@ def test_named_examples():
     a4 = find_type("(1,A4,3)")
     assert {str(c) for c in a4.roots} == {"E_12", "E_23", "E_34", "E_45"}
     assert {str(c) for c in a4.lines} == {"E_5", "Q_12345", "L_12"}
+    # (n, sigma, l) as read off the label; the empty type is spelled "".
+    for t, nsl in [(d5, (1, "D5", 1)), (find_type("(3,A1A2,6)(b)"), (3, "A1A2", 6)),
+                   (find_type("(5,∅,16)"), (5, "", 16))]:
+        assert (t.n, t.sigma, t.l) == nsl, t.label
 
 
 def test_expected_value_table_encoding():
