@@ -178,59 +178,136 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
     The steps and their proofs are in the docstring of monoid_membership.
     D itself is never rebuilt: a step D <- D - t*C updates its line
     degree, its A-degree, its square and its pairings with the
-    generators, the last through C's stored row (_Prepared.row).
+    generators.  The pairings are one packed int, `dots`, with D.g_j in
+    slot j (the layout of simplex.py, "Packed rows" and "Reading
+    slots"), so the step is `dots -= t * packed_row(C)`, and the first
+    generator pairing negatively with D is the lowest set bit of
+    `offset & ~(dots + offset)`.  Before the loop the record's slots are
+    widened, if needed, to hold the bound B on every pairing the loop
+    decodes (proof in monoid_membership).
     """
-    coeffs, signed, degs = D.coeffs, prep.signed, prep.degs
+    coeffs = D.coeffs
     d0, adeg = coeffs[0], sum(map(mul, prep.bound, coeffs))
+    if d0 < 0 or adeg < 0:
+        return True
+    need = sum(map(mul, map(abs, coeffs), prep.cmax)) + adeg * prep.pmax
+    if need >= prep.half:
+        prep.widen(need)
+    k, half, offset, packed, degs = prep.k, prep.half, prep.offset, prep.packed, prep.degs
+    mask = (1 << k) - 1
     dd = 2 * d0 * d0 - sum(map(mul, coeffs, coeffs))
-    dots = [sum(map(mul, s, coeffs)) for s in signed]
+    dots = sum(map(mul, coeffs, prep.cols))
     while d0 >= 0 and adeg >= 0:
-        i = next((i for i, x in enumerate(dots) if x < 0), None)
-        if i is None:
+        biased = dots + offset
+        negative = offset & ~biased
+        if not negative:
             # D = 0 has square 0, so a negative square also means D != 0.
             return dd < 0
+        i = (negative & -negative).bit_length() // k - 1
         row, forced = prep.row(i)
         if not forced:
             return False
         cc = row[i]
-        dc = dots[i]
+        dc = (biased >> k * i & mask) - half
         t = -(dc // -cc)  # ceil(D.C / C.C)
-        d0 -= t * signed[i][0]
+        d0 -= t * prep.coeffs[i][0]
         adeg -= t * degs[i]
         dd += t * (t * cc - 2 * dc)
-        dots = [x - t * y for x, y in zip(dots, row)]
+        dots -= t * packed[i]
     return True
 
 
-@dataclass(frozen=True)
 class _Prepared:
     """What monoid_membership derives from a nonempty generator list alone.
 
-    Generators appear as positions in the list, never as objects.  `rows`
-    starts with no row filled; row(i) fills the i-th the first time the
-    exclusion subtracts (or rejects) that generator, and keeps it for
-    every later target on the same list.  So preparing stays linear in
-    the list's length, and only the rows of curves some target reaches
-    are ever computed.
+    Building one runs every input check of the list; _prepare keeps the
+    last one built.  Generators appear as positions in the list, never
+    as objects.  `rows` starts with no row filled; row(i) fills the i-th
+    the first time the exclusion subtracts (or rejects) that generator,
+    and keeps it for every later target on the same list.  So preparing
+    stays linear in the list's length, and only the rows of curves some
+    target reaches are ever computed.
+
+    Packing.  `cols[l]` packs coordinate l of every signed generator,
+    one k-bit slot per generator in list order, so D.g_j for every j is
+    the packed int sum(D_l * cols[l]); `packed[i]` is row i packed the
+    same way, sum(C_l * cols[l]) for the i-th generator C, set with the
+    row.  k = 0 and `cols` is empty until the first exclusion widens
+    them; widen() only ever raises k, to the least multiple of 8 with
+    2**(k-1) above the bound it is given, and repacks `cols` and every
+    filled row.  `cmax[l]` is the largest |g_l| over the generators, and
+    `pmax`, the sum of the cmax[l]**2, bounds every |g_i.g_j|.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]  # the generators' coefficients
-    signed: tuple[tuple[int, ...], ...]  # (g0, -g1, ..., -gr): D.g is a dot product
-    bound: tuple[int, ...]  # the bounding class A, signed the same way
-    degs: tuple[int, ...]  # A-degree of each generator
-    rows: list[tuple[tuple[int, ...], bool] | None]  # see row()
-    sharp: bool  # no degree-zero generator has need_drop > 0
-    root: tuple[int, int]  # the first step's (g0, max(need_drop, 0)), or (1, 0)
-    steps: tuple[tuple[tuple[int, ...], int], ...]  # (coefficients, g0) per step
-    order: tuple[int, ...]  # position of each step's generator
-    zsteps: tuple[tuple[int, tuple[int, ...]], ...]  # for _solve_triangular
-    zorder: tuple[int, ...]  # position of each zsteps entry's generator
+    __slots__ = (
+        "coeffs", "signed", "bound", "degs", "cmax", "pmax", "rows", "packed",
+        "k", "half", "offset", "cols", "sharp", "root", "steps", "order",
+        "zsteps", "zorder",
+    )
+
+    def __init__(self, key: tuple[tuple[int, ...], ...]) -> None:
+        if len({len(c) for c in key}) > 1:
+            raise ConfigurationError("generator rank mismatch")
+        bound = _signed_bounding_class(len(key[0]) - 1)
+        degs = tuple([sum(map(mul, bound, c)) for c in key])
+        if min(degs) < 1:
+            raise BoundingFailureError(
+                "no bounding functional is positive on every generator: "
+                + ", ".join(
+                    format_class(DivisorClass(c)) for c, d in zip(key, degs) if d < 1
+                )
+            )
+        positive, zleads = [], []
+        for p, c in enumerate(key):
+            if c[0] > 0:
+                positive.append((p, -sum(c[1:])))  # need_drop
+            elif c[0] == 0:
+                zleads.append((_leading_index(c), p))
+            else:
+                raise BoundingFailureError("generator with negative line degree")
+        zleads.sort(key=itemgetter(0))
+        for (lead, p), (lead2, q) in zip(zleads, zleads[1:]):
+            if lead == lead2:
+                raise ConfigurationError(
+                    f"degree-zero generators {format_class(DivisorClass(key[p]))} and "
+                    f"{format_class(DivisorClass(key[q]))} share the leading index {lead}; "
+                    "no valid configuration has both"
+                )
+        zsteps = tuple([(lead, key[p]) for lead, p in zleads])
+        # Each unit of line degree spent on generator g lowers the need (minus
+        # the sum of the point coefficients) by at most need_drop(g) / g0.
+        # Sorted, these tuples run by descending ratio (scaled to integers by
+        # den), then coefficients, then input position; positions differ, so
+        # nothing after them is compared.
+        den = lcm(*[key[p][0] for p, _ in positive])
+        ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
+        self.coeffs = key  # the generators' coefficients
+        # (g0, -g1, ..., -gr): D.g is a dot product
+        self.signed = tuple([(c[0], *[-x for x in c[1:]]) for c in key])
+        self.bound = bound  # the bounding class A, signed the same way
+        self.degs = degs  # A-degree of each generator
+        # One (pairings, forced) per generator, filled by row().
+        self.rows: list[tuple[tuple[int, ...], bool] | None] = [None] * len(key)
+        # No degree-zero generator has need_drop > 0.
+        self.sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)
+        # The first step's (g0, max(need_drop, 0)), or (1, 0).
+        self.root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
+        self.steps = tuple([(c, c[0]) for _, c, _, _ in ranked])  # (coefficients, g0)
+        self.order = tuple([t[2] for t in ranked])  # position of each step's generator
+        self.zsteps = zsteps  # for _solve_triangular
+        self.zorder = tuple([p for _, p in zleads])  # position of each zsteps generator
+        # Packing: see the class docstring.
+        self.cmax = tuple([max(map(abs, col)) for col in zip(*key)])
+        self.pmax = sum(map(mul, self.cmax, self.cmax))
+        self.packed: list[int | None] = [None] * len(key)
+        self.k = self.half = self.offset = 0
+        self.cols: tuple[int, ...] = ()
 
     def row(self, i: int) -> tuple[tuple[int, ...], bool]:
         """The pairings C.h of the i-th generator C with every generator h,
         and whether C is forced: C.C < 0 and C.h >= 0 for every h with
         other coefficients (copies of C do not count).  Computed on first
-        use, then kept."""
+        use, packed into `packed[i]`, then kept."""
         row = self.rows[i]
         if row is None:
             c, s = self.coeffs[i], self.signed[i]
@@ -239,7 +316,27 @@ class _Prepared:
                 x >= 0 for h, x in zip(self.coeffs, pairs) if h != c
             )
             row = self.rows[i] = (pairs, forced)
+            self.packed[i] = sum(map(mul, c, self.cols))
         return row
+
+    def widen(self, need: int) -> None:
+        """Raise k so that 2**(k-1) > need, and repack."""
+        k = self.k = (need.bit_length() + 8) // 8 * 8
+        self.half = 1 << (k - 1)
+        self.offset = self.half * (((1 << k * len(self.coeffs)) - 1) // ((1 << k) - 1))
+        cols = self.cols = tuple([_pack(col, k) for col in zip(*self.signed)])
+        self.packed = [
+            None if row is None else sum(map(mul, c, cols))
+            for c, row in zip(self.coeffs, self.rows)
+        ]
+
+
+def _pack(values: Sequence[int], k: int) -> int:
+    """sum(values[j] * 2**(k*j)): the values in k-bit slots, the first lowest."""
+    total = 0
+    for v in reversed(values):
+        total = (total << k) + v
+    return total
 
 
 def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
@@ -255,55 +352,7 @@ def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
 def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
     """Check the nonempty generator list with coefficient tuples `key` and
     build its _Prepared record; raises as documented in monoid_membership."""
-    if len({len(c) for c in key}) > 1:
-        raise ConfigurationError("generator rank mismatch")
-    bound = _signed_bounding_class(len(key[0]) - 1)
-    degs = tuple([sum(map(mul, bound, c)) for c in key])
-    if min(degs) < 1:
-        raise BoundingFailureError(
-            "no bounding functional is positive on every generator: "
-            + ", ".join(
-                format_class(DivisorClass(c)) for c, d in zip(key, degs) if d < 1
-            )
-        )
-    positive, zleads = [], []
-    for p, c in enumerate(key):
-        if c[0] > 0:
-            positive.append((p, -sum(c[1:])))  # need_drop
-        elif c[0] == 0:
-            zleads.append((_leading_index(c), p))
-        else:
-            raise BoundingFailureError("generator with negative line degree")
-    zleads.sort(key=itemgetter(0))
-    for (lead, p), (lead2, q) in zip(zleads, zleads[1:]):
-        if lead == lead2:
-            raise ConfigurationError(
-                f"degree-zero generators {format_class(DivisorClass(key[p]))} and "
-                f"{format_class(DivisorClass(key[q]))} share the leading index {lead}; "
-                "no valid configuration has both"
-            )
-    zsteps = tuple([(lead, key[p]) for lead, p in zleads])
-    sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)  # no need_drop > 0
-    # Each unit of line degree spent on generator g lowers the need (minus
-    # the sum of the point coefficients) by at most need_drop(g) / g0.
-    # Sorted, these tuples run by descending ratio (scaled to integers by
-    # den), then coefficients, then input position; positions differ, so
-    # nothing after them is compared.
-    den = lcm(*[key[p][0] for p, _ in positive])
-    ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
-    return _Prepared(
-        coeffs=key,
-        signed=tuple([(c[0], *[-x for x in c[1:]]) for c in key]),
-        bound=bound,
-        degs=degs,
-        rows=[None] * len(key),
-        sharp=sharp,
-        root=(ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0),
-        steps=tuple([(c, c[0]) for _, c, _, _ in ranked]),
-        order=tuple([t[2] for t in ranked]),
-        zsteps=zsteps,
-        zorder=tuple([p for _, p in zleads]),
-    )
+    return _Prepared(key)
 
 
 def monoid_membership(
@@ -354,12 +403,31 @@ def monoid_membership(
     - If that C is not forced, the exclusion is inconclusive.
     - If no generator pairs negatively with D, a sum has D.D = sum n_g
       D.g >= 0, so D != 0 with D.D < 0 is no sum; otherwise inconclusive.
-    D's pairings with the generators are dot products with the prepared
-    signed vectors, and a step updates them by C's row of pairings and
-    its forced flag (_Prepared.row), computed the first time any target
-    reaches C and kept for the rest of the list's targets; D itself is
-    never rebuilt.  Every target the exclusion proves is absent gets
-    None at once; the rest, all hits among them, go to the search.
+    D's pairings with the generators are one packed int, `dots`, with
+    D.g_j in the k-bit slot j (the layout of simplex.py): the sum of D_l
+    times the packed column of the generators' signed coordinate l.  A
+    step D <- D - t*C is `dots -= t * packed_row(C)`, where C's row of
+    pairings, packed the same way, and its forced flag (_Prepared.row)
+    are computed the first time any target reaches C and kept for the
+    rest of the list's targets; D itself is never rebuilt.  The first
+    generator with D.g < 0 is the lowest set bit of
+    offset & ~(dots + offset), as in simplex.py, "Reading slots".  Every
+    target the exclusion proves is absent gets None at once; the rest,
+    all hits among them, go to the search.
+
+    Slot width.  Reading slot j needs D.g_j in [-2**(k-1), 2**(k-1)),
+    and the exclusion reads slots only at a loop top, where D0 >= 0 and
+    A.D >= 0.  Every subtraction has t >= 1 (D.C < 0 and C.C < 0) and
+    A.C >= 1 (input checks), so at a loop top, after subtracting t_s C_s
+    from the target D_0, sum t_s <= sum t_s A.C_s = A.D_0 - A.D <= A.D_0.
+    With c_l the largest |g_l| over the generators, |D_0.g| <=
+    sum_l |D_0,l| c_l and |C.g| <= sum_l c_l^2 = P, so every slot read
+    holds at most B = sum_l |D_0,l| c_l + (A.D_0) P in absolute value.
+    Before its loop the exclusion widens the record, if needed, to the
+    least multiple of 8 with 2**(k-1) > B (grow-only, filled rows
+    repacked).  B is proven from the list and the target, never taken
+    from sizes seen in runs; packed sums are exact whatever their slots
+    hold, so only reading needs it.
 
     Search: a depth-first search for the witness, with no prune of its
     own.  Its steps are the positive-degree generators g, sorted by

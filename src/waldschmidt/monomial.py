@@ -54,6 +54,13 @@ Monomial = tuple[int, ...]
 # Budget on the generator pairs one product may form; power multiplies
 # by I once per step, so this bounds each step of power.
 PAIR_CAP = 2000
+# Budget on the generator pairs all the steps of one power form together,
+# so the number of steps is bounded too: (y, z)^m forms m^2 + m - 2 pairs,
+# and its minimalisation costs about m^3.  The largest power that
+# `symbolic_power` forms on the benchmark pool's ideals (m <= 5) totals
+# 220 pairs; the largest in the tests outside the budget's own, (y, z)^63
+# inside the symbolic power of (x^2*y, z) at m = 63, totals 4030.
+POWER_PAIR_CAP = 8000
 # Budget on the lcm pairs one intersection may form.  symbolic_power
 # intersects m-th powers, so its pairs grow about as m^2 and the
 # minimalisation of the candidates about as m^3.  The largest
@@ -171,8 +178,12 @@ class _Words:
         return self.minimal([a + b for a in a_words for b in b_words])
 
     def power(self, words: list[int], m: int) -> list[int]:
-        acc = words
+        """The m-th power, refused once its steps pass POWER_PAIR_CAP pairs
+        in all, before the step that would pass it is formed."""
+        acc, pairs = words, 0
         for _ in range(m - 1):
+            pairs += len(acc) * len(words)
+            _check_pairs(pairs, POWER_PAIR_CAP, "power budget")
             acc = self.product(acc, words)
         return acc
 
@@ -215,6 +226,7 @@ def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(i: MonomialIdeal, m: int) -> MonomialIdeal:
+    """I^m, refused past PAIR_CAP pairs in a step or POWER_PAIR_CAP in all."""
     _check_order(m, "power requires an integer m")
     words = _Words(len(i.variables), m * _top(i))
     return words.ideal(i.variables, words.power(words.pack(reversed(i.generators)), m))
@@ -241,8 +253,8 @@ def symbolic_power(i: MonomialIdeal, m: int) -> MonomialIdeal:
     is the intersection over v of the m-th powers of the stripped ideals,
     and I^m itself is never formed.  Every power is formed first, in
     variable order, each product step refused past PAIR_CAP generator
-    pairs; then the intersections from left to right, each refused past
-    LCM_PAIR_CAP.
+    pairs and each power past POWER_PAIR_CAP in all; then the
+    intersections from left to right, each refused past LCM_PAIR_CAP.
     """
     _check_order(m, "symbolic power requires an integer m")
     words = _Words(len(i.variables), m * _top(i))

@@ -442,6 +442,118 @@ def test_preparing_the_generic_r8_list_fills_no_row():
     assert [i for i, row in enumerate(prep.rows) if row is not None] == sorted(reached)
 
 
+def pairing_bound(D, gens):
+    """The bound on |D'.g| over the exclusion's loop tops, D' = D minus its
+    subtractions: sum |D_l| c_l + (A.D) P, c_l = max |g_l| over the
+    generators and P = sum c_l^2."""
+    a = cone._signed_bounding_class(D.r)
+    c = [max(abs(x) for x in col) for col in zip(*[g.coeffs for g in gens])]
+    adeg = sum(x * y for x, y in zip(a, D.coeffs))
+    return sum(abs(x) * y for x, y in zip(D.coeffs, c)) + adeg * sum(x * x for x in c)
+
+
+WIDE = 2**70
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exclusion_on_wide_targets_matches_plain_pairings(data):
+    # Targets with coefficients up to 2**70, drawn at a fresh magnitude
+    # each, make the record widen its slots several times with rows
+    # already filled.  The exclusion still agrees with the plain one in
+    # helpers, fills exactly the rows of the curves it reaches, keeps
+    # every filled row packed at the current width, and its slots hold
+    # the proven bound of every target whose loop it entered.
+    if data.draw(st.booleans(), label="catalog"):
+        r, gens = 5, effective_generators(find_type("(2,A4,3)(a)").config())
+    else:
+        r, gens = draw_generators(data)
+    cone._prepare.cache_clear()
+    prep = cone._prepare(cone._key(gens))
+    a = cone._signed_bounding_class(r)
+    reached = set()
+    for _ in range(data.draw(st.integers(1, 6), label="targets")):
+        top = 2 ** data.draw(st.integers(0, 70), label="bits")
+        coeffs = data.draw(st.tuples(st.integers(0, top), *[st.integers(-top, top)] * r))
+        if data.draw(st.booleans(), label="a sum"):
+            counts = data.draw(st.lists(
+                st.integers(0, top), min_size=len(gens), max_size=len(gens)))
+            coeffs = class_sum(r, zip(counts, gens)).coeffs
+        D = DivisorClass(coeffs)
+        proved, taken = reference_exclusion(D, gens)
+        assert cone._excluded(D, prep) == proved, (D, gens)
+        reached.update(taken)
+        assert {i for i, row in enumerate(prep.rows) if row is not None} == reached
+        if sum(x * y for x, y in zip(a, coeffs)) >= 0:
+            assert 2 ** (prep.k - 1) > pairing_bound(D, gens)
+        for i in reached:
+            assert prep.packed[i] == cone._pack(prep.rows[i][0], prep.k)
+
+
+def test_a_target_just_past_the_first_width_widens_the_record():
+    # p_2 infinitely near p_1: every c_l is 1 and P = 3, so the bound is
+    # |D0| + |D1| + |D2| + 3 A.D.  2L - 3E_1 + 17E_2 has bound 127, which
+    # the first width, 8 bits, holds; 2L - 6E_1 + 21E_2 has bound 128,
+    # just past it, so the record widens to 16 bits and repacks the rows
+    # the first target filled.  Both are proved absent.
+    gens = parse_classes(["E_12", "E_2", "L_12"], 2)
+    cone._prepare.cache_clear()
+    prep = cone._prepare(cone._key(gens))
+    for coeffs, bound, k in [((2, -3, 17), 127, 8), ((2, -6, 21), 128, 16)]:
+        D = DivisorClass(coeffs)
+        assert pairing_bound(D, gens) == bound
+        proved, reached = reference_exclusion(D, gens)
+        assert proved and len(reached) >= 2
+        assert cone._excluded(D, prep)
+        assert prep.k == k
+    filled = [i for i, row in enumerate(prep.rows) if row is not None]
+    assert filled and all(prep.packed[i] == cone._pack(prep.rows[i][0], 16) for i in filled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monoid_answers_do_not_depend_on_the_generator_order(data):
+    # The exclusion takes the first generator in list order that pairs
+    # negatively with the target, and the search ranks ties by position,
+    # so the work and the witness may depend on the order; whether a sum
+    # exists may not.  Every witness sums to the target, and a proof of
+    # absence under one order gives None under every order.
+    r, gens = draw_generators(data)
+    orders = [gens] + [data.draw(st.permutations(gens), label="order") for _ in range(2)]
+    targets = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), *[st.integers(-4, 3)] * r), min_size=1, max_size=8))
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+    for coeffs in [*targets, class_sum(r, zip(counts, gens)).coeffs]:
+        t = DivisorClass(coeffs)
+        sols = [monoid_membership(t, order) for order in orders]
+        assert len({sol is None for sol in sols}) == 1, (t, orders)
+        for sol in sols:
+            if sol is not None:
+                assert class_sum(r, [(n, g) for g, n in sol.items()]) == t
+        if any(excluded(t, order) for order in orders):
+            assert sols[0] is None
+
+
+@pytest.mark.parametrize("label", ["(1,D5,1)", "(2,A4,3)(a)", "(3,2A1A2,4)", "(5,∅,16)"])
+def test_catalog_monoid_answers_do_not_depend_on_the_generator_order(label):
+    # The window of the benchmark's monoid workload, d <= 20 and k <= 12,
+    # at m = (1, ..., 1), on the catalog's own NEG order and on three
+    # shuffles of it.
+    gens = effective_generators(find_type(label).config())
+    rng = random.Random(label)
+    orders = [gens] + [rng.sample(gens, len(gens)) for _ in range(3)]
+    for k in range(1, 13):
+        for d in range(1, 21):
+            t = target(d, k)
+            sols = [monoid_membership(t, order) for order in orders]
+            assert len({sol is None for sol in sols}) == 1, t
+            for sol in sols:
+                if sol is not None:
+                    assert class_sum(5, [(n, g) for g, n in sol.items()]) == t
+            if any(excluded(t, order) for order in orders):
+                assert sols[0] is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_root_prune_rejects_as_the_per_generator_root_test(data):

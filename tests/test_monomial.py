@@ -105,6 +105,25 @@ def test_pair_budget():
         mono.intersect(chain(80), chain(49))
 
 
+def test_power_budget():
+    # A step of power multiplies I^k by I.  (x)^m forms one pair per step,
+    # m - 1 in all, so m = cap + 1 fits the budget and m = cap + 2 does not.
+    cap = mono.POWER_PAIR_CAP
+    x = ideal("x")
+    assert mono.power(x, cap + 1).generators == ((cap + 1, 0, 0),)
+    with pytest.raises(MonomialError, match=f"{cap + 1} generator pairs exceed the power budget of {cap}"):
+        mono.power(x, cap + 2)
+    # (y, z)^m forms m^2 + m - 2 pairs: 7830 at m = 88, 8008 at m = 89,
+    # where the budget stops any larger m before its 89th step.
+    yz = ideal("y, z")
+    assert len(mono.power(yz, 88).generators) == 89
+    for m in (89, 999):
+        with pytest.raises(MonomialError, match="8008 generator pairs exceed the power budget"):
+            mono.power(yz, m)
+    with pytest.raises(MonomialError, match="8008 generator pairs exceed the power budget"):
+        mono.symbolic_power(ideal("x^2*y, z"), 150)
+
+
 def test_symbolic_power_intersection_budget():
     # 3249 lcm pairs in the last intersection, but small powers.
     i = ideal("x^4*y, x^4*z, x^3*y*z, x^2*y^2*z^2, x*y^3*z^3, y^4*z^4")
