@@ -175,25 +175,21 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
     """True when D is proved to be no nonnegative integer sum of the
     generators `prep` was built from; False means inconclusive.
 
-    The steps and their proofs are in the docstring of monoid_membership.
     D itself is never rebuilt: a step D <- D - t*C updates its line
-    degree, its A-degree, its square and its pairings with the
-    generators.  The pairings are one packed int, `dots`, with D.g_j in
-    slot j (the layout of simplex.py, "Packed rows" and "Reading
-    slots"), so the step is `dots -= t * packed_row(C)`, and the first
-    generator pairing negatively with D is the lowest set bit of
-    `offset & ~(dots + offset)`.  Before the loop the record's slots are
-    widened, if needed, to hold the bound B on every pairing the loop
-    decodes (proof in monoid_membership).
+    degree, its A-degree, its square and its packed pairings `dots`.
     """
     coeffs = D.coeffs
     d0, adeg = coeffs[0], sum(map(mul, prep.bound, coeffs))
     if d0 < 0 or adeg < 0:
         return True
-    need = sum(map(mul, map(abs, coeffs), prep.cmax)) + adeg * prep.pmax
-    if need >= prep.half:
-        prep.widen(need)
-    k, half, offset, packed, degs = prep.k, prep.half, prep.offset, prep.packed, prep.degs
+    if prep.root is not None:
+        g0, cap = prep.root
+        if -sum(coeffs[1:]) * g0 > cap * d0:
+            return True
+    limit = sum(map(mul, map(abs, coeffs), prep.cmax)) + max(adeg, 1) * prep.pmax
+    if limit >= prep.half:
+        prep.widen(limit)
+    k, half, offset, forced, degs = prep.k, prep.half, prep.offset, prep.forced, prep.degs
     mask = (1 << k) - 1
     dd = 2 * d0 * d0 - sum(map(mul, coeffs, coeffs))
     dots = sum(map(mul, coeffs, prep.cols))
@@ -204,16 +200,16 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
             # D = 0 has square 0, so a negative square also means D != 0.
             return dd < 0
         i = (negative & -negative).bit_length() // k - 1
-        row, forced = prep.row(i)
-        if not forced:
+        row = prep.row(i)
+        if not forced[i]:
             return False
-        cc = row[i]
+        cc = ((row + offset) >> k * i & mask) - half
         dc = (biased >> k * i & mask) - half
         t = -(dc // -cc)  # ceil(D.C / C.C)
         d0 -= t * prep.coeffs[i][0]
         adeg -= t * degs[i]
         dd += t * (t * cc - 2 * dc)
-        dots -= t * packed[i]
+        dots -= t * row
     return True
 
 
@@ -222,27 +218,20 @@ class _Prepared:
 
     Building one runs every input check of the list; _prepare keeps the
     last one built.  Generators appear as positions in the list, never
-    as objects.  `rows` starts with no row filled; row(i) fills the i-th
-    the first time the exclusion subtracts (or rejects) that generator,
-    and keeps it for every later target on the same list.  So preparing
-    stays linear in the list's length, and only the rows of curves some
-    target reaches are ever computed.
-
-    Packing.  `cols[l]` packs coordinate l of every signed generator,
-    one k-bit slot per generator in list order, so D.g_j for every j is
-    the packed int sum(D_l * cols[l]); `packed[i]` is row i packed the
-    same way, sum(C_l * cols[l]) for the i-th generator C, set with the
-    row.  k = 0 and `cols` is empty until the first exclusion widens
-    them; widen() only ever raises k, to the least multiple of 8 with
-    2**(k-1) above the bound it is given, and repacks `cols` and every
-    filled row.  `cmax[l]` is the largest |g_l| over the generators, and
-    `pmax`, the sum of the cmax[l]**2, bounds every |g_i.g_j|.
+    as objects.  `packed[i]` is None until row(i) first packs generator
+    i's pairing row, when `forced[i]` is set too; both are kept for
+    every later target on the same list, and only rows of curves some
+    target reaches are ever packed.  `cols[l]` packs coordinate l of
+    every generator, negated for l >= 1, one k-bit slot per generator in
+    list order; k = 0 and `cols` is empty until the first widen().
+    `cmax[l]` is the largest |g_l| over the generators, and `pmax` the
+    sum of the cmax[l]**2.  `root` is the root test's (g0, cap), or None
+    when a degree-zero generator has need_drop > 0.
     """
 
     __slots__ = (
-        "coeffs", "signed", "bound", "degs", "cmax", "pmax", "rows", "packed",
-        "k", "half", "offset", "cols", "sharp", "root", "steps", "order",
-        "zsteps", "zorder",
+        "coeffs", "bound", "degs", "cmax", "pmax", "packed", "forced",
+        "k", "half", "offset", "cols", "root", "steps", "order", "zsteps", "zorder",
     )
 
     def __init__(self, key: tuple[tuple[int, ...], ...]) -> None:
@@ -282,52 +271,46 @@ class _Prepared:
         den = lcm(*[key[p][0] for p, _ in positive])
         ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
         self.coeffs = key  # the generators' coefficients
-        # (g0, -g1, ..., -gr): D.g is a dot product
-        self.signed = tuple([(c[0], *[-x for x in c[1:]]) for c in key])
-        self.bound = bound  # the bounding class A, signed the same way
+        # The bounding class A, signed so that A.c is a dot product with c.
+        self.bound = bound
         self.degs = degs  # A-degree of each generator
-        # One (pairings, forced) per generator, filled by row().
-        self.rows: list[tuple[tuple[int, ...], bool] | None] = [None] * len(key)
-        # No degree-zero generator has need_drop > 0.
-        self.sharp = all(sum(c[1:]) >= 0 for _, c in zsteps)
-        # The first step's (g0, max(need_drop, 0)), or (1, 0).
-        self.root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
+        # The first step's (g0, max(need_drop, 0)), or (1, 0); None when a
+        # degree-zero generator has need_drop > 0.
+        root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
+        self.root = None if any(sum(c[1:]) < 0 for _, c in zsteps) else root
         self.steps = tuple([(c, c[0]) for _, c, _, _ in ranked])  # (coefficients, g0)
         self.order = tuple([t[2] for t in ranked])  # position of each step's generator
         self.zsteps = zsteps  # for _solve_triangular
         self.zorder = tuple([p for _, p in zleads])  # position of each zsteps generator
-        # Packing: see the class docstring.
         self.cmax = tuple([max(map(abs, col)) for col in zip(*key)])
         self.pmax = sum(map(mul, self.cmax, self.cmax))
         self.packed: list[int | None] = [None] * len(key)
+        self.forced = [False] * len(key)
         self.k = self.half = self.offset = 0
         self.cols: tuple[int, ...] = ()
 
-    def row(self, i: int) -> tuple[tuple[int, ...], bool]:
-        """The pairings C.h of the i-th generator C with every generator h,
-        and whether C is forced: C.C < 0 and C.h >= 0 for every h with
-        other coefficients (copies of C do not count).  Computed on first
-        use, packed into `packed[i]`, then kept."""
-        row = self.rows[i]
+    def row(self, i: int) -> int:
+        """Generator i's pairing row, packed and its forced flag set on
+        first use; only valid once widen() has made 2**(k-1) > pmax."""
+        row = self.packed[i]
         if row is None:
-            c, s = self.coeffs[i], self.signed[i]
-            pairs = tuple([sum(map(mul, s, h)) for h in self.coeffs])
-            forced = pairs[i] < 0 and all(
-                x >= 0 for h, x in zip(self.coeffs, pairs) if h != c
-            )
-            row = self.rows[i] = (pairs, forced)
-            self.packed[i] = sum(map(mul, c, self.cols))
+            c = self.coeffs[i]
+            row = self.packed[i] = sum(map(mul, c, self.cols))
+            k, half, offset = self.k, self.half, self.offset
+            copies = sum([half << k * j for j, h in enumerate(self.coeffs) if h == c])
+            self.forced[i] = (offset & ~(row + offset)) == copies
         return row
 
-    def widen(self, need: int) -> None:
-        """Raise k so that 2**(k-1) > need, and repack."""
-        k = self.k = (need.bit_length() + 8) // 8 * 8
+    def widen(self, limit: int) -> None:
+        """Raise k so that 2**(k-1) > limit, and repack."""
+        k = self.k = (limit.bit_length() + 8) // 8 * 8
         self.half = 1 << (k - 1)
         self.offset = self.half * (((1 << k * len(self.coeffs)) - 1) // ((1 << k) - 1))
-        cols = self.cols = tuple([_pack(col, k) for col in zip(*self.signed)])
+        first, *rest = [_pack(col, k) for col in zip(*self.coeffs)]
+        cols = self.cols = (first, *[-col for col in rest])
         self.packed = [
             None if row is None else sum(map(mul, c, cols))
-            for c, row in zip(self.coeffs, self.rows)
+            for c, row in zip(self.coeffs, self.packed)
         ]
 
 
@@ -362,72 +345,77 @@ def monoid_membership(
 
     The empty list sums to the zero class only.  Otherwise the work
     splits in two.  _prepare runs once per distinct generator list: every
-    input check but the rank of D, the signed generators and bounding
-    class, the A-degrees, the ranked search steps and the degree-zero
+    input check but the rank of D, the bounding class, the A-degrees,
+    the root test's ratio, the ranked search steps and the degree-zero
     triangular system.  It keeps the last list only, keyed by value (the
     tuple of coefficient tuples), so a list mutated in place is prepared
     again; lru_cache never stores an exception, so a malformed list
     raises on every call whatever D is.  The record holds positions in
     the list, and the answer maps them back to the caller's own
-    generator objects.  Each target then runs these stages in this
-    order: rank check of D, root test, exclusion, search.
+    generator objects.  Each target then runs the rank check of D, the
+    exclusion (_excluded), which is the only proof of absence, and the
+    search for the witness.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
     must pair >= 1 with every generator, every generator must have line
     degree g0 >= 0, and the precondition below must hold.  They run
-    before any answer, so a malformed list raises whatever D is.  A D of
-    negative A-degree is then no sum.
+    before any answer, so a malformed list raises whatever D is.
 
-    Root test.  Write need(D) = -(D1 + ... + Dr) and need_drop(g) =
-    need(g) for a generator g.  When no degree-zero generator has
-    positive need_drop (`sharp`), take the first search step's g0 and
-    cap = max(need_drop, 0), or (g0, cap) = (1, 0) when no generator has
-    g0 > 0 (_Prepared.root).  The steps run by descending need_drop/g0,
-    so every generator h with h0 > 0 has need_drop(h) * g0 <= cap * h0,
-    and every degree-zero h has need_drop(h) * g0 <= 0 = cap * h0.  Both
-    sides are linear, so any sum D = sum n_h h with n_h >= 0 has
-    need(D) * g0 <= cap * D0, and a D with need * g0 > cap * D0 is no sum.
-    The test rejects it before anything else is built.
-
-    Exclusion (_excluded) repeats these steps, using only the
-    bilinearity of the intersection pairing:
+    Exclusion.  Each step below proves D is no sum, ends inconclusive,
+    or hands the next step a D that is a sum exactly when the old one
+    is; only the bilinearity of the intersection pairing is used.
     - D0 < 0 or A.D < 0: D is no sum, since every generator has g0 >= 0
       and A-degree >= 1.
-    - Otherwise take the first generator C with D.C < 0.  If C is forced,
-      that is C.C < 0 and C.h >= 0 for every generator h with other
-      coefficients, write a sum as D = sum n_g g; then D.C = n_C C.C +
-      sum_{h != C} n_h h.C >= n_C C.C, where n_C counts all copies of C,
-      so n_C >= t = ceil(D.C / C.C).  D is a sum exactly when D - t*C is,
-      so D becomes D - t*C.  Each step lowers A.D by t*A.C >= 1, so the
-      loop ends.
-    - If that C is not forced, the exclusion is inconclusive.
+    - Root test.  Write need(D) = -(D1 + ... + Dr) and need_drop(g) =
+      need(g) for a generator g.  Unless a degree-zero generator has
+      positive need_drop (then `root` is None and the test is skipped),
+      take the first search step's g0 and cap = max(need_drop, 0), or
+      (g0, cap) = (1, 0) when no generator has g0 > 0.  The steps run by
+      descending need_drop/g0, so every generator h with h0 > 0 has
+      need_drop(h) * g0 <= cap * h0, and every degree-zero h has
+      need_drop(h) * g0 <= 0 = cap * h0.  Both sides are linear, so any
+      sum D has need(D) * g0 <= cap * D0, and a D with need * g0 >
+      cap * D0 is no sum.
+    - Forced curves, repeated while D0 >= 0 and A.D >= 0: take the first
+      generator C with D.C < 0.  If C is forced, that is C.C < 0 and
+      C.h >= 0 for every generator h with other coefficients, write a
+      sum as D = sum n_g g; then D.C = n_C C.C + sum_{h != C} n_h h.C >=
+      n_C C.C, where n_C counts all copies of C, so n_C >= t =
+      ceil(D.C / C.C).  D is a sum exactly when D - t*C is, so D becomes
+      D - t*C.  Each step lowers A.D by t*A.C >= 1, so the loop ends.
+      If that C is not forced, the exclusion is inconclusive.
     - If no generator pairs negatively with D, a sum has D.D = sum n_g
       D.g >= 0, so D != 0 with D.D < 0 is no sum; otherwise inconclusive.
     D's pairings with the generators are one packed int, `dots`, with
     D.g_j in the k-bit slot j (the layout of simplex.py): the sum of D_l
-    times the packed column of the generators' signed coordinate l.  A
-    step D <- D - t*C is `dots -= t * packed_row(C)`, where C's row of
-    pairings, packed the same way, and its forced flag (_Prepared.row)
-    are computed the first time any target reaches C and kept for the
-    rest of the list's targets; D itself is never rebuilt.  The first
+    times the packed column of the generators' coordinate l, negated for
+    l >= 1.  A step D <- D - t*C is `dots -= t * row(C)`, where C's row
+    of pairings C.h_j is packed the same way, the first time any target
+    reaches C, and kept for the rest of the list's targets.  The first
     generator with D.g < 0 is the lowest set bit of
-    offset & ~(dots + offset), as in simplex.py, "Reading slots".  Every
-    target the exclusion proves is absent gets None at once; the rest,
-    all hits among them, go to the search.
+    offset & ~(dots + offset), as in simplex.py, "Reading slots", and
+    C.C is slot i of row i.  The same mask of C's row marks the h_j with
+    C.h_j < 0; every copy of C pairs C.C with C, so C is forced exactly
+    when that mask is the set of slots of C's copies, C among them.
+    Every target the exclusion proves is absent gets None at once; the
+    rest, all hits among them, go to the search.
 
-    Slot width.  Reading slot j needs D.g_j in [-2**(k-1), 2**(k-1)),
-    and the exclusion reads slots only at a loop top, where D0 >= 0 and
-    A.D >= 0.  Every subtraction has t >= 1 (D.C < 0 and C.C < 0) and
-    A.C >= 1 (input checks), so at a loop top, after subtracting t_s C_s
-    from the target D_0, sum t_s <= sum t_s A.C_s = A.D_0 - A.D <= A.D_0.
-    With c_l the largest |g_l| over the generators, |D_0.g| <=
-    sum_l |D_0,l| c_l and |C.g| <= sum_l c_l^2 = P, so every slot read
-    holds at most B = sum_l |D_0,l| c_l + (A.D_0) P in absolute value.
-    Before its loop the exclusion widens the record, if needed, to the
-    least multiple of 8 with 2**(k-1) > B (grow-only, filled rows
-    repacked).  B is proven from the list and the target, never taken
-    from sizes seen in runs; packed sums are exact whatever their slots
-    hold, so only reading needs it.
+    Slot width.  Reading slot j needs its value in [-2**(k-1), 2**(k-1)).
+    With c_l the largest |g_l| over the generators, every pairing of two
+    generators has |C.h| <= sum_l c_l^2 = P, which covers the rows.  The
+    exclusion reads `dots` only at a loop top, where D0 >= 0 and A.D >= 0.
+    Every subtraction has t >= 1 (D.C < 0 and C.C < 0) and A.C >= 1
+    (input checks), so at a loop top, after subtracting t_s C_s from the
+    target D_0, sum t_s <= sum t_s A.C_s = A.D_0 - A.D <= A.D_0.  As
+    |D_0.g| <= sum_l |D_0,l| c_l, D = D_0 - sum t_s C_s has |D.g| <=
+    sum_l |D_0,l| c_l + (A.D_0) P.  So every slot read, of `dots` or of
+    a row, is at most B = sum_l |D_0,l| c_l + max(A.D_0, 1) P in
+    absolute value; when A.D_0 >= 1 the max changes nothing.  Before
+    its loop the exclusion widens the record, if needed, to the least
+    multiple of 8 with 2**(k-1) > B (grow-only, packed rows repacked).
+    B is proven from the list and the target, never taken from sizes
+    seen in runs; packed sums are exact whatever their slots hold, so
+    only reading needs it.
 
     Search: a depth-first search for the witness, with no prune of its
     own.  Its steps are the positive-degree generators g, sorted by
@@ -451,13 +439,6 @@ def monoid_membership(
     if len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
     prep = _prepare(key)
-    if sum(map(mul, prep.bound, D.coeffs)) < 0:
-        return None
-
-    b0, need = D.coeffs[0], -sum(D.coeffs[1:])
-    g0, cap = prep.root
-    if prep.sharp and need * g0 > cap * b0:
-        return None
     if _excluded(D, prep):
         return None
 

@@ -204,7 +204,12 @@ def strict_transform_components(p: ProximityMatrix) -> list[DivisorClass]:
 
 
 def check_multiplicities(m: Sequence[int], r: int) -> tuple[int, ...]:
-    m = tuple(m)
+    try:
+        m = tuple(m)
+    except TypeError:
+        raise ConfigurationError(
+            f"multiplicities must be a sequence of integers, got {m!r}"
+        ) from None
     if not _is_int_list(m):
         raise ConfigurationError(f"multiplicities must be integers, got {m!r}")
     if len(m) != r:

@@ -43,7 +43,12 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+        try:
+            coeffs = tuple(self.coeffs)
+        except TypeError:
+            raise ClassParseError(
+                f"class coefficients must be integers, got {self.coeffs!r}"
+            ) from None
         if not {int}.issuperset(map(type, coeffs)):
             raise ClassParseError(f"class coefficients must be integers, got {coeffs!r}")
         if len(coeffs) < 1 or len(coeffs) > MAX_RANK + 1:

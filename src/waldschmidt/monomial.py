@@ -80,6 +80,8 @@ class MonomialIdeal:
         n = len(self.variables)
         if n == 0:
             raise MonomialError("a monomial ideal needs at least one variable")
+        if len(set(self.variables)) != n:
+            raise MonomialError(f"repeated variable name in {self.variables!r}")
         gens = self.generators
         # Whole-list passes: this runs on every ideal a caller builds or parses.
         flat = list(chain.from_iterable(gens))

@@ -34,20 +34,39 @@ def brute_force_alpha_hat(
     return best
 
 
+def root_rejects(D: DivisorClass, gens: list[DivisorClass]) -> bool:
+    """The root test of `monoid_membership`, generator by generator.
+
+    With need(c) = -(c1 + ... + cr): unless a degree-zero generator has
+    need > 0, D is rejected when need(D) > 0 and need(D) * g0 >
+    need(g) * D0 for every generator g with g0 > 0.
+    """
+    if any(g.coeffs[0] == 0 and sum(g.coeffs[1:]) < 0 for g in gens):
+        return False
+    need = -sum(D.coeffs[1:])
+    return need > 0 and all(
+        need * g.coeffs[0] > -sum(g.coeffs[1:]) * D.coeffs[0]
+        for g in gens if g.coeffs[0] > 0
+    )
+
+
 def reference_exclusion(
     D: DivisorClass, gens: list[DivisorClass]
 ) -> tuple[bool, list[int]]:
     """The exclusion of `monoid_membership`, done plainly: (proved, reached).
 
     Every pairing is a `lattice.pairing` call and D is rebuilt at each
-    step.  While D has line degree >= 0 and A-degree >= 0 for the bounding
-    class A, it takes the first generator C with D.C < 0; a C with
-    C.C < 0 that pairs >= 0 with every generator other than its copies is
-    subtracted ceil(D.C / C.C) times, any other C ends the search
-    unproved.  With no such C, D is proved absent when D.D < 0.
-    `reached` lists the position of each C taken, in order: all were
-    subtracted but the last of an unproved search.
+    step.  A D the root test rejects is proved absent at once.  While D
+    has line degree >= 0 and A-degree >= 0 for the bounding class A, it
+    takes the first generator C with D.C < 0; a C with C.C < 0 that
+    pairs >= 0 with every generator other than its copies is subtracted
+    ceil(D.C / C.C) times, any other C ends the search unproved.  With
+    no such C, D is proved absent when D.D < 0.  `reached` lists the
+    position of each C taken, in order: all were subtracted but the
+    last of an unproved search.
     """
+    if root_rejects(D, gens):
+        return True, []
     r = D.r
     bound = DivisorClass((3 * 2**r,) + tuple(-(2 ** (r - i)) for i in range(1, r + 1)))
     reached: list[int] = []

@@ -243,6 +243,14 @@ def test_monomial_symbolic_power_saturates_before_powering(capsys):
     assert len(err.splitlines()) == 1 and "budget" in err and "Traceback" not in err
 
 
+def test_monomial_repeated_variable_exits_2(capsys):
+    for op in ("symbolic-power", "sat"):
+        code, out, err = run(capsys, "monomial", op, "--ideal", "x*y, y^2",
+                             "--vars", "x,y,y", "--m", "2")
+        assert code == 2 and out == ""
+        assert "repeated variable name" in err and "Traceback" not in err
+
+
 def test_monomial_symbolic_power_past_the_intersection_budget_exits_2(capsys):
     code, out, err = run(capsys, "monomial", "symbolic-power",
                          "--ideal", "x^2*y, z", "--m", "63")

@@ -5,7 +5,6 @@ import random
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +13,7 @@ from helpers import (
     brute_force_alpha_hat,
     generic_config,
     reference_exclusion,
+    root_rejects,
     three_generic_points,
 )
 from waldschmidt import cone, config
@@ -68,6 +68,14 @@ def by_name(sol):
 def excluded(D, gens):
     """The exclusion of monoid_membership on the list's prepared record."""
     return cone._excluded(D, cone._prepare(cone._key(gens)))
+
+
+def plain_row(i, gens):
+    """The pairings of the i-th generator C with every generator, and
+    whether C is forced: C.C < 0 and C.h >= 0 for every h but C's copies."""
+    c = gens[i]
+    pairs = [pairing(c, h) for h in gens]
+    return pairs, pairs[i] < 0 and all(x >= 0 for h, x in zip(gens, pairs) if h != c)
 
 
 def test_cone_membership_triangular_example():
@@ -273,9 +281,10 @@ def test_monoid_search_uses_no_fraction(monkeypatch):
     assert hit is not None
     assert monoid_membership(target(4, 3), gens) is None
     # Need 5 per unit of line degree 1 exceeds every generator's ratio, so
-    # the root test rejects this target before the exclusion.
+    # the root test rejects this target.
+    assert root_rejects(target(1, 1), gens)
     assert monoid_membership(target(1, 1), gens) is None
-    # L - 2E_1 passes the root test; the exclusion proves the miss.
+    # L - 2E_1 passes the root test; the forced curves prove the miss.
     miss = DivisorClass((1, -2, 0, 0, 0, 0))
     assert excluded(miss, gens)
     assert monoid_membership(miss, gens) is None
@@ -324,11 +333,13 @@ def test_exclusion_subtracts_a_forced_curve_several_times():
 
 
 def test_exclusion_is_inconclusive_without_a_forced_curve():
-    # L - E_1 has square 0, so it is never forced: L - 2E_1 pairs -1 with
-    # it, and the exclusion gives up although the target is a miss.
-    pencil = DivisorClass((1, -1))
-    miss = DivisorClass((1, -2))
+    # L - E_1 has square 0, so it is never forced: L - 2E_1 + E_2, which
+    # has need 1 against line degree 1 and so passes the root test, pairs
+    # -1 with it, and the exclusion gives up although the target is a miss.
+    pencil = DivisorClass((1, -1, 0))
+    miss = DivisorClass((1, -2, 1))
     assert pairing(miss, pencil) < 0 and pairing(pencil, pencil) == 0
+    assert not root_rejects(miss, [pencil])
     assert not excluded(miss, [pencil])
     assert monoid_membership(miss, [pencil]) is None
     # E_12 pairs -1 with L + E_1, so L + 2E_1 - E_2, which pairs -3 with
@@ -401,14 +412,14 @@ def test_monoid_membership_matches_enumeration_on_random_generators(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_prepared_rows_match_plain_pairings(data):
-    # Row i holds C.h for the i-th generator C and every generator h, and
-    # C is forced when C.C < 0 and C.h >= 0 for every h but C's own
-    # copies.  The exclusion reading the rows agrees with the plain one
-    # in helpers, and fills exactly the rows of the curves it reaches.
+    # Row i packs C.h for the i-th generator C and every generator h, and
+    # its forced flag follows the plain definition.  The exclusion
+    # reading the rows agrees with the plain one in helpers, and packs
+    # exactly the rows of the curves it reaches.
     r, gens = draw_generators(data)
     cone._prepare.cache_clear()
     prep = cone._prepare(cone._key(gens))
-    assert prep.rows == [None] * len(gens)
+    assert prep.packed == [None] * len(gens)
     targets = data.draw(st.lists(
         st.tuples(st.integers(0, 3), *[st.integers(-4, 3)] * r), min_size=1, max_size=12))
     reached = set()
@@ -417,12 +428,13 @@ def test_prepared_rows_match_plain_pairings(data):
         proved, taken = reference_exclusion(D, gens)
         assert cone._excluded(D, prep) == proved, (D, gens)
         reached.update(taken)
-        assert {i for i, row in enumerate(prep.rows) if row is not None} == reached
-    for i, c in enumerate(gens):
-        pairs, forced = prep.row(i)
-        assert list(pairs) == [pairing(c, h) for h in gens]
-        others = [pairing(c, h) for h in gens if h != c]
-        assert forced == (pairing(c, c) < 0 and min(others, default=0) >= 0)
+        assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
+    if prep.half <= prep.pmax:  # pack every row, at a width that holds P
+        prep.widen(prep.pmax)
+    for i in range(len(gens)):
+        pairs, forced = plain_row(i, gens)
+        assert prep.row(i) == cone._pack(pairs, prep.k)
+        assert prep.forced[i] == forced
 
 
 def test_preparing_the_generic_r8_list_fills_no_row():
@@ -433,23 +445,25 @@ def test_preparing_the_generic_r8_list_fills_no_row():
     gens = effective_generators(generic_config(8))
     cone._prepare.cache_clear()
     prep = cone._prepare(cone._key(gens))
-    assert len(gens) == 241 and prep.rows == [None] * 241
+    assert len(gens) == 241 and prep.packed == [None] * 241
     miss = DivisorClass((1, -3, 1, 1) + (0,) * 5)
     proved, reached = reference_exclusion(miss, gens)
     assert proved and [format_class(gens[i]) for i in reached] == ["E_3", "E_2", "L_12"]
     assert monoid_membership(miss, gens) is None
     assert cone._prepare.cache_info().misses == 1
-    assert [i for i, row in enumerate(prep.rows) if row is not None] == sorted(reached)
+    assert [i for i, row in enumerate(prep.packed) if row is not None] == sorted(reached)
 
 
 def pairing_bound(D, gens):
-    """The bound on |D'.g| over the exclusion's loop tops, D' = D minus its
-    subtractions: sum |D_l| c_l + (A.D) P, c_l = max |g_l| over the
-    generators and P = sum c_l^2."""
+    """The bound on every slot the exclusion reads: |D'.g| over its loop
+    tops, D' = D minus its subtractions, is at most sum |D_l| c_l + (A.D) P,
+    with c_l = max |g_l| over the generators, and every |C.g| in a row is
+    at most P = sum c_l^2."""
     a = cone._signed_bounding_class(D.r)
     c = [max(abs(x) for x in col) for col in zip(*[g.coeffs for g in gens])]
     adeg = sum(x * y for x, y in zip(a, D.coeffs))
-    return sum(abs(x) * y for x, y in zip(D.coeffs, c)) + adeg * sum(x * x for x in c)
+    p = sum(x * x for x in c)
+    return max(sum(abs(x) * y for x, y in zip(D.coeffs, c)) + adeg * p, p)
 
 
 WIDE = 2**70
@@ -461,9 +475,10 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
     # Targets with coefficients up to 2**70, drawn at a fresh magnitude
     # each, make the record widen its slots several times with rows
     # already filled.  The exclusion still agrees with the plain one in
-    # helpers, fills exactly the rows of the curves it reaches, keeps
-    # every filled row packed at the current width, and its slots hold
-    # the proven bound of every target whose loop it entered.
+    # helpers, packs exactly the rows of the curves it reaches, keeps
+    # every packed row at the current width with its plain forced flag,
+    # and its slots hold the proven bound of every target whose loop it
+    # entered.
     if data.draw(st.booleans(), label="catalog"):
         r, gens = 5, effective_generators(find_type("(2,A4,3)(a)").config())
     else:
@@ -483,11 +498,13 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
         proved, taken = reference_exclusion(D, gens)
         assert cone._excluded(D, prep) == proved, (D, gens)
         reached.update(taken)
-        assert {i for i, row in enumerate(prep.rows) if row is not None} == reached
-        if sum(x * y for x, y in zip(a, coeffs)) >= 0:
+        assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
+        if sum(x * y for x, y in zip(a, coeffs)) >= 0 and not root_rejects(D, gens):
             assert 2 ** (prep.k - 1) > pairing_bound(D, gens)
         for i in reached:
-            assert prep.packed[i] == cone._pack(prep.rows[i][0], prep.k)
+            pairs, forced = plain_row(i, gens)
+            assert prep.packed[i] == cone._pack(pairs, prep.k)
+            assert prep.forced[i] == forced
 
 
 def test_a_target_just_past_the_first_width_widens_the_record():
@@ -495,7 +512,7 @@ def test_a_target_just_past_the_first_width_widens_the_record():
     # |D0| + |D1| + |D2| + 3 A.D.  2L - 3E_1 + 17E_2 has bound 127, which
     # the first width, 8 bits, holds; 2L - 6E_1 + 21E_2 has bound 128,
     # just past it, so the record widens to 16 bits and repacks the rows
-    # the first target filled.  Both are proved absent.
+    # the first target packed.  Both are proved absent.
     gens = parse_classes(["E_12", "E_2", "L_12"], 2)
     cone._prepare.cache_clear()
     prep = cone._prepare(cone._key(gens))
@@ -506,8 +523,25 @@ def test_a_target_just_past_the_first_width_widens_the_record():
         assert proved and len(reached) >= 2
         assert cone._excluded(D, prep)
         assert prep.k == k
-    filled = [i for i, row in enumerate(prep.rows) if row is not None]
-    assert filled and all(prep.packed[i] == cone._pack(prep.rows[i][0], 16) for i in filled)
+    filled = [i for i, row in enumerate(prep.packed) if row is not None]
+    assert filled
+    assert all(prep.packed[i] == cone._pack(plain_row(i, gens)[0], 16) for i in filled)
+
+
+def test_a_row_wider_than_the_target_bound_widens_the_record():
+    # C = 12E_2 has C.C = -144, past the 8-bit slots.  D = -E_1 + 2E_2 has
+    # A-degree 0 and |D.g| <= 24, but it pairs -24 with C, so the row of C
+    # is read: the record widens to 16 bits, which hold P = 145, and C is
+    # forced.  D - C has A-degree -12, so D is proved absent.
+    gens = [DivisorClass((0, 0, 12)), DivisorClass((1, 0, 0))]
+    D = DivisorClass((0, -1, 2))
+    cone._prepare.cache_clear()
+    prep = cone._prepare(cone._key(gens))
+    assert prep.pmax == 145 and pairing(D, gens[0]) == -24
+    assert reference_exclusion(D, gens) == (True, [0])
+    assert cone._excluded(D, prep)
+    assert prep.k == 16 and prep.forced[0]
+    assert prep.packed[0] == cone._pack(plain_row(0, gens)[0], 16)
 
 
 @settings(max_examples=200, deadline=None)
@@ -558,27 +592,27 @@ def test_catalog_monoid_answers_do_not_depend_on_the_generator_order(label):
 @given(st.data())
 def test_root_prune_rejects_as_the_per_generator_root_test(data):
     # The root test compares D with the first step's ratio.  On targets
-    # of line degree b0 > 0 it must reject exactly what the test
-    # over each generator g with g0 > 0 rejects: when no degree-zero
-    # generator has positive need_drop, need > 0 and need * g0 >
-    # need_drop(g) * b0 for every such g.  A rejected target never reaches
-    # the exclusion; any other target does.
+    # of line degree b0 > 0 it must reject exactly what the test over
+    # each generator g with g0 > 0 (helpers.root_rejects) rejects.  A
+    # rejected target is refuted before any pairing row is packed; any
+    # other one that pairs negatively with a generator packs a row.
     r, gens = draw_generators(data)
     a = cone._signed_bounding_class(r)
-    sharp = all(sum(g.coeffs[1:]) >= 0 for g in gens if g.coeffs[0] == 0)
-    positive = [(g.coeffs[0], -sum(g.coeffs[1:])) for g in gens if g.coeffs[0] > 0]
     targets = data.draw(st.lists(
         st.tuples(st.integers(1, 3), *[st.integers(-4, 3)] * r), min_size=1, max_size=12))
-    with mock.patch.object(cone, "_excluded", wraps=cone._excluded) as spy:
-        for coeffs in targets:
-            if sum(x * y for x, y in zip(a, coeffs)) < 0:
-                continue
-            b0, need = coeffs[0], -sum(coeffs[1:])
-            rejected = sharp and need > 0 and all(
-                need * g0 > nd * b0 for g0, nd in positive)
-            spy.reset_mock()
-            monoid_membership(DivisorClass(coeffs), gens)
-            assert spy.called != rejected, (coeffs, gens)
+    for coeffs in targets:
+        D = DivisorClass(coeffs)
+        if sum(x * y for x, y in zip(a, coeffs)) < 0:
+            continue
+        cone._prepare.cache_clear()
+        prep = cone._prepare(cone._key(gens))
+        rejected = root_rejects(D, gens)
+        assert cone._excluded(D, prep) == reference_exclusion(D, gens)[0], (D, gens)
+        if rejected:
+            assert prep.packed == [None] * len(gens), (D, gens)
+            assert monoid_membership(D, gens) is None
+        elif any(pairing(D, g) < 0 for g in gens):
+            assert prep.packed != [None] * len(gens), (D, gens)
 
 
 @settings(max_examples=300, deadline=None)
@@ -588,7 +622,9 @@ def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     # need_drop/g0, then coefficients, then position; the root test's
     # (g0, cap) is the first step's g0 and max(need_drop, 0), so cap/g0
     # is the largest ratio of all, or 0 if that is negative, and (1, 0)
-    # when there is no step.  Ratios are compared by cross-multiplication.
+    # when there is no step; the root is None when a degree-zero
+    # generator has need_drop > 0.  Ratios are compared by
+    # cross-multiplication.
     _, gens = draw_generators(data)
     prep = cone._prepare(cone._key(gens))
     assert sorted(prep.order) == [p for p, g in enumerate(gens) if g.coeffs[0] > 0]
@@ -601,6 +637,9 @@ def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     for h0, nd, _, _ in steps:
         if nd * top0 > top * h0:
             top, top0 = nd, h0
+    if any(g.coeffs[0] == 0 and sum(g.coeffs[1:]) < 0 for g in gens):
+        assert prep.root is None
+        return
     g0, cap = prep.root
     assert g0 == (steps[0][0] if steps else 1) and cap * top0 == top * g0
 
@@ -611,9 +650,9 @@ def test_root_prune_is_off_when_a_degree_zero_generator_raises_need():
     # root: L + E_1 - E_2 - E_3 has need 1 against a bound of 0.
     gens = [DivisorClass((0, 1, -1, -1)), DivisorClass((1, 0, 0, 0))]
     hit = DivisorClass((1, 1, -1, -1))
-    with mock.patch.object(cone, "_excluded", wraps=cone._excluded) as spy:
-        assert monoid_membership(hit, gens) == {g: 1 for g in gens}
-    assert spy.called
+    assert cone._prepare(cone._key(gens)).root is None
+    assert not excluded(hit, gens)
+    assert monoid_membership(hit, gens) == {g: 1 for g in gens}
 
 
 def test_window_minima_match_the_benchmark_pool():

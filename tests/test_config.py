@@ -24,7 +24,7 @@ from waldschmidt.config import (
     strict_transform_components,
     validate_config,
 )
-from waldschmidt.cone import waldschmidt
+from waldschmidt.cone import alpha_degree, waldschmidt
 from waldschmidt.dp4 import find_type
 from waldschmidt.errors import ConfigurationError, UnsupportedRankError
 from waldschmidt.lattice import (
@@ -146,12 +146,16 @@ def test_proximity_check_worked_example():
     assert proximity_check((0, 0), p) == ((0, 0), True)
 
 
-@pytest.mark.parametrize("m", [(1.9, 1, 1, 1, True), ("2", 1, 1, 1, 1), (1, 1, 1, 1, 1.0)])
+@pytest.mark.parametrize(
+    "m", [(1.9, 1, 1, 1, True), ("2", 1, 1, 1, 1), (1, 1, 1, 1, 1.0), 5, None])
 def test_multiplicities_must_be_integers(m):
-    with pytest.raises(ConfigurationError, match="integers"):
+    with pytest.raises(ConfigurationError, match="integers") as exc:
         check_multiplicities(m, 5)
-    with pytest.raises(ConfigurationError):
-        waldschmidt(find_type("(1,D5,1)").config(), m)
+    assert str(exc.value).endswith(f"got {m!r}")
+    cfg = find_type("(1,D5,1)").config()
+    for query in (waldschmidt, alpha_degree):
+        with pytest.raises(ConfigurationError):
+            query(cfg, m)
 
 
 def test_proximity_check_equals_component_pairing():

@@ -9,11 +9,15 @@ layout shows here.  generic-r6.json, generic-r7.json and generic-r8.json
 list every exceptional class at that rank (classes.enumerate_exceptional),
 i.e. r general points.  monoid-witnesses.json holds the output of
 cone.monoid_membership itself, the integer oracle behind the brute-force
-tests.
+tests, and monoid-window-answers.json a hash of its every answer over the
+benchmark's window on each catalog model.
 """
 
+import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +25,10 @@ from pathlib import Path
 import pytest
 
 from waldschmidt.cli import main
+from waldschmidt.config import effective_generators
 from waldschmidt.cone import monoid_membership
-from waldschmidt.lattice import format_class, parse_class
+from waldschmidt.dp4 import catalog
+from waldschmidt.lattice import DivisorClass, format_class, parse_class
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,3 +121,40 @@ def test_monoid_witnesses_match_recorded_output():
         found = monoid_membership(parse_class(case["target"], r), gens)
         got = None if found is None else [[format_class(g), n] for g, n in found.items()]
         assert got == case["witness"], case
+
+
+def window_multiplicities(label: str) -> list[tuple[int, ...]]:
+    """All-ones, then one m in {1,2}^5 other than it, drawn from
+    random.Random(label)."""
+    ones = (1,) * 5
+    rest = [m for m in itertools.product((1, 2), repeat=5) if m != ones]
+    return [ones, random.Random(label).choice(rest)]
+
+
+def window_answers(gens, m, d_max: int, m_max: int) -> tuple[int, str]:
+    """(hits, sha256) of monoid_membership on d*L - k*E(m) for k = 1..m_max,
+    then d = 1..d_max: each answer is null or its [position, coefficients,
+    count] list in insertion order, hashed as compact JSON."""
+    position = {id(g): p for p, g in enumerate(gens)}
+    answers = []
+    for k in range(1, m_max + 1):
+        for d in range(1, d_max + 1):
+            found = monoid_membership(DivisorClass((d,) + tuple(-k * x for x in m)), gens)
+            answers.append(None if found is None else [
+                [position[id(g)], list(g.coeffs), n] for g, n in found.items()])
+    blob = json.dumps(answers, separators=(",", ":")).encode()
+    return sum(a is not None for a in answers), hashlib.sha256(blob).hexdigest()
+
+
+def test_monoid_window_answers_match_recorded_output():
+    """Every answer of the benchmark's window, witnesses and their order
+    included, is the one recorded; the "about" field says what was run."""
+    data = json.loads((GOLDEN / "monoid-window-answers.json").read_text(encoding="utf-8"))
+    window = data["window"]
+    expected = [(t.label, list(m)) for t in catalog() for m in window_multiplicities(t.label)]
+    assert [(e["label"], e["m"]) for e in data["models"]] == expected
+    models = {t.label: t for t in catalog()}
+    for entry in data["models"]:
+        gens = effective_generators(models[entry["label"]].config())
+        hits, digest = window_answers(gens, entry["m"], window["d_max"], window["m_max"])
+        assert (hits, digest) == (entry["hits"], entry["sha256"]), entry

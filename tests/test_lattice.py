@@ -181,12 +181,14 @@ def test_rank_bounds():
         DivisorClass(())
 
 
-@pytest.mark.parametrize("coeffs", [(1.7, 2, 1), (1, "2", 1), (1, 2, True), (1.0, 0, 0)])
+@pytest.mark.parametrize(
+    "coeffs", [(1.7, 2, 1), (1, "2", 1), (1, 2, True), (1.0, 0, 0), 5, None])
 def test_coefficients_must_be_integers(coeffs):
     with pytest.raises(ClassParseError):
         DivisorClass(coeffs)
-    with pytest.raises(ClassParseError):
-        divisor(iter(coeffs))
+    if isinstance(coeffs, tuple):  # a non-iterable has no iterator to pass
+        with pytest.raises(ClassParseError):
+            divisor(iter(coeffs))
 
 
 def test_divisor_takes_any_integer_iterable():

@@ -30,6 +30,10 @@ def test_parse_and_format():
         mono.parse_ideal("x^, y")
     with pytest.raises(MonomialError):
         mono.parse_ideal("x,,y")
+    with pytest.raises(MonomialError, match="repeated variable name"):
+        mono.parse_ideal("x*y, y^2", ("x", "y", "y"))
+    with pytest.raises(MonomialError, match="repeated variable name"):
+        mono.MonomialIdeal(("x", "x"), ((1, 0),))
 
 
 def test_minimalize():
