@@ -10,11 +10,11 @@ generated by the simple reflections.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import isqrt
 
+from ._record import Record
 from .errors import InvalidRootError, OrbitTooLargeError, UnsupportedRankError
 from .lattice import DivisorClass, canonical_class, named_class, pairing
 
@@ -23,10 +23,10 @@ ORBIT_CAP = 10**6
 FAMILY_TAGS = ("B", "V", "L", "Q", "C", "M8")
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
+class CandidateFamily(Record):
     """One of the families B, V, L, Q, C, M8 of candidate negative classes."""
 
+    __slots__ = _fields = ("tag", "members")
     tag: str
     members: tuple[DivisorClass, ...]
 

@@ -153,7 +153,7 @@ def _table_text(p: dict) -> Iterable[str]:
 def _cmd_dp4(args: argparse.Namespace) -> int:
     from . import dp4
 
-    if args.type:
+    if args.type is not None:
         try:
             entry = dp4.find_type(args.type)
         except KeyError as exc:

@@ -7,13 +7,13 @@ Chudnovsky inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import ceil, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Sequence
 
+from ._record import Record, set_field
 from .config import (  # noqa: F401  validate_config is re-exported
     SurfaceConfig,
     check_multiplicities,
@@ -33,8 +33,7 @@ from .lattice import DivisorClass, format_class, line_class, pairing, parse_clas
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Exact optimality certificate for a Waldschmidt constant d/m.
 
     The decomposition shows d*L - m*E_Z effective (cone membership); the
@@ -42,11 +41,20 @@ class Certificate:
     effective.  Everything is re-checkable from the fields alone.
     """
 
+    __slots__ = _fields = ("d", "m", "multiplicities", "decomposition", "nef")
     d: int
     m: int
     multiplicities: tuple[int, ...]
     decomposition: tuple[tuple[DivisorClass, Fraction], ...]
     nef: DivisorClass
+
+    # Built once per query, so without the generic argument binding.
+    def __init__(self, d, m, multiplicities, decomposition, nef) -> None:
+        set_field(self, "d", d)
+        set_field(self, "m", m)
+        set_field(self, "multiplicities", multiplicities)
+        set_field(self, "decomposition", decomposition)
+        set_field(self, "nef", nef)
 
     @property
     def value(self) -> Fraction:
@@ -188,7 +196,7 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
             return True
     limit = sum(map(mul, map(abs, coeffs), prep.cmax)) + max(adeg, 1) * prep.pmax
     if limit >= prep.half:
-        prep.widen(limit)
+        prep.widen(limit)  # limit >= pmax, so prep.row() never widens below
     k, half, offset, forced, degs = prep.k, prep.half, prep.offset, prep.forced, prep.degs
     mask = (1 << k) - 1
     dd = 2 * d0 * d0 - sum(map(mul, coeffs, coeffs))
@@ -291,9 +299,12 @@ class _Prepared:
 
     def row(self, i: int) -> int:
         """Generator i's pairing row, packed and its forced flag set on
-        first use; only valid once widen() has made 2**(k-1) > pmax."""
+        first use.  A first use widens the record if 2**(k-1) <= pmax,
+        which bounds every pairing of two generators."""
         row = self.packed[i]
         if row is None:
+            if self.half <= self.pmax:
+                self.widen(self.pmax)
             c = self.coeffs[i]
             row = self.packed[i] = sum(map(mul, c, self.cols))
             k, half, offset = self.k, self.half, self.offset

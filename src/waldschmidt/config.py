@@ -9,11 +9,11 @@ near which earlier ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .classes import candidate_members
 from .errors import ConfigurationError, UnsupportedRankError
 from .lattice import (
@@ -27,31 +27,32 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
+class ProximityMatrix(Record):
     """Pairs (j, i) meaning point p_j is proximate to the earlier point p_i."""
 
+    __slots__ = _fields = ("r", "pairs")
     r: int
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if type(self.r) is not int:
-            raise ConfigurationError(f"proximity rank must be an integer, got {self.r!r}")
+    def __init__(self, r: int, pairs: Iterable[tuple[int, int]] = frozenset()) -> None:
+        if type(r) is not int:
+            raise ConfigurationError(f"proximity rank must be an integer, got {r!r}")
         try:
-            pairs = frozenset(map(tuple, self.pairs))
+            frozen = frozenset(map(tuple, pairs))
         except TypeError:
             raise ConfigurationError(
-                f"proximity pairs must be pairs of integers, got {self.pairs!r}"
+                f"proximity pairs must be pairs of integers, got {pairs!r}"
             ) from None
-        object.__setattr__(self, "pairs", pairs)
-        for p in pairs:
+        for p in frozen:
             if len(p) != 2 or not _is_int_list(p):
                 raise ConfigurationError(f"proximity pair {p!r} is not a pair of integers")
             j, i = p
-            if not (1 <= i < j <= self.r):
+            if not (1 <= i < j <= r):
                 raise ConfigurationError(
-                    f"proximity pair ({j}, {i}) must satisfy 1 <= i < j <= {self.r}"
+                    f"proximity pair ({j}, {i}) must satisfy 1 <= i < j <= {r}"
                 )
+        set_field(self, "r", r)
+        set_field(self, "pairs", frozen)
 
     def proximate_to(self, i: int) -> list[int]:
         return sorted(j for j, t in self.pairs if t == i)
@@ -60,37 +61,40 @@ class ProximityMatrix:
         return (j, i) in self.pairs
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
+class SurfaceConfig(Record):
     """r, the NEG(X) class list, and an optional proximity matrix.
 
     The constructor checks types and the rank; validate_config checks the
     lattice conditions.
     """
 
+    _fields = ("r", "neg_curves", "proximity")  # no __slots__: `report` is cached
     r: int
     neg_curves: tuple[DivisorClass, ...]
-    proximity: ProximityMatrix | None = None
+    proximity: ProximityMatrix | None
 
-    def __post_init__(self) -> None:
-        if type(self.r) is not int:
-            raise ConfigurationError(f"rank must be an integer, got {self.r!r}")
-        if not 0 <= self.r <= 8:
-            raise UnsupportedRankError(f"rank {self.r} outside supported range 0..8")
+    def __init__(self, r: int, neg_curves: Iterable[DivisorClass],
+                 proximity: ProximityMatrix | None = None) -> None:
+        if type(r) is not int:
+            raise ConfigurationError(f"rank must be an integer, got {r!r}")
+        if not 0 <= r <= 8:
+            raise UnsupportedRankError(f"rank {r} outside supported range 0..8")
         try:
-            curves = tuple(self.neg_curves)
+            curves = tuple(neg_curves)
         except TypeError:
             raise ConfigurationError(
-                f"negative curves must be an iterable of classes, got {self.neg_curves!r}"
+                f"negative curves must be an iterable of classes, got {neg_curves!r}"
             ) from None
         for c in curves:
             if not isinstance(c, DivisorClass):
                 raise ConfigurationError(f"negative curve {c!r} is not a DivisorClass")
-        if self.proximity is not None and not isinstance(self.proximity, ProximityMatrix):
+        if proximity is not None and not isinstance(proximity, ProximityMatrix):
             raise ConfigurationError(
-                f"proximity must be a ProximityMatrix or None, got {self.proximity!r}"
+                f"proximity must be a ProximityMatrix or None, got {proximity!r}"
             )
-        object.__setattr__(self, "neg_curves", curves)
+        set_field(self, "r", r)
+        set_field(self, "neg_curves", curves)
+        set_field(self, "proximity", proximity)
 
     @cached_property
     def report(self) -> ValidationReport:
@@ -98,12 +102,17 @@ class SurfaceConfig:
         return _validate(self)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Violations found by validate_config; empty `errors` means valid."""
 
-    errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+    __slots__ = _fields = ("errors", "warnings")
+    errors: tuple[str, ...]
+    warnings: tuple[str, ...]
+
+    # Built once per validation, so without the generic argument binding.
+    def __init__(self, errors: tuple[str, ...] = (), warnings: tuple[str, ...] = ()) -> None:
+        set_field(self, "errors", errors)
+        set_field(self, "warnings", warnings)
 
     @property
     def ok(self) -> bool:

@@ -15,10 +15,10 @@ p_1 + ... + p_5 is an exact linear program over it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+from ._record import Record
 from .classes import enumerate_exceptional
 from .cone import Certificate, verify_certificate, waldschmidt
 from .config import SurfaceConfig
@@ -28,10 +28,12 @@ from .lattice import DivisorClass, pairing, parse_classes
 R5 = 5
 
 
-@dataclass(frozen=True)
-class Dp4Type:
+class Dp4Type(Record):
     """One blowup model: label (n,sigma,l) with optional (a)/(b) variant."""
 
+    # No __slots__: the configuration is cached in the instance __dict__.
+    _fields = ("label", "n", "sigma", "l", "roots", "lines", "degenerates_to",
+               "expected_alpha_hat")
     label: str
     n: int
     sigma: str
@@ -45,7 +47,13 @@ class Dp4Type:
         """The NEG list with no proximity matrix, so waldschmidt() never
         checks the proximity inequalities derive_proximity(5, classes())
         reads off it.  All-ones meets them on every entry; for an m that
-        fails them the LP value need not be the Waldschmidt constant."""
+        fails them the LP value need not be the Waldschmidt constant.
+
+        Every call returns the same object, so the model is validated once."""
+        return self._config
+
+    @cached_property
+    def _config(self) -> SurfaceConfig:
         return SurfaceConfig(r=R5, neg_curves=self.roots + self.lines)
 
     def classes(self) -> tuple[DivisorClass, ...]:
@@ -157,8 +165,8 @@ def find_type(label: str) -> Dp4Type:
     raise KeyError(f"unknown type label {label!r}")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
+    __slots__ = _fields = ("label", "alpha_hat", "certificate", "verified", "expected")
     label: str
     alpha_hat: Fraction
     certificate: Certificate
@@ -170,8 +178,8 @@ class TableRow:
         return self.alpha_hat == self.expected
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Record):
+    __slots__ = _fields = ("rows",)
     rows: tuple[TableRow, ...]
 
     @property
@@ -208,8 +216,8 @@ def compute_table() -> TableReport:
     return TableReport(tuple(rows))
 
 
-@dataclass(frozen=True)
-class DegenerationEdge:
+class DegenerationEdge(Record):
+    __slots__ = _fields = ("general", "special", "general_value", "special_value", "flagged")
     general: str
     special: str
     general_value: Fraction
@@ -221,8 +229,8 @@ class DegenerationEdge:
         return self.special_value <= self.general_value
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(Record):
+    __slots__ = _fields = ("edges",)
     edges: tuple[DegenerationEdge, ...]
 
     @property
@@ -256,8 +264,8 @@ def check_degenerations(table: TableReport | None = None) -> DegenerationReport:
     return DegenerationReport(tuple(edges))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
+    __slots__ = _fields = ("values", "lower", "upper")
     values: tuple[Fraction, ...]
     lower: Fraction
     upper: Fraction

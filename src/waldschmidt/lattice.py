@@ -27,27 +27,27 @@ build from ints they produced themselves skip DivisorClass's checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .errors import ClassParseError, RankMismatchError, UnsupportedRankError
 
 MAX_RANK = 8
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Immutable integer vector (a0, a1, ..., ar) in the marking basis."""
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
         try:
-            coeffs = tuple(self.coeffs)
+            coeffs = tuple(coeffs)
         except TypeError:
             raise ClassParseError(
-                f"class coefficients must be integers, got {self.coeffs!r}"
+                f"class coefficients must be integers, got {coeffs!r}"
             ) from None
         if not {int}.issuperset(map(type, coeffs)):
             raise ClassParseError(f"class coefficients must be integers, got {coeffs!r}")
@@ -55,7 +55,16 @@ class DivisorClass:
             raise UnsupportedRankError(
                 f"rank {len(coeffs) - 1} outside supported range 0..{MAX_RANK}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
+
+    # Built and compared in every query, so without the generic field loops.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def r(self) -> int:
@@ -88,7 +97,7 @@ def _prechecked(coeffs: tuple[int, ...]) -> DivisorClass:
     """DivisorClass(coeffs) without its checks, for callers that have just
     built `coeffs` from ints and checked its length to be 1..MAX_RANK + 1."""
     c = object.__new__(DivisorClass)
-    object.__setattr__(c, "coeffs", coeffs)
+    set_field(c, "coeffs", coeffs)
     return c
 
 

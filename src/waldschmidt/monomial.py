@@ -41,12 +41,12 @@ fields seen in runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .errors import MonomialError
 
 Monomial = tuple[int, ...]
@@ -69,27 +69,27 @@ POWER_PAIR_CAP = 8000
 LCM_PAIR_CAP = 4000
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal given by its minimal generators, sorted."""
 
+    __slots__ = _fields = ("variables", "generators")
     variables: tuple[str, ...]
     generators: tuple[Monomial, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.variables)
+    def __init__(self, variables: tuple[str, ...], generators: Sequence[Monomial]) -> None:
+        n = len(variables)
         if n == 0:
             raise MonomialError("a monomial ideal needs at least one variable")
-        if len(set(self.variables)) != n:
-            raise MonomialError(f"repeated variable name in {self.variables!r}")
-        gens = self.generators
+        if len(set(variables)) != n:
+            raise MonomialError(f"repeated variable name in {variables!r}")
         # Whole-list passes: this runs on every ideal a caller builds or parses.
-        flat = list(chain.from_iterable(gens))
-        if not ({n}.issuperset(map(len, gens)) and {int}.issuperset(map(type, flat))
+        flat = list(chain.from_iterable(generators))
+        if not ({n}.issuperset(map(len, generators)) and {int}.issuperset(map(type, flat))
                 and min(flat, default=0) >= 0):
-            for g in gens:
+            for g in generators:
                 _check_exponents(g, n)
-        object.__setattr__(self, "generators", _minimal(gens))
+        set_field(self, "variables", variables)
+        set_field(self, "generators", _minimal(generators))
 
     @property
     def is_zero(self) -> bool:
@@ -151,8 +151,8 @@ class _Words:
     def ideal(self, variables: tuple[str, ...], words: list[int]) -> MonomialIdeal:
         """The ideal with these minimal generators, which need no check."""
         i = object.__new__(MonomialIdeal)
-        object.__setattr__(i, "variables", variables)
-        object.__setattr__(i, "generators", self.unpack(words))
+        set_field(i, "variables", variables)
+        set_field(i, "generators", self.unpack(words))
         return i
 
     def minimal(self, words: Iterable[int]) -> list[int]:

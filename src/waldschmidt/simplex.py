@@ -83,12 +83,12 @@ bits.  An entry is zero exactly when its slot of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 from typing import Sequence
 
+from ._record import Record, set_field
 from .errors import SolverInvariantError
 
 OPTIMAL = "optimal"
@@ -98,12 +98,19 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(Record):
+    __slots__ = _fields = ("status", "x", "objective", "dual")
     status: str
     x: tuple[Fraction, ...] | None
     objective: Fraction | None
     dual: tuple[Fraction, ...] | None
+
+    # Built once per LP, so without the generic argument binding.
+    def __init__(self, status, x, objective, dual) -> None:
+        set_field(self, "status", status)
+        set_field(self, "x", x)
+        set_field(self, "objective", objective)
+        set_field(self, "dual", dual)
 
 
 class _Tableau:

@@ -10,6 +10,12 @@ from waldschmidt.cone import monoid_membership
 from waldschmidt.lattice import DivisorClass, pairing, parse_classes
 
 
+def replaced(obj, **changes):
+    """A new record of obj's class from its fields with `changes` applied,
+    built through the constructor as dataclasses.replace builds one."""
+    return type(obj)(**{name: getattr(obj, name) for name in obj._fields} | changes)
+
+
 def brute_force_alpha_hat(
     cfg: SurfaceConfig,
     m: tuple[int, ...],

@@ -1,8 +1,8 @@
-import dataclasses
 import json
 
 import pytest
 
+from helpers import replaced
 from waldschmidt import cli, config
 from waldschmidt.cli import main
 
@@ -166,7 +166,7 @@ def test_waldschmidt_failed_certificate_names_the_condition(capsys, d5_path, mon
 
     def wrong_degree(cfg, m):
         value, cert = real(cfg, m)
-        return value, dataclasses.replace(cert, d=cert.d + 1)
+        return value, replaced(cert, d=cert.d + 1)
 
     monkeypatch.setattr(cli, "waldschmidt", wrong_degree)
     code, out, err = run(capsys, "waldschmidt", "--config", d5_path)
@@ -200,6 +200,13 @@ def test_dp4_unknown_type_exits_2(capsys):
     code, _, err = run(capsys, "dp4", "--type", "(7,X,1)")
     assert code == 2
     assert "unknown type" in err
+
+
+def test_dp4_empty_type_label_is_unknown(capsys):
+    # An empty label is still a --type: it must not fall through to --all.
+    code, out, err = run(capsys, "dp4", "--type", "")
+    assert code == 2 and out == ""
+    assert "unknown type label ''" in err
 
 
 def test_dp4_degenerations(capsys):

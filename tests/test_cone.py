@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -13,6 +12,7 @@ from helpers import (
     brute_force_alpha_hat,
     generic_config,
     reference_exclusion,
+    replaced,
     root_rejects,
     three_generic_points,
 )
@@ -429,12 +429,20 @@ def test_prepared_rows_match_plain_pairings(data):
         assert cone._excluded(D, prep) == proved, (D, gens)
         reached.update(taken)
         assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
-    if prep.half <= prep.pmax:  # pack every row, at a width that holds P
-        prep.widen(prep.pmax)
-    for i in range(len(gens)):
+    for i in range(len(gens)):  # row() widens to a width that holds P itself
         pairs, forced = plain_row(i, gens)
         assert prep.row(i) == cone._pack(pairs, prep.k)
         assert prep.forced[i] == forced
+
+
+def test_prepared_row_is_sound_before_any_exclusion():
+    # L - E_1 has square 0 and meets L at 1: its row is (0, 1), not forced,
+    # although no target has widened the fresh record yet.
+    gens = [DivisorClass((1, -1)), DivisorClass((1, 0))]
+    prep = cone._Prepared(cone._key(gens))
+    assert prep.k == 0
+    assert prep.row(0) == cone._pack([0, 1], prep.k) and prep.half > prep.pmax
+    assert prep.forced == [False, False]
 
 
 def test_preparing_the_generic_r8_list_fills_no_row():
@@ -843,18 +851,18 @@ def test_verify_certificate_rejects_bad_data():
     ]
     assert certificate_failures(cert, cfg) == []
     bad = {
-        "degree d = -1 is negative": dataclasses.replace(cert, d=-1),
-        "multiplicity scale m = 0 is not positive": dataclasses.replace(cert, m=0),
-        "4 multiplicities for 5 points": dataclasses.replace(
+        "degree d = -1 is negative": replaced(cert, d=-1),
+        "multiplicity scale m = 0 is not positive": replaced(cert, m=0),
+        "4 multiplicities for 5 points": replaced(
             cert, multiplicities=cert.multiplicities[:4]
         ),
-        "L is not an effective-cone generator": dataclasses.replace(
+        "L is not an effective-cone generator": replaced(
             cert, decomposition=cert.decomposition + ((parse_class("L", 5), F(0)),)
         ),
-        "E_12 has negative coefficient -1": dataclasses.replace(
+        "E_12 has negative coefficient -1": replaced(
             cert, decomposition=((parse_class("E_12", 5), F(-1)),) + cert.decomposition[1:]
         ),
-        "nef class E_1 has rank 2, not 5": dataclasses.replace(
+        "nef class E_1 has rank 2, not 5": replaced(
             cert, nef=parse_class("E_1", 2)
         ),
     }
@@ -877,7 +885,7 @@ def test_certificate_coefficient_that_is_no_int_or_fraction_is_named(coefficient
     # (or bools) they sum exactly, and divided by 10 they do not.
     cfg = generic_config(6)
     _, cert = waldschmidt(cfg, (1,) * 6)
-    bad = dataclasses.replace(cert, decomposition=tuple(
+    bad = replaced(cert, decomposition=tuple(
         (g, coefficients(q)) for g, q in cert.decomposition
     ))
     assert not verify_certificate(bad, cfg)
@@ -894,16 +902,16 @@ def test_certificate_field_of_the_wrong_type_is_named():
     _, cert = waldschmidt(cfg, (1,) * 6)
     (g, q), *rest = cert.decomposition
     bad = {
-        "degree d = None is not an int": dataclasses.replace(cert, d=None),
-        "multiplicity scale m = '1' is not an int": dataclasses.replace(cert, m="1"),
+        "degree d = None is not an int": replaced(cert, d=None),
+        "multiplicity scale m = '1' is not an int": replaced(cert, m="1"),
         "multiplicities None are not a tuple or list of ints":
-            dataclasses.replace(cert, multiplicities=None),
+            replaced(cert, multiplicities=None),
         f"nef class {cert.nef.coeffs!r} is not a DivisorClass":
-            dataclasses.replace(cert, nef=cert.nef.coeffs),
+            replaced(cert, nef=cert.nef.coeffs),
         f"decomposition generator {g.coeffs!r} is not a DivisorClass":
-            dataclasses.replace(cert, decomposition=((g.coeffs, q), *rest)),
+            replaced(cert, decomposition=((g.coeffs, q), *rest)),
         "decomposition None is not a sequence of (generator, coefficient) pairs":
-            dataclasses.replace(cert, decomposition=None),
+            replaced(cert, decomposition=None),
     }
     for reason, bad_cert in bad.items():
         assert not verify_certificate(bad_cert, cfg)
@@ -918,7 +926,7 @@ def test_certificate_failures_sums_mixed_denominators():
     assert {q.denominator for _, q in cert.decomposition} == {1, 2}
     assert certificate_failures(cert, cfg) == []
     (g, q), *rest = cert.decomposition
-    off = dataclasses.replace(cert, decomposition=((g, q + F(1, 7)), *rest))
+    off = replaced(cert, decomposition=((g, q + F(1, 7)), *rest))
     sums = [F(0)] * 6
     for h, c in off.decomposition:
         sums = [s + c * a for s, a in zip(sums, h.coeffs)]
@@ -1022,12 +1030,13 @@ def _record_calls(monkeypatch, module, name):
 
 def test_configuration_validated_once_per_object(monkeypatch):
     calls = _record_calls(monkeypatch, config, "candidate_members")
-    cfg = find_type("(1,D5,1)").config()
+    curves = find_type("(1,D5,1)").classes()
+    cfg = SurfaceConfig(5, curves)
     _, cert = waldschmidt(cfg, ONES)
     assert verify_certificate(cert, cfg)
     assert len(calls) == 1
     # An equal configuration built anew shares no cache with the first.
-    twin = find_type("(1,D5,1)").config()
+    twin = SurfaceConfig(5, curves)
     assert twin == cfg and twin is not cfg
     assert validate_config(twin).ok
     assert len(calls) == 2
@@ -1053,11 +1062,11 @@ def test_solver_invariants_raise_typed_errors(monkeypatch):
 
     def zero_optimum(a, b, c):
         res = real(a, b, c)
-        return dataclasses.replace(res, x=res.x[:-1] + (F(0),))
+        return replaced(res, x=res.x[:-1] + (F(0),))
 
     def loose_dual(a, b, c):
         res = real(a, b, c)
-        return dataclasses.replace(res, dual=(F(-1, 2),) + res.dual[1:])
+        return replaced(res, dual=(F(-1, 2),) + res.dual[1:])
 
     monkeypatch.setattr(cone, "solve_lp", zero_optimum)
     with pytest.raises(SolverInvariantError, match="not positive"):

@@ -1,12 +1,12 @@
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_alpha_hat
-from waldschmidt import cli, dp4
+from helpers import brute_force_alpha_hat, replaced
+from waldschmidt import cli, config, dp4
 from waldschmidt.classes import enumerate_exceptional, is_exceptional, is_root
+from waldschmidt.cone import waldschmidt
 from waldschmidt.config import derive_proximity, proximity_check, validate_config
 from waldschmidt.dp4 import (
     R5,
@@ -77,6 +77,17 @@ def test_adjacency_is_the_pairing():
 def test_every_entry_is_a_valid_configuration():
     for t in catalog():
         assert validate_config(t.config()).ok, t.label
+
+
+def test_each_model_keeps_one_configuration_validated_once(monkeypatch):
+    entry = replaced(find_type("(1,D5,1)"))  # a new object: nothing cached yet
+    assert entry.config() is entry.config()
+    validations = []
+    real = config._validate
+    monkeypatch.setattr(config, "_validate", lambda cfg: validations.append(cfg) or real(cfg))
+    for m in [(1,) * R5, (2, 1, 1, 1, 1)]:
+        waldschmidt(entry.config(), m)
+    assert len(validations) == 1 and validations[0] is entry.config()
 
 
 def test_all_ones_satisfies_the_proximity_inequalities():
@@ -234,7 +245,7 @@ def test_compute_table_certificates_and_truth():
 def test_compute_table_reports_mismatches_without_raising(monkeypatch, capsys):
     # No catalog row mismatches, so plant one wrong expected value.
     real = catalog()
-    wrong = dataclasses.replace(real[3], expected_alpha_hat=F(11, 7))
+    wrong = replaced(real[3], expected_alpha_hat=F(11, 7))
     monkeypatch.setattr(dp4, "catalog", lambda: real[:3] + (wrong,) + real[4:])
     table = compute_table()
     assert [row.label for row in table.mismatches] == [wrong.label]
@@ -264,7 +275,7 @@ def test_degeneration_monotonicity():
 def test_degeneration_to_an_unknown_target_raises(monkeypatch):
     table = compute_table()
     real = catalog()
-    stray = dataclasses.replace(real[0], degenerates_to=(("(9,X,0)", False),))
+    stray = replaced(real[0], degenerates_to=(("(9,X,0)", False),))
     monkeypatch.setattr(dp4, "catalog", lambda: (stray,) + real[1:])
     with pytest.raises(ConfigurationError, match=r"unknown degeneration target \(9,X,0\)"):
         check_degenerations(table)

@@ -38,6 +38,23 @@ def test_bare_import_loads_no_submodule():
     assert done.stdout == "['waldschmidt']\n"
 
 
+def test_no_package_module_loads_dataclasses_or_inspect():
+    # The records derive from a plain base: dataclasses, with the inspect,
+    # ast and dis it imports, cost every process that loads the package.
+    names = sorted(p.stem for p in (ROOT / "src" / "waldschmidt").glob("*.py")
+                   if p.stem not in ("__init__", "__main__"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import importlib, sys\n"
+         "from waldschmidt import *\n"
+         f"for name in {names!r}: importlib.import_module('waldschmidt.' + name)\n"
+         "print(len([m for m in sys.modules if m.startswith('waldschmidt.')]), "
+         "sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == f"{len(names)} []\n"
+
+
 def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from waldschmidt import *", namespace)

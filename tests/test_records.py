@@ -2,7 +2,8 @@
 
 One instance of each type: its repr, equality only with an equal
 instance of the same class, the hash of its field tuple, immutability,
-and copies and pickle round trips that compare equal.
+copies and pickle round trips that compare equal, and constructor
+arguments that bind as a signature binds them.
 """
 
 import copy
@@ -180,3 +181,21 @@ def test_copies_and_pickles_are_equal(name):
     for twin in (copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))):
         assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_arguments_bind_as_in_a_signature(name):
+    make, names, _ = CASES[name]
+    obj = make()
+    cls, values = type(obj), [getattr(obj, f) for f in names]
+    assert cls(values[0], **dict(zip(names[1:], values[1:]))) == obj
+    for args, kwargs in [
+        (values + [None], {}),  # one argument too many
+        (values, {"unknown": None}),
+        (values[:1], dict(zip(names, values))),  # the first field twice
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if name != "ValidationReport":  # its fields have defaults
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], values[1:])))
