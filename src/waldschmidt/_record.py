@@ -14,11 +14,15 @@ class Record:
     subclass with defaults, checks or a hot path has its own, which sets
     the fields with set_field.  A subclass lists its fields in __slots__
     too, unless a cached_property needs a __dict__.  Equality, hash, repr,
-    copy and pickle work on the field tuple, as a frozen dataclass's do.
+    copy, pickle and match patterns work on the fields, as a frozen
+    dataclass's do.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields  # positional `case` patterns
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields

@@ -2,8 +2,8 @@
 
 One instance of each type: its repr, equality only with an equal
 instance of the same class, the hash of its field tuple, immutability,
-copies and pickle round trips that compare equal, and constructor
-arguments that bind as a signature binds them.
+copies and pickle round trips that compare equal, positional match
+patterns, and constructor arguments that bind as a signature binds them.
 """
 
 import copy
@@ -181,6 +181,19 @@ def test_copies_and_pickles_are_equal(name):
     for twin in (copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))):
         assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_match_patterns_take_the_fields_in_order(name):
+    make, names, _ = CASES[name]
+    obj = make()
+    cls = type(obj)
+    assert cls.__match_args__ == names
+    match obj:
+        case cls(first):
+            assert first == getattr(obj, names[0])
+        case _:
+            pytest.fail(f"{obj!r} does not match {name}(first)")
 
 
 @pytest.mark.parametrize("name", CASES)
