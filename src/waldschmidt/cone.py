@@ -26,11 +26,12 @@ from .errors import (
     ConfigurationError,
     InfeasibleConeError,
     ProximityViolationError,
+    RankMismatchError,
     SolverInvariantError,
     WaldschmidtError,
 )
 from .lattice import DivisorClass, format_class, line_class, pairing, parse_class
-from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, PackedMatrix, solve_lp
 
 
 class Certificate(Record):
@@ -125,22 +126,10 @@ def cone_membership(
         raise ConfigurationError("generator rank mismatch")
     if not generators:
         return {} if D.is_zero() else None
-    cost = [0] * len(generators)
-    res = _cone_lp([g.coeffs for g in generators], D.coeffs, cost, "feasibility")
-    return None if res is None else {g: q for g, q in zip(generators, res.x) if q}
-
-
-def _cone_lp(
-    columns: list[Sequence[int]], target: Sequence[int], cost: list[int], name: str
-) -> LpResult | None:
-    """min cost.x over x >= 0 with sum(x_i * columns[i]) = target, or None if
-    infeasible; any other non-optimal end raises SolverInvariantError."""
-    res = solve_lp(list(zip(*columns)), target, cost)
-    if res.status == INFEASIBLE:
-        return None
-    if res.status != OPTIMAL:
-        raise SolverInvariantError(f"{name} LP ended {res.status}")
-    return res
+    res = solve_lp(list(zip(*[g.coeffs for g in generators])), D.coeffs, [0] * len(generators))
+    if res.status not in (OPTIMAL, INFEASIBLE):
+        raise SolverInvariantError(f"feasibility LP ended {res.status}")
+    return None if res.status == INFEASIBLE else {g: q for g, q in zip(generators, res.x) if q}
 
 
 @cache
@@ -221,28 +210,33 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
     return True
 
 
-class _Prepared:
-    """What monoid_membership derives from a nonempty generator list alone.
-
-    Building one runs every input check of the list; _prepare keeps the
-    last one built.  Generators appear as positions in the list, never
-    as objects.  `packed[i]` is None until row(i) first packs generator
-    i's pairing row, when `forced[i]` is set too; both are kept for
-    every later target on the same list, and only rows of curves some
-    target reaches are ever packed.  `cols[l]` packs coordinate l of
-    every generator, negated for l >= 1, one k-bit slot per generator in
-    list order; k = 0 and `cols` is empty until the first widen().
-    `cmax[l]` is the largest |g_l| over the generators, and `pmax` the
-    sum of the cmax[l]**2.  `root` is the root test's (g0, cap), or None
-    when a degree-zero generator has need_drop > 0.
+class _Prepared(PackedMatrix):
+    """The packed record of a generator list.  Its columns are the
+    generators, coefficient tuples `coeffs`, then any `extra` LP columns,
+    which `offset` (2**(k-1) in each generator slot) masks away.  The LP
+    reads it as A; the nef check (_negative) and the monoid oracle
+    (_excluded) read `cols`, `rows` with rows 1.. negated, so that
+    sum(c_l * cols[l]) packs c.g for every column g.  Each reader widens
+    it first.  `pmax` is the sum of the cmax[l]**2.  The oracle's parts
+    are built on its first use: the pairing rows in `packed` with their
+    `forced` flags (monoid_membership), repacked by widen(), and the
+    search parts of prepare_search(); `steps` is None until then.
     """
 
-    __slots__ = (
-        "coeffs", "bound", "degs", "cmax", "pmax", "packed", "forced",
-        "k", "half", "offset", "cols", "root", "steps", "order", "zsteps", "zorder",
-    )
+    __slots__ = ("coeffs", "pmax", "packed", "forced", "offset", "cols",
+                 "bound", "degs", "root", "steps", "order", "zsteps", "zorder")
 
-    def __init__(self, key: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, key: tuple[tuple[int, ...], ...], extra: tuple = ()) -> None:
+        super().__init__(list(zip(*key, *extra)), len(key) + len(extra))
+        self.coeffs = key
+        self.pmax = sum(map(mul, self.cmax, self.cmax))
+        self.packed: list[int | None] = [None] * len(key)
+        self.forced = [False] * len(key)
+        self.steps: tuple[tuple[tuple[int, ...], int], ...] | None = None
+
+    def prepare_search(self) -> _Prepared:
+        """The input checks and search parts of monoid_membership; raises if malformed."""
+        key = self.coeffs
         if len({len(c) for c in key}) > 1:
             raise ConfigurationError("generator rank mismatch")
         bound = _signed_bounding_class(len(key[0]) - 1)
@@ -278,7 +272,6 @@ class _Prepared:
         # nothing after them is compared.
         den = lcm(*[key[p][0] for p, _ in positive])
         ranked = sorted((-nd * (den // key[p][0]), key[p], p, nd) for p, nd in positive)
-        self.coeffs = key  # the generators' coefficients
         # The bounding class A, signed so that A.c is a dot product with c.
         self.bound = bound
         self.degs = degs  # A-degree of each generator
@@ -286,16 +279,11 @@ class _Prepared:
         # degree-zero generator has need_drop > 0.
         root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
         self.root = None if any(sum(c[1:]) < 0 for _, c in zsteps) else root
-        self.steps = tuple([(c, c[0]) for _, c, _, _ in ranked])  # (coefficients, g0)
         self.order = tuple([t[2] for t in ranked])  # position of each step's generator
         self.zsteps = zsteps  # for _solve_triangular
         self.zorder = tuple([p for _, p in zleads])  # position of each zsteps generator
-        self.cmax = tuple([max(map(abs, col)) for col in zip(*key)])
-        self.pmax = sum(map(mul, self.cmax, self.cmax))
-        self.packed: list[int | None] = [None] * len(key)
-        self.forced = [False] * len(key)
-        self.k = self.half = self.offset = 0
-        self.cols: tuple[int, ...] = ()
+        self.steps = tuple([(c, c[0]) for _, c, _, _ in ranked])  # (coefficients, g0)
+        return self
 
     def row(self, i: int) -> int:
         """Generator i's pairing row, packed and its forced flag set on
@@ -314,23 +302,12 @@ class _Prepared:
 
     def widen(self, limit: int) -> None:
         """Raise k so that 2**(k-1) > limit, and repack."""
-        k = self.k = (limit.bit_length() + 8) // 8 * 8
-        self.half = 1 << (k - 1)
+        super().widen(limit)
+        k, (first, *rest) = self.k, self.rows
+        self.cols = (first, *[-row for row in rest])  # signed as lattice.pairing
         self.offset = self.half * (((1 << k * len(self.coeffs)) - 1) // ((1 << k) - 1))
-        first, *rest = [_pack(col, k) for col in zip(*self.coeffs)]
-        cols = self.cols = (first, *[-col for col in rest])
-        self.packed = [
-            None if row is None else sum(map(mul, c, cols))
-            for c, row in zip(self.coeffs, self.packed)
-        ]
-
-
-def _pack(values: Sequence[int], k: int) -> int:
-    """sum(values[j] * 2**(k*j)): the values in k-bit slots, the first lowest."""
-    total = 0
-    for v in reversed(values):
-        total = (total << k) + v
-    return total
+        self.packed = [None if row is None else sum(map(mul, c, self.cols))
+                       for c, row in zip(self.coeffs, self.packed)]
 
 
 def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
@@ -346,7 +323,14 @@ def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
 def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
     """Check the nonempty generator list with coefficient tuples `key` and
     build its _Prepared record; raises as documented in monoid_membership."""
-    return _Prepared(key)
+    return _Prepared(key).prepare_search()
+
+
+def _record(cfg: SurfaceConfig, gens: list[DivisorClass]) -> _Prepared:
+    """cfg's record of `gens` and its LP's column -e0, kept on cfg as `report` is."""
+    if "_record" not in cfg.__dict__:
+        cfg.__dict__["_record"] = _Prepared(_key(gens), ((-1,) + (0,) * cfg.r,))
+    return cfg.__dict__["_record"]
 
 
 def monoid_membership(
@@ -354,18 +338,17 @@ def monoid_membership(
 ) -> dict[DivisorClass, int] | None:
     """Nonnegative integer coefficients with sum(c_g * g) = D, or None.
 
-    The empty list sums to the zero class only.  Otherwise the work
-    splits in two.  _prepare runs once per distinct generator list: every
-    input check but the rank of D, the bounding class, the A-degrees,
-    the root test's ratio, the ranked search steps and the degree-zero
-    triangular system.  It keeps the last list only, keyed by value (the
-    tuple of coefficient tuples), so a list mutated in place is prepared
-    again; lru_cache never stores an exception, so a malformed list
-    raises on every call whatever D is.  The record holds positions in
-    the list, and the answer maps them back to the caller's own
-    generator objects.  Each target then runs the rank check of D, the
-    exclusion (_excluded), which is the only proof of absence, and the
-    search for the witness.
+    The empty list sums to the zero class only.  Otherwise the list's
+    record (_Prepared) holds what the list alone fixes: every input check
+    but the rank of D, the bounding class, the A-degrees, the root test's
+    ratio, the ranked search steps, the triangular system and the pairing
+    rows.  _prepare keeps the last list's record only, keyed by value, so
+    a list mutated in place is prepared again; lru_cache never stores an
+    exception, so a malformed list raises on every call whatever D is.
+    alpha_degree reads its configuration's own record instead.  Answers
+    map the record's positions back to the caller's generator objects.
+    Each target runs the rank check of D, the exclusion (_excluded), the
+    only proof of absence, and the search for the witness.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
     must pair >= 1 with every generator, every generator must have line
@@ -397,36 +380,32 @@ def monoid_membership(
       If that C is not forced, the exclusion is inconclusive.
     - If no generator pairs negatively with D, a sum has D.D = sum n_g
       D.g >= 0, so D != 0 with D.D < 0 is no sum; otherwise inconclusive.
-    D's pairings with the generators are one packed int, `dots`, with
-    D.g_j in the k-bit slot j (the layout of simplex.py): the sum of D_l
-    times the packed column of the generators' coordinate l, negated for
-    l >= 1.  A step D <- D - t*C is `dots -= t * row(C)`, where C's row
-    of pairings C.h_j is packed the same way, the first time any target
-    reaches C, and kept for the rest of the list's targets.  The first
-    generator with D.g < 0 is the lowest set bit of
-    offset & ~(dots + offset), as in simplex.py, "Reading slots", and
-    C.C is slot i of row i.  The same mask of C's row marks the h_j with
+    D's pairings with the generators are one packed int, `dots`, the
+    sum of D_l times the record's signed row l, with D.g_j in the k-bit
+    slot j (the layout of simplex.py).  A step D <- D - t*C is
+    `dots -= t * row(C)`, C's row of pairings C.h_j packed the same way
+    when a target first reaches C and kept for the list's later targets.
+    The first generator with D.g < 0 is the lowest set bit of
+    offset & ~(dots + offset) (simplex.py, "Reading slots"), and C.C is
+    slot i of row i.  The same mask of C's row marks the h_j with
     C.h_j < 0; every copy of C pairs C.C with C, so C is forced exactly
-    when that mask is the set of slots of C's copies, C among them.
-    Every target the exclusion proves is absent gets None at once; the
-    rest, all hits among them, go to the search.
+    when that mask is the set of slots of C's copies.  A target the
+    exclusion proves absent gets None at once; the rest go to the search.
 
     Slot width.  Reading slot j needs its value in [-2**(k-1), 2**(k-1)).
-    With c_l the largest |g_l| over the generators, every pairing of two
-    generators has |C.h| <= sum_l c_l^2 = P, which covers the rows.  The
-    exclusion reads `dots` only at a loop top, where D0 >= 0 and A.D >= 0.
+    With c_l = cmax[l] >= |g_l| for every generator g, every pairing of
+    two generators has |C.h| <= sum_l c_l^2 = P, which covers the rows.
+    The exclusion reads `dots` only at a loop top, where D0 >= 0 and A.D >= 0.
     Every subtraction has t >= 1 (D.C < 0 and C.C < 0) and A.C >= 1
     (input checks), so at a loop top, after subtracting t_s C_s from the
     target D_0, sum t_s <= sum t_s A.C_s = A.D_0 - A.D <= A.D_0.  As
     |D_0.g| <= sum_l |D_0,l| c_l, D = D_0 - sum t_s C_s has |D.g| <=
     sum_l |D_0,l| c_l + (A.D_0) P.  So every slot read, of `dots` or of
     a row, is at most B = sum_l |D_0,l| c_l + max(A.D_0, 1) P in
-    absolute value; when A.D_0 >= 1 the max changes nothing.  Before
-    its loop the exclusion widens the record, if needed, to the least
-    multiple of 8 with 2**(k-1) > B (grow-only, packed rows repacked).
-    B is proven from the list and the target, never taken from sizes
-    seen in runs; packed sums are exact whatever their slots hold, so
-    only reading needs it.
+    absolute value.  Before its loop the exclusion widens the record, if
+    needed, so that 2**(k-1) > B.  B is proven from the list and the
+    target, never taken from sizes seen in runs; packed sums are exact
+    whatever their slots hold, so only reading needs it.
 
     Search: a depth-first search for the witness, with no prune of its
     own.  Its steps are the positive-degree generators g, sorted by
@@ -449,7 +428,13 @@ def monoid_membership(
         return {} if D.is_zero() else None
     if len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
-    prep = _prepare(key)
+    return _member(D, _prepare(key), generators)
+
+
+def _member(
+    D: DivisorClass, prep: _Prepared, generators: Sequence[DivisorClass]
+) -> dict[DivisorClass, int] | None:
+    """monoid_membership on the record of `generators`, search parts built."""
     if _excluded(D, prep):
         return None
 
@@ -487,13 +472,30 @@ def monoid_membership(
 
 def is_nef(F: DivisorClass, cfg: SurfaceConfig) -> bool:
     """True iff F pairs nonnegatively with every effective-cone generator."""
-    return all(pairing(F, g) >= 0 for g in effective_generators(cfg))
+    return not _negative(F.coeffs, _record(cfg, effective_generators(cfg)))
+
+
+def _negative(f: tuple[int, ...], prep: _Prepared) -> list[int]:
+    """The positions, in order, of the record's generators g with F.g < 0 for
+    F = sum f_l e_l: one packed sum, widened to hold |F.g| <= sum |f_l| cmax[l]."""
+    if len(f) != len(prep.cmax):
+        raise RankMismatchError(f"rank mismatch: {len(f) - 1} vs {len(prep.cmax) - 1}")
+    limit = sum(map(mul, map(abs, f), prep.cmax))
+    if limit >= prep.half:
+        prep.widen(limit)
+    negative = prep.offset & ~(sum(map(mul, f, prep.cols)) + prep.offset)
+    found = []
+    while negative:
+        low = negative & -negative
+        found.append(low.bit_length() // prep.k - 1)
+        negative ^= low
+    return found
 
 
 def _require_valid(
     cfg: SurfaceConfig, m: Sequence[int]
-) -> tuple[tuple[int, ...], list[DivisorClass]]:
-    """Checked multiplicities and the effective-cone generators of `cfg`."""
+) -> tuple[tuple[int, ...], list[DivisorClass], _Prepared]:
+    """Checked multiplicities, and the generators and record of `cfg`."""
     gens = effective_generators(cfg)
     mm = check_multiplicities(m, cfg.r)
     if cfg.proximity is not None:
@@ -504,7 +506,7 @@ def _require_valid(
                 f"(slacks {slacks}); the cone computation would not equal "
                 "the Waldschmidt constant"
             )
-    return mm, gens
+    return mm, gens, _record(cfg, gens)
 
 
 def waldschmidt(
@@ -522,21 +524,22 @@ def waldschmidt(
 
 
 def _solve(
-    mm: tuple[int, ...], gens: list[DivisorClass]
+    mm: tuple[int, ...], gens: list[DivisorClass], prep: _Prepared
 ) -> tuple[Fraction, Certificate]:
     r = len(mm)
     if all(x == 0 for x in mm):
         return Fraction(0), Certificate(
             d=0, m=1, multiplicities=mm, decomposition=(), nef=line_class(r)
         )
-    # Columns: the generators, then -e0 for the line degree t.
-    columns = [g.coeffs for g in gens] + [(-1,) + (0,) * r]
+    # Columns: the generators, then -e0 for the line degree t (the record's).
     target = (0,) + tuple(-x for x in mm)
-    res = _cone_lp(columns, target, [0] * len(gens) + [1], "Waldschmidt")
-    if res is None:
+    res = solve_lp(prep, target, [0] * len(gens) + [1])
+    if res.status == INFEASIBLE:
         raise InfeasibleConeError(
             "no multiple of the line class dominates E_Z over these generators"
         )
+    if res.status != OPTIMAL:
+        raise SolverInvariantError(f"Waldschmidt LP ended {res.status}")
     t = res.x[len(gens)]
     if t <= 0:
         raise SolverInvariantError(
@@ -591,6 +594,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
     skipped.  Raises ConfigurationError if `cfg` is invalid.
     """
     gens = effective_generators(cfg)
+    prep = _record(cfg, gens)
     r = cfg.r
     failures = []
     d, m, mults, decomposition, nef = (
@@ -613,13 +617,12 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
             "(generator, coefficient) pairs"
         )
         pairs = None
-    gen_coeffs = [g.coeffs for g in gens]
     # The decomposition's coefficient tuples that are generators'.  Not a set
     # of the generators' tuples: hash(-1) == hash(-2), so at r=8 their 241
     # tuples share 111 hashes, and building that set costs four times this.
     known = {
         g.coeffs for g, _ in pairs or () if isinstance(g, DivisorClass)
-    }.intersection(gen_coeffs)
+    }.intersection(prep.coeffs)
     terms = []
     for g, q in pairs or ():
         if not isinstance(g, DivisorClass):
@@ -660,14 +663,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         return failures
     if nef.is_zero():
         failures.append("nef class is zero")
-    n = nef.coeffs
-    n2 = 2 * n[0]
-    # F.g = 2*f0*g0 - sum(f_i * g_i, i >= 0), as in lattice.pairing.
-    negative = [
-        format_class(g)
-        for g, c in zip(gens, gen_coeffs)
-        if n2 * c[0] < sum(map(mul, n, c))
-    ]
+    negative = [format_class(gens[j]) for j in _negative(nef.coeffs, prep)]
     if negative:
         failures.append(
             f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)
@@ -680,16 +676,21 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
 
 def alpha_degree(cfg: SurfaceConfig, m: Sequence[int]) -> int:
     """Least d >= 0 with d*L - E_Z(m) in the integer effective monoid."""
-    mm, gens = _require_valid(cfg, m)
-    return _alpha(mm, gens, _solve(mm, gens)[0])
+    mm, gens, prep = _require_valid(cfg, m)
+    return _alpha(mm, gens, prep, _solve(mm, gens, prep)[0])
 
 
-def _alpha(mm: tuple[int, ...], gens: list[DivisorClass], value: Fraction) -> int:
-    """alpha_degree, scanning d upward from the Waldschmidt constant `value`."""
+def _alpha(
+    mm: tuple[int, ...], gens: list[DivisorClass], prep: _Prepared, value: Fraction
+) -> int:
+    """alpha_degree, scanning d upward from the Waldschmidt constant `value`
+    with monoid_membership on the configuration's record."""
     hi = sum(mm) + 1
+    if prep.steps is None:
+        prep.prepare_search()
     for d in range(ceil(value), hi + 1):
         target = DivisorClass(tuple([d] + [-x for x in mm]))
-        if monoid_membership(target, gens) is not None:
+        if _member(target, prep, gens) is not None:
             return d
     raise InfeasibleConeError(
         f"no degree up to {hi} makes the class effective; "
@@ -702,8 +703,8 @@ def chudnovsky_check(cfg: SurfaceConfig, m: Sequence[int]) -> bool:
 
     The zero multiplicity vector passes by convention.
     """
-    mm, gens = _require_valid(cfg, m)
+    mm, gens, prep = _require_valid(cfg, m)
     if all(x == 0 for x in mm):
         return True
-    value, _ = _solve(mm, gens)
-    return value >= Fraction(_alpha(mm, gens, value) + 1, 2)
+    value, _ = _solve(mm, gens, prep)
+    return value >= Fraction(_alpha(mm, gens, prep, value) + 1, 2)

@@ -68,7 +68,7 @@ class SurfaceConfig(Record):
     lattice conditions.
     """
 
-    _fields = ("r", "neg_curves", "proximity")  # no __slots__: `report` is cached
+    _fields = ("r", "neg_curves", "proximity")  # no __slots__: `report` and the record are kept
     r: int
     neg_curves: tuple[DivisorClass, ...]
     proximity: ProximityMatrix | None

@@ -35,9 +35,12 @@ block through phase 2, pivoted like the others and never read.
 
 Packed rows.  A row T is stored as one Python int, the sum of
 T[j] * 2**(k*j) over its slots j: the columns in order, then the
-right-hand side in the last slot.  The block packs its columns one
-after another, each with one slot per row; the entering column is
-packed like a block column.
+right-hand side in the last slot.  A arrives packed, as a PackedMatrix
+(row lists are packed on entry), and a constraint row is its sign times
+A's packed row plus its unit and right-hand-side slots.  The block
+packs its columns one after another, each with one slot per row; the
+entering column is packed the same way (an artificial column is a
+block column).
 
 Slot width.  By Cramer's rule every tableau entry of the solve is, up
 to sign, a minor of the initial integer tableau: D and the constraint
@@ -51,8 +54,9 @@ rows.  So H, the product of isqrt(sum of squares) + 1 over the
 constraint rows, times the larger of that factor for the phase-2 row
 and isqrt(number of rows) + 1 for the 0/1 row, exceeds every entry in
 absolute value.  k is the least multiple of 8 with 2**(k-1) > H, so
-every entry read lies in (-2**(k-1), 2**(k-1)).  The bound is proven
-from the input, never taken from entry sizes seen in runs.
+every entry read lies in (-2**(k-1), 2**(k-1)); any wider k is as
+exact, so a PackedMatrix already wider is used as it is.  The bound is
+proven from the input, never taken from entry sizes seen in runs.
 
 Exact arithmetic on packed ints.  A packed int is exactly the sum of
 its slot values times powers of 2**k, whatever those values are, so a
@@ -113,11 +117,51 @@ class LpResult(Record):
         set_field(self, "dual", dual)
 
 
+class PackedMatrix:
+    """An integer matrix as its rows, `coords`, and one packed int per row,
+    `rows`, at a slot width k that only grows: widen(limit) repacks at the
+    least multiple of 8 with 2**(k-1) above limit and every |entry| (k = 0
+    before).  cmax[i] is row i's largest |entry|, norms[i] its squared
+    norm, computed on first use."""
+
+    __slots__ = ("coords", "ncols", "cmax", "_norms", "k", "half", "rows", "__weakref__")
+
+    def __init__(self, coords: Sequence[Sequence[int]], ncols: int) -> None:
+        self.coords, self.ncols = coords, ncols
+        self.cmax = [max(map(abs, r), default=0) for r in coords]
+        self._norms: list[int] | None = None
+        self.k = self.half = 0
+        self.rows: list[int] = []
+
+    @property
+    def norms(self) -> list[int]:
+        if self._norms is None:
+            self._norms = [sum(map(mul, r, r)) for r in self.coords]
+        return self._norms
+
+    def widen(self, limit: int) -> None:
+        # A slot is the bytes of its entry plus 2**(k-1), from a table (v at
+        # index v) unless that would outgrow the matrix; then minus the bias.
+        top = max(self.cmax, default=0)
+        k = self.k = (max(limit, top).bit_length() + 8) // 8 * 8
+        half = self.half = 1 << (k - 1)
+        if 2 * top < self.ncols * len(self.coords):
+            table = [(v + half).to_bytes(k // 8, "little") for v in range(-top, top + 1)]
+            encode = (table[top:] + table[:top]).__getitem__
+        else:
+            def encode(v: int) -> bytes:
+                return (v + half).to_bytes(k // 8, "little")
+        bias = int.from_bytes(encode(0) * self.ncols, "little")
+        self.rows = [int.from_bytes(b"".join(map(encode, r)), "little") - bias
+                     for r in self.coords]
+
+
 class _Tableau:
     """The revised form of the packed integer tableau.
 
-    `a` and `rows` are the constraint rows, as lists and packed, with the
-    right-hand side last; `start` packs the two cost rows as they begin.
+    `coords` holds the rows of A and `signs` the sign each enters with,
+    so that every right-hand side starts >= 0; `rows` packs the rows
+    [sign*A | I | sign*b], and `start` the two cost rows as they begin.
     `block` packs the artificial columns and the right-hand side of every
     current row: its column j (j = n is the right-hand side) holds the
     rows 0..n-1, then the phase-2 row n and the phase-1 row n+1, in R =
@@ -126,31 +170,30 @@ class _Tableau:
     `entering` the last column computed, kept for the pivot that follows.
     """
 
-    def __init__(self, rows: list[list[int]], cost: list[int]) -> None:
-        """Pack the constraint rows, whose artificial columns (just before
-        the right-hand side) form an identity, and the phase-2 cost row;
-        the phase-1 row is derived from them."""
-        n = self.n = len(rows)
-        ncols = self.ncols = len(cost) - 1 - n
-        # Hadamard's bound H (module docstring).
+    def __init__(self, a: PackedMatrix, b: Sequence[int], cost: Sequence[int]) -> None:
+        n = self.n = len(b)
+        ncols = self.ncols = len(cost)
+        # Hadamard's bound H (module docstring), widening `a` if it is short.
         bound = max(isqrt(sum(map(mul, cost, cost))), isqrt(n)) + 1
-        for r in rows:
-            bound *= isqrt(sum(map(mul, r, r))) + 1
-        k = self.k = (bound.bit_length() + 8) // 8 * 8
+        for norm, v in zip(a.norms, b):
+            bound *= isqrt(norm + 1 + v * v) + 1
+        if a.half <= bound:
+            a.widen(bound)
+        k = self.k = a.k
         mask = self.mask = (1 << k) - 1
-        half = self.half = 1 << (k - 1)
-        offset = self.offset = half * (((1 << k * len(cost)) - 1) // mask)
-        self.a = rows
-        self.cost = cost
-        # Pack a row as the bytes of its biased slots, each value encoded once.
-        slot = {v: (v + half).to_bytes(k // 8, "little") for v in set(cost).union(*rows)}
-        packed = [int.from_bytes(b"".join(map(slot.__getitem__, r)), "little") - offset
-                  for r in [*rows, cost]]
-        phase2 = packed.pop()
-        self.rows = packed
+        half = self.half = a.half
+        self.offset = half * (((1 << k * (ncols + n + 1)) - 1) // mask)
+        self.coords, self.cost = a.coords, cost
+        signs = self.signs = [-1 if v < 0 else 1 for v in b]
+        rhs = list(map(abs, b))
+        # Row i: sign times A's row, its unit slot, then its right-hand side.
+        rhs_shift = k * (ncols + n)
+        packed = self.rows = [s * r + (1 << k * (ncols + i)) + (v << rhs_shift)
+                              for i, (r, s, v) in enumerate(zip(a.rows, signs, rhs))]
         # Phase 1 minimises the sum of the artificials: minus the sum of the
         # constraint rows, plus their artificial unit slots.
         units = ((1 << k * n) - 1) // mask << k * ncols
+        phase2 = sum([v << k * j for j, v in enumerate(cost) if v])
         self.start = [phase2, units - sum(packed)]
         span = self.span = k * (n + 2)
         col_mask = self.col_mask = (1 << span) - 1
@@ -160,7 +203,6 @@ class _Tableau:
         self.stride, self.stride_half = mask * spread, half * spread
         self.block_offset = self.col_offset * spread
         # The identity, then b and its negated sum in the right-hand side.
-        rhs = [r[-1] for r in rows]
         block = ((1 << (span + k) * n) - 1) // ((1 << span + k) - 1)
         for i, v in enumerate(rhs):
             block += v << span * n + k * i
@@ -192,20 +234,23 @@ class _Tableau:
     def column(self, q: int) -> int:
         """Column q of the current tableau, packed like a block column,
         and kept as the entering column for the next pivot."""
-        span, col_mask = self.span, self.col_mask
+        span, col_mask, ncols = self.span, self.col_mask, self.ncols
         u = self.block + self.block_offset
-        f = total = 0
-        for r in self.a:
-            v = r[q]
-            if v:
-                total += v
-                f += v * (u & col_mask)
-            u >>= span
-        # u & col_mask is a block column plus col_offset; the cost rows
-        # start with c[q] and, on an original column, -total.
-        phase1 = total if q < self.ncols else 0
-        k = self.k
-        f += (self.d * (self.cost[q] - (phase1 << k)) << k * self.n) - total * self.col_offset
+        if q >= ncols:  # an artificial column is its block column
+            f = (u >> span * (q - ncols) & col_mask) - self.col_offset
+        else:
+            f = total = 0
+            for r, s in zip(self.coords, self.signs):
+                v = r[q]
+                if v:
+                    v *= s
+                    total += v
+                    f += v * (u & col_mask)
+                u >>= span
+            # u & col_mask is a block column plus col_offset; the cost rows
+            # start with c[q] and -total.
+            k = self.k
+            f += (self.d * (self.cost[q] - (total << k)) << k * self.n) - total * self.col_offset
         self.entering = (q, f)
         return f
 
@@ -260,36 +305,30 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
 
     Returns the optimum with a primal solution and the dual vector y
     (one entry per constraint row, satisfying y.A <= c and y.b = c.x at
-    the optimum), all as exact Fractions.  Every entry of A, b and c must
-    be an int (a bool is not one), b must have one entry per row of A and
-    every row one entry per entry of c; otherwise SolverInvariantError
-    names the offending row, or the cost row.
+    the optimum), all as exact Fractions.  A is a sequence of rows or a
+    PackedMatrix, widened in place if its slots are too narrow.  Every
+    entry of A, b and c must be an int (a bool is not one), b must have
+    one entry per row of A and every row one entry per entry of c;
+    otherwise SolverInvariantError names the offending row, or the cost
+    row.  A PackedMatrix's own entries are not checked again.
     """
-    nrows = len(a)
+    packed = isinstance(a, PackedMatrix)
+    nrows = len(a.coords if packed else a)
     ncols = len(c)
-    total = ncols + nrows
     if len(b) != nrows:
         raise SolverInvariantError(f"LP has {nrows} rows but {len(b)} right-hand sides")
     if not {int}.issuperset(map(type, c)):
         raise SolverInvariantError("LP cost row has an entry that is not an int")
-    # Row i enters times sign[i], so that every right-hand side starts >= 0.
-    sign: list[int] = []
-    rows: list[list[int]] = []
-    for i in range(nrows):
-        row, bi = a[i], b[i]
-        if len(row) != ncols:
-            raise SolverInvariantError(f"LP row {i} has {len(row)} entries, not {ncols}")
+    for i, bi in enumerate(b):
+        row = () if packed else a[i]
+        width = a.ncols if packed else len(row)
+        if width != ncols:
+            raise SolverInvariantError(f"LP row {i} has {width} entries, not {ncols}")
         if type(bi) is not int or not {int}.issuperset(map(type, row)):
             raise SolverInvariantError(f"LP row {i} has an entry that is not an int")
-        s = -1 if bi < 0 else 1
-        # Artificial identity columns ncols..total-1 seed the basis.
-        unit = [0] * nrows
-        unit[i] = 1
-        rows.append([v * s for v in row] + unit + [bi * s])
-        sign.append(s)
-    t = _Tableau(rows, list(c) + [0] * (nrows + 1))
+    t = _Tableau(a if packed else PackedMatrix(a, ncols), b, c)
 
-    status = _run_phase(t, total)
+    status = _run_phase(t, ncols + nrows)
     if status != OPTIMAL:
         raise SolverInvariantError(f"phase 1 ended {status}; it is bounded below by 0")
     # The phase-1 right-hand side is minus the sum of the artificials, times D.
@@ -315,5 +354,5 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
         if j < ncols:
             x[j] = Fraction(t.entry(i, nrows), d)
     objective = Fraction(-t.entry(nrows, nrows), d)
-    dual = tuple([Fraction(-s * t.entry(nrows, i), d) for i, s in enumerate(sign)])
+    dual = tuple([Fraction(-s * t.entry(nrows, i), d) for i, s in enumerate(t.signs)])
     return LpResult(OPTIMAL, tuple(x), objective, dual)

@@ -16,6 +16,12 @@ def replaced(obj, **changes):
     return type(obj)(**{name: getattr(obj, name) for name in obj._fields} | changes)
 
 
+def packed_int(values, k: int) -> int:
+    """sum(values[j] * 2**(k*j)): the values in k-bit slots, the first
+    lowest, by plain shifts, as a reference for the package's packer."""
+    return sum(v << k * j for j, v in enumerate(values))
+
+
 def brute_force_alpha_hat(
     cfg: SurfaceConfig,
     m: tuple[int, ...],

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     brute_force_alpha_hat,
     generic_config,
+    packed_int,
     reference_exclusion,
     replaced,
     root_rejects,
@@ -41,6 +44,7 @@ from waldschmidt.errors import (
     ConfigurationError,
     InfeasibleConeError,
     ProximityViolationError,
+    RankMismatchError,
     SolverInvariantError,
 )
 from waldschmidt.lattice import (
@@ -431,7 +435,7 @@ def test_prepared_rows_match_plain_pairings(data):
         assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
     for i in range(len(gens)):  # row() widens to a width that holds P itself
         pairs, forced = plain_row(i, gens)
-        assert prep.row(i) == cone._pack(pairs, prep.k)
+        assert prep.row(i) == packed_int(pairs, prep.k)
         assert prep.forced[i] == forced
 
 
@@ -441,7 +445,7 @@ def test_prepared_row_is_sound_before_any_exclusion():
     gens = [DivisorClass((1, -1)), DivisorClass((1, 0))]
     prep = cone._Prepared(cone._key(gens))
     assert prep.k == 0
-    assert prep.row(0) == cone._pack([0, 1], prep.k) and prep.half > prep.pmax
+    assert prep.row(0) == packed_int([0, 1], prep.k) and prep.half > prep.pmax
     assert prep.forced == [False, False]
 
 
@@ -511,7 +515,7 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
             assert 2 ** (prep.k - 1) > pairing_bound(D, gens)
         for i in reached:
             pairs, forced = plain_row(i, gens)
-            assert prep.packed[i] == cone._pack(pairs, prep.k)
+            assert prep.packed[i] == packed_int(pairs, prep.k)
             assert prep.forced[i] == forced
 
 
@@ -533,7 +537,7 @@ def test_a_target_just_past_the_first_width_widens_the_record():
         assert prep.k == k
     filled = [i for i, row in enumerate(prep.packed) if row is not None]
     assert filled
-    assert all(prep.packed[i] == cone._pack(plain_row(i, gens)[0], 16) for i in filled)
+    assert all(prep.packed[i] == packed_int(plain_row(i, gens)[0], 16) for i in filled)
 
 
 def test_a_row_wider_than_the_target_bound_widens_the_record():
@@ -549,7 +553,7 @@ def test_a_row_wider_than_the_target_bound_widens_the_record():
     assert reference_exclusion(D, gens) == (True, [0])
     assert cone._excluded(D, prep)
     assert prep.k == 16 and prep.forced[0]
-    assert prep.packed[0] == cone._pack(plain_row(0, gens)[0], 16)
+    assert prep.packed[0] == packed_int(plain_row(0, gens)[0], 16)
 
 
 @settings(max_examples=200, deadline=None)
@@ -695,6 +699,87 @@ def test_is_nef_examples():
     assert is_nef(parse_class("[5,-2,-2,-2,-2,-2]", 5), gen16)
     assert is_nef(parse_class("L", 5), d5)
     assert not is_nef(parse_class("[1,-1,-1,0,0,0]", 5), gen16)
+    # At r = 8, -K is nef, but L - E_1 - E_2 - E_3 meets L_12 at -1.
+    r8 = generic_config(8)
+    assert is_nef(parse_class("K", 8) * -1, r8)
+    assert not is_nef(parse_class("[1,-1,-1,-1,0,0,0,0,0]", 8), r8)
+    with pytest.raises(RankMismatchError):
+        is_nef(parse_class("L", 4), d5)
+    with pytest.raises(RankMismatchError):
+        is_nef(parse_class("L", 8), gen16)
+
+
+@cache
+def own_config(label):
+    """A configuration of the catalog model, or of 8 general points, that
+    no other test shares, so these tests may widen its record."""
+    if label == "r8":
+        return generic_config(8)
+    return SurfaceConfig(5, find_type(label).classes())
+
+
+def decoded_columns(prep):
+    """The record's packed rows read back slot by slot, as columns."""
+    k, half = prep.k, prep.half
+    mask = (1 << k) - 1
+    offset = half * (((1 << k * prep.ncols) - 1) // mask)
+    return [
+        tuple(((row + offset) >> k * j & mask) - half for row in prep.rows)
+        for j in range(prep.ncols)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_nef_check_matches_plain_pairings(data):
+    # Entries up to 2**60 make the record widen past the width its LP left.
+    label = data.draw(st.sampled_from(["(1,D5,1)", "(2,A4,3)(a)", "(5,∅,16)", "r8"]))
+    cfg = own_config(label)
+    gens = effective_generators(cfg)
+    top = 2 ** data.draw(st.integers(0, 60), label="bits")
+    F = DivisorClass(data.draw(st.tuples(*[st.integers(-top, top)] * (cfg.r + 1))))
+    prep = cone._record(cfg, gens)
+    negative = [j for j, g in enumerate(gens) if pairing(F, g) < 0]
+    assert cone._negative(F.coeffs, prep) == negative
+    assert 2 ** (prep.k - 1) > sum(abs(f) * c for f, c in zip(F.coeffs, prep.cmax))
+    assert is_nef(F, cfg) == (not negative)
+    assert decoded_columns(prep) == [g.coeffs for g in gens] + [(-1,) + (0,) * cfg.r]
+
+
+def test_the_record_decodes_to_its_columns_after_every_widen():
+    # The LP, the nef check and the exclusion each widen the record to the
+    # width they need; after each, the rows read back as the generators,
+    # then the line-degree column -e0.
+    cfg = SurfaceConfig(5, find_type("(2,A4,3)(a)").classes())
+    gens = effective_generators(cfg)
+    columns = [g.coeffs for g in gens] + [(-1, 0, 0, 0, 0, 0)]
+    prep = cone._record(cfg, gens)
+    assert prep.k == 0 and prep.steps is None
+    _, cert = waldschmidt(cfg, ONES)
+    widths = [prep.k]
+    assert decoded_columns(prep) == columns
+    assert not is_nef(DivisorClass((2**40, 2**41, 0, 0, 0, 0)), cfg)
+    widths.append(prep.k)
+    assert decoded_columns(prep) == columns
+    # Line degree 0: the exclusion reads slots of about 2**73, and any
+    # witness is the triangular solve alone.
+    D = DivisorClass((0, 2**70, -(2**70), 0, 0, 0))
+    assert prep.steps is None  # the LP and the nef check built no search parts
+    assert cone._member(D, prep.prepare_search(), gens) == monoid_membership(D, gens)
+    widths.append(prep.k)
+    assert decoded_columns(prep) == columns
+    assert widths[0] < widths[1] < widths[2]
+    assert verify_certificate(cert, cfg)
+    assert waldschmidt(cfg, ONES) == (cert.value, cert)
+
+
+def test_the_alpha_scan_reads_the_configuration_record():
+    # Each d of the scan goes to the configuration's record, never to the
+    # raw-list cache with its per-call key.
+    cfg = generic_config(8)
+    before = cone._prepare.cache_info()
+    assert alpha_degree(cfg, (2,) * 8) == 6
+    assert cone._prepare.cache_info() == before
 
 
 def test_waldschmidt_known_values():
@@ -1030,16 +1115,32 @@ def _record_calls(monkeypatch, module, name):
 
 def test_configuration_validated_once_per_object(monkeypatch):
     calls = _record_calls(monkeypatch, config, "candidate_members")
+    records = _record_calls(monkeypatch, cone, "_Prepared")
     curves = find_type("(1,D5,1)").classes()
     cfg = SurfaceConfig(5, curves)
     _, cert = waldschmidt(cfg, ONES)
     assert verify_certificate(cert, cfg)
-    assert len(calls) == 1
+    assert is_nef(cert.nef, cfg) and alpha_degree(cfg, ONES) == 2
+    assert len(calls) == 1 and len(records) == 1
     # An equal configuration built anew shares no cache with the first.
     twin = SurfaceConfig(5, curves)
     assert twin == cfg and twin is not cfg
     assert validate_config(twin).ok
     assert len(calls) == 2
+    assert waldschmidt(twin, ONES) == (cert.value, cert)
+    assert len(records) == 2
+    gens = effective_generators(cfg)
+    assert cone._record(cfg, gens) is not cone._record(twin, gens)
+
+
+def test_the_record_is_freed_with_its_configuration():
+    cfg = SurfaceConfig(5, find_type("(1,D5,1)").classes())
+    waldschmidt(cfg, ONES)
+    record = weakref.ref(cone._record(cfg, effective_generators(cfg)))
+    assert record() is not None
+    del cfg
+    gc.collect()
+    assert record() is None
 
 
 def test_chudnovsky_solves_one_lp(monkeypatch):

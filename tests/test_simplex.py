@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bland_simplex, generic_config
+from helpers import bland_simplex, generic_config, packed_int
 from waldschmidt import cone, dp4, simplex
 from waldschmidt.errors import SolverInvariantError
 from waldschmidt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
@@ -231,7 +231,9 @@ def test_wide_entry_lps_satisfy_the_optimality_conditions(lp):
 
 def _assert_bland_path(a, b, c):
     """solve_lp gives the result of the plain tableau (helpers.bland_simplex)
-    after as many pivots, counted through _Tableau.pivot."""
+    after as many pivots, counted through _Tableau.pivot, on A as row
+    lists, as a fresh PackedMatrix, as one already widened 64 bits past
+    the width the solve needs, and as A itself when A is a record."""
     pivots = [0]
     original = simplex._Tableau.pivot
 
@@ -239,9 +241,17 @@ def _assert_bland_path(a, b, c):
         pivots[0] += 1
         return original(self, row, col)
 
-    with mock.patch.object(simplex._Tableau, "pivot", counting_pivot):
-        res = solve_lp(a, b, c)
-    assert (res.status, res.x, res.objective, res.dual, pivots[0]) == bland_simplex(a, b, c)
+    rows = [list(row) for row in getattr(a, "coords", a)]
+    expected = bland_simplex(rows, b, c)
+    fresh, wide = simplex.PackedMatrix(rows, len(c)), simplex.PackedMatrix(rows, len(c))
+    inputs = [rows, fresh, wide] + [a] * isinstance(a, simplex.PackedMatrix)
+    for i, matrix in enumerate(inputs):
+        if matrix is wide:
+            wide.widen(2 ** (fresh.k + 64))
+        pivots[0] = 0
+        with mock.patch.object(simplex._Tableau, "pivot", counting_pivot):
+            res = solve_lp(matrix, b, c)
+        assert (res.status, res.x, res.objective, res.dual, pivots[0]) == expected, i
 
 
 def _pool_lps(queries):
@@ -277,6 +287,36 @@ def test_generic_r8_pool_lps_take_the_plain_bland_path():
     cfg = generic_config(8)
     for lp in _pool_lps([(cfg, tuple(e["m"])) for e in entries]):
         _assert_bland_path(*lp)
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_generic_r6_r7_lps_take_the_plain_bland_path(r):
+    cfg = generic_config(r)
+    ms = [(1,) * r, (1, 2) * (r // 2) + (3,) * (r % 2), tuple(range(1, r + 1))]
+    for lp in _pool_lps([(cfg, m) for m in ms]):
+        _assert_bland_path(*lp)
+
+
+def test_a_record_must_match_the_cost_row():
+    a = simplex.PackedMatrix([[1, 2]], 2)
+    with pytest.raises(SolverInvariantError, match="row 0 has 2 entries, not 3"):
+        solve_lp(a, [1], [1, 1, 1])
+    with pytest.raises(SolverInvariantError, match="row 0 has an entry"):
+        solve_lp(a, [1.0], [1, 1])
+
+
+def test_packed_rows_hold_each_entry_in_its_slot():
+    # Entries at the edge of the slot range, looked up in a table, and
+    # entries too far apart for one, encoded each on its own.
+    rng = random.Random(5)
+    rows = [[rng.randint(-127, 127) for _ in range(200)] + [127, -127] for _ in range(3)]
+    for limit, k in [(0, 8), (128, 16)]:
+        a = simplex.PackedMatrix(rows, 202)
+        a.widen(limit)
+        assert a.k == k and a.rows == [packed_int(r, k) for r in rows]
+    wide = simplex.PackedMatrix([[2**60, -(2**60), 3]], 3)
+    wide.widen(0)
+    assert wide.k == 64 and wide.rows == [packed_int([2**60, -(2**60), 3], 64)]
 
 
 def test_dp4_catalog_pool_lps_take_the_plain_bland_path():
