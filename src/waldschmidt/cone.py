@@ -175,6 +175,8 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
     D itself is never rebuilt: a step D <- D - t*C updates its line
     degree, its A-degree, its square and its packed pairings `dots`.
     """
+    if prep.steps is None:  # a configuration's record, on its first target
+        prep.prepare_search()
     coeffs = D.coeffs
     d0, adeg = coeffs[0], sum(map(mul, prep.bound, coeffs))
     if d0 < 0 or adeg < 0:
@@ -212,22 +214,22 @@ def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
 
 class _Prepared(PackedMatrix):
     """The packed record of a generator list.  Its columns are the
-    generators, coefficient tuples `coeffs`, then any `extra` LP columns,
-    which `offset` (2**(k-1) in each generator slot) masks away.  The LP
-    reads it as A; the nef check (_negative) and the monoid oracle
-    (_excluded) read `cols`, `rows` with rows 1.. negated, so that
-    sum(c_l * cols[l]) packs c.g for every column g.  Each reader widens
-    it first.  `pmax` is the sum of the cmax[l]**2.  The oracle's parts
-    are built on its first use: the pairing rows in `packed` with their
-    `forced` flags (monoid_membership), repacked by widen(), and the
-    search parts of prepare_search(); `steps` is None until then.
-    """
+    generators, coefficient tuples `coeffs`, then the LP's column -e0 if
+    given, which `offset` (2**(k-1) in each generator slot) masks away.
+    The LP reads it as A at the LP's own width; the nef check (_negative)
+    and the monoid oracle (_excluded) read `cols`, `rows` with rows 1..
+    negated, so that sum(c_l * cols[l]) packs c.g for every column g, and
+    widen it when their bound needs more.  `pmax` is the sum of the
+    cmax[l]**2.  The oracle's parts, the pairing rows `packed` with their
+    `forced` flags and prepare_search()'s search parts (`steps` is None
+    until then), are built on its first use."""
 
     __slots__ = ("coeffs", "pmax", "packed", "forced", "offset", "cols",
                  "bound", "degs", "root", "steps", "order", "zsteps", "zorder")
 
-    def __init__(self, key: tuple[tuple[int, ...], ...], extra: tuple = ()) -> None:
-        super().__init__(list(zip(*key, *extra)), len(key) + len(extra))
+    def __init__(self, key: tuple[tuple[int, ...], ...], lp_column: tuple | None = None) -> None:
+        cols = key if lp_column is None else [*key, lp_column]
+        super().__init__(list(zip(*cols)), len(cols))
         self.coeffs = key
         self.pmax = sum(map(mul, self.cmax, self.cmax))
         self.packed: list[int | None] = [None] * len(key)
@@ -301,7 +303,7 @@ class _Prepared(PackedMatrix):
         return row
 
     def widen(self, limit: int) -> None:
-        """Raise k so that 2**(k-1) > limit, and repack."""
+        """PackedMatrix.widen, then the signed rows and pairing rows."""
         super().widen(limit)
         k, (first, *rest) = self.k, self.rows
         self.cols = (first, *[-row for row in rest])  # signed as lattice.pairing
@@ -329,7 +331,7 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
 def _record(cfg: SurfaceConfig, gens: list[DivisorClass]) -> _Prepared:
     """cfg's record of `gens` and its LP's column -e0, kept on cfg as `report` is."""
     if "_record" not in cfg.__dict__:
-        cfg.__dict__["_record"] = _Prepared(_key(gens), ((-1,) + (0,) * cfg.r,))
+        cfg.__dict__["_record"] = _Prepared(_key(gens), (-1,) + (0,) * cfg.r)
     return cfg.__dict__["_record"]
 
 
@@ -434,8 +436,8 @@ def monoid_membership(
 def _member(
     D: DivisorClass, prep: _Prepared, generators: Sequence[DivisorClass]
 ) -> dict[DivisorClass, int] | None:
-    """monoid_membership on the record of `generators`, search parts built."""
-    if _excluded(D, prep):
+    """monoid_membership on the record of `generators`."""
+    if _excluded(D, prep):  # which builds the search parts on first use
         return None
 
     steps, zsteps = prep.steps, prep.zsteps
@@ -686,8 +688,6 @@ def _alpha(
     """alpha_degree, scanning d upward from the Waldschmidt constant `value`
     with monoid_membership on the configuration's record."""
     hi = sum(mm) + 1
-    if prep.steps is None:
-        prep.prepare_search()
     for d in range(ceil(value), hi + 1):
         target = DivisorClass(tuple([d] + [-x for x in mm]))
         if _member(target, prep, gens) is not None:

@@ -35,12 +35,11 @@ block through phase 2, pivoted like the others and never read.
 
 Packed rows.  A row T is stored as one Python int, the sum of
 T[j] * 2**(k*j) over its slots j: the columns in order, then the
-right-hand side in the last slot.  A arrives packed, as a PackedMatrix
-(row lists are packed on entry), and a constraint row is its sign times
-A's packed row plus its unit and right-hand-side slots.  The block
-packs its columns one after another, each with one slot per row; the
-entering column is packed the same way (an artificial column is a
-block column).
+right-hand side in the last slot.  A arrives as a PackedMatrix (row
+lists are packed on entry); constraint row i is its sign times A's
+packed row i plus its unit and right-hand-side slots.  The block packs
+its columns one after another, each with one slot per row, as does the
+entering column (an artificial column is a block column).
 
 Slot width.  By Cramer's rule every tableau entry of the solve is, up
 to sign, a minor of the initial integer tableau: D and the constraint
@@ -54,9 +53,9 @@ rows.  So H, the product of isqrt(sum of squares) + 1 over the
 constraint rows, times the larger of that factor for the phase-2 row
 and isqrt(number of rows) + 1 for the 0/1 row, exceeds every entry in
 absolute value.  k is the least multiple of 8 with 2**(k-1) > H, so
-every entry read lies in (-2**(k-1), 2**(k-1)); any wider k is as
-exact, so a PackedMatrix already wider is used as it is.  The bound is
-proven from the input, never taken from entry sizes seen in runs.
+every entry read lies in (-2**(k-1), 2**(k-1)).  A wider k is as exact
+but slower, so a PackedMatrix of another width is repacked at k.  The
+bound is proven from the input, never from entry sizes seen in runs.
 
 Exact arithmetic on packed ints.  A packed int is exactly the sum of
 its slot values times powers of 2**k, whatever those values are, so a
@@ -117,12 +116,22 @@ class LpResult(Record):
         set_field(self, "dual", dual)
 
 
+class _SlotBytes(dict):
+    """v -> the k // 8 little-endian bytes of v + 2**(k-1), made on first use."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def __missing__(self, v: int) -> bytes:
+        return self.setdefault(v, (v + (1 << (self.k - 1))).to_bytes(self.k // 8, "little"))
+
+
 class PackedMatrix:
     """An integer matrix as its rows, `coords`, and one packed int per row,
-    `rows`, at a slot width k that only grows: widen(limit) repacks at the
-    least multiple of 8 with 2**(k-1) above limit and every |entry| (k = 0
-    before).  cmax[i] is row i's largest |entry|, norms[i] its squared
-    norm, computed on first use."""
+    `rows`, at slot width k (0 before any widen).  widen(limit) repacks at
+    the least multiple of 8 with 2**(k-1) above limit and every |entry|.
+    cmax[i] is row i's largest |entry|, norms[i] its squared norm,
+    computed on first use."""
 
     __slots__ = ("coords", "ncols", "cmax", "_norms", "k", "half", "rows", "__weakref__")
 
@@ -140,19 +149,11 @@ class PackedMatrix:
         return self._norms
 
     def widen(self, limit: int) -> None:
-        # A slot is the bytes of its entry plus 2**(k-1), from a table (v at
-        # index v) unless that would outgrow the matrix; then minus the bias.
-        top = max(self.cmax, default=0)
-        k = self.k = (max(limit, top).bit_length() + 8) // 8 * 8
-        half = self.half = 1 << (k - 1)
-        if 2 * top < self.ncols * len(self.coords):
-            table = [(v + half).to_bytes(k // 8, "little") for v in range(-top, top + 1)]
-            encode = (table[top:] + table[:top]).__getitem__
-        else:
-            def encode(v: int) -> bytes:
-                return (v + half).to_bytes(k // 8, "little")
-        bias = int.from_bytes(encode(0) * self.ncols, "little")
-        self.rows = [int.from_bytes(b"".join(map(encode, r)), "little") - bias
+        k = (max(limit, *self.cmax, 0).bit_length() + 8) // 8 * 8
+        self.k, self.half = k, 1 << (k - 1)
+        slot = _SlotBytes(k)
+        bias = self.half * (((1 << k * self.ncols) - 1) // ((1 << k) - 1))
+        self.rows = [int.from_bytes(b"".join(map(slot.__getitem__, r)), "little") - bias
                      for r in self.coords]
 
 
@@ -173,11 +174,11 @@ class _Tableau:
     def __init__(self, a: PackedMatrix, b: Sequence[int], cost: Sequence[int]) -> None:
         n = self.n = len(b)
         ncols = self.ncols = len(cost)
-        # Hadamard's bound H (module docstring), widening `a` if it is short.
+        # Hadamard's bound H (module docstring), and `a` packed at its k.
         bound = max(isqrt(sum(map(mul, cost, cost))), isqrt(n)) + 1
         for norm, v in zip(a.norms, b):
             bound *= isqrt(norm + 1 + v * v) + 1
-        if a.half <= bound:
+        if a.k != (bound.bit_length() + 8) // 8 * 8:
             a.widen(bound)
         k = self.k = a.k
         mask = self.mask = (1 << k) - 1
@@ -187,8 +188,7 @@ class _Tableau:
         signs = self.signs = [-1 if v < 0 else 1 for v in b]
         rhs = list(map(abs, b))
         # Row i: sign times A's row, its unit slot, then its right-hand side.
-        rhs_shift = k * (ncols + n)
-        packed = self.rows = [s * r + (1 << k * (ncols + i)) + (v << rhs_shift)
+        packed = self.rows = [s * r + (1 << k * (ncols + i)) + (v << k * (ncols + n))
                               for i, (r, s, v) in enumerate(zip(a.rows, signs, rhs))]
         # Phase 1 minimises the sum of the artificials: minus the sum of the
         # constraint rows, plus their artificial unit slots.
@@ -306,7 +306,7 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
     Returns the optimum with a primal solution and the dual vector y
     (one entry per constraint row, satisfying y.A <= c and y.b = c.x at
     the optimum), all as exact Fractions.  A is a sequence of rows or a
-    PackedMatrix, widened in place if its slots are too narrow.  Every
+    PackedMatrix, repacked in place if its width is not the solve's.  Every
     entry of A, b and c must be an int (a bool is not one), b must have
     one entry per row of A and every row one entry per entry of c;
     otherwise SolverInvariantError names the offending row, or the cost

@@ -19,7 +19,7 @@ from helpers import (
     root_rejects,
     three_generic_points,
 )
-from waldschmidt import cone, config
+from waldschmidt import cone, config, simplex
 from waldschmidt.cone import (
     Certificate,
     alpha_degree,
@@ -55,7 +55,7 @@ from waldschmidt.lattice import (
     parse_class,
     parse_classes,
 )
-from waldschmidt.simplex import UNBOUNDED, LpResult
+from waldschmidt.simplex import UNBOUNDED, LpResult, solve_lp
 
 F = Fraction
 ONES = (1,) * 5
@@ -765,12 +765,35 @@ def test_the_record_decodes_to_its_columns_after_every_widen():
     # witness is the triangular solve alone.
     D = DivisorClass((0, 2**70, -(2**70), 0, 0, 0))
     assert prep.steps is None  # the LP and the nef check built no search parts
-    assert cone._member(D, prep.prepare_search(), gens) == monoid_membership(D, gens)
+    assert cone._member(D, prep, gens) == monoid_membership(D, gens)
+    assert prep.steps is not None
     widths.append(prep.k)
     assert decoded_columns(prep) == columns
     assert widths[0] < widths[1] < widths[2]
     assert verify_certificate(cert, cfg)
+    # The LP packs the record back at its own width.
     assert waldschmidt(cfg, ONES) == (cert.value, cert)
+    assert prep.k == widths[0] and decoded_columns(prep) == columns
+
+
+def test_an_lp_after_a_wide_nef_check_solves_at_its_own_width():
+    # One nef check with entries near 2**60 widens the record; the next LP
+    # on the configuration runs at the width of a fresh matrix of its
+    # columns, as it did before that check.
+    cfg = SurfaceConfig(5, find_type("(2,A4,3)(a)").classes())
+    gens = effective_generators(cfg)
+    prep = cone._record(cfg, gens)
+    m = (1, 2, 1, 2, 1)
+    b, c = (0,) + tuple(-x for x in m), [0] * len(gens) + [1]
+    fresh = simplex.PackedMatrix(prep.coords, prep.ncols)
+    expected = solve_lp(fresh, b, c)
+    value, cert = waldschmidt(cfg, m)
+    assert prep.k == fresh.k
+    assert not is_nef(DivisorClass((2**60, 2**60 + 1, 0, 0, 0, 0)), cfg)
+    assert prep.k > fresh.k
+    assert solve_lp(prep, b, c) == expected
+    assert prep.k == fresh.k
+    assert waldschmidt(cfg, m) == (value, cert) and prep.k == fresh.k
 
 
 def test_the_alpha_scan_reads_the_configuration_record():

@@ -232,8 +232,9 @@ def test_wide_entry_lps_satisfy_the_optimality_conditions(lp):
 def _assert_bland_path(a, b, c):
     """solve_lp gives the result of the plain tableau (helpers.bland_simplex)
     after as many pivots, counted through _Tableau.pivot, on A as row
-    lists, as a fresh PackedMatrix, as one already widened 64 bits past
-    the width the solve needs, and as A itself when A is a record."""
+    lists, as a fresh PackedMatrix, as one widened 64 bits past the width
+    the solve needs (which the solve packs back at that width), and as A
+    itself when A is a record."""
     pivots = [0]
     original = simplex._Tableau.pivot
 
@@ -252,6 +253,7 @@ def _assert_bland_path(a, b, c):
         with mock.patch.object(simplex._Tableau, "pivot", counting_pivot):
             res = solve_lp(matrix, b, c)
         assert (res.status, res.x, res.objective, res.dual, pivots[0]) == expected, i
+        assert getattr(matrix, "k", fresh.k) == fresh.k, i
 
 
 def _pool_lps(queries):
@@ -306,8 +308,7 @@ def test_a_record_must_match_the_cost_row():
 
 
 def test_packed_rows_hold_each_entry_in_its_slot():
-    # Entries at the edge of the slot range, looked up in a table, and
-    # entries too far apart for one, encoded each on its own.
+    # Entries at the edge of the slot range, and entries far apart.
     rng = random.Random(5)
     rows = [[rng.randint(-127, 127) for _ in range(200)] + [127, -127] for _ in range(3)]
     for limit, k in [(0, 8), (128, 16)]:
