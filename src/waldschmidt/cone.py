@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import ceil, gcd, lcm
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from ._record import Record, set_field
@@ -147,37 +147,16 @@ def _leading_index(coeffs: tuple[int, ...]) -> int:
     return next(i for i, a in enumerate(coeffs[1:], start=1) if a)
 
 
-def _solve_triangular(
-    residual: Sequence[int], zsteps: Sequence[tuple[int, tuple[int, ...]]]
-) -> list[int] | None:
-    """Express a degree-zero residual over zero-degree generators.
-
-    zsteps holds (leading index, coefficients) sorted by leading index;
-    distinct leading indices make the system triangular, so the solution
-    (one multiplicity per entry of zsteps) is unique when it exists.
-    """
-    res = residual
-    lams = []
-    for lead, coeffs in zsteps:
-        lam, rem = divmod(res[lead], coeffs[lead])
-        if lam < 0 or rem:
-            return None
-        if lam:
-            res = [x - lam * a for x, a in zip(res, coeffs)]
-        lams.append(lam)
-    return None if any(res) else lams
-
-
-def _excluded(D: DivisorClass, prep: _Prepared) -> bool:
-    """True when D is proved to be no nonnegative integer sum of the
-    generators `prep` was built from; False means inconclusive.
+def _excluded(coeffs: tuple[int, ...], prep: _Prepared) -> bool:
+    """True when the class D with these coefficients is proved to be no
+    nonnegative integer sum of the generators `prep` was built from;
+    False means inconclusive.
 
     D itself is never rebuilt: a step D <- D - t*C updates its line
     degree, its A-degree, its square and its packed pairings `dots`.
     """
     if prep.steps is None:  # a configuration's record, on its first target
         prep.prepare_search()
-    coeffs = D.coeffs
     d0, adeg = coeffs[0], sum(map(mul, prep.bound, coeffs))
     if d0 < 0 or adeg < 0:
         return True
@@ -225,7 +204,7 @@ class _Prepared(PackedMatrix):
     until then), are built on its first use."""
 
     __slots__ = ("coeffs", "pmax", "packed", "forced", "offset", "cols",
-                 "bound", "degs", "root", "steps", "order", "zsteps", "zorder")
+                 "bound", "degs", "root", "steps", "order")
 
     def __init__(self, key: tuple[tuple[int, ...], ...], lp_column: tuple | None = None) -> None:
         cols = key if lp_column is None else [*key, lp_column]
@@ -234,7 +213,7 @@ class _Prepared(PackedMatrix):
         self.pmax = sum(map(mul, self.cmax, self.cmax))
         self.packed: list[int | None] = [None] * len(key)
         self.forced = [False] * len(key)
-        self.steps: tuple[tuple[tuple[int, ...], int], ...] | None = None
+        self.steps: tuple[tuple[tuple[int, ...], int, int], ...] | None = None
 
     def prepare_search(self) -> _Prepared:
         """The input checks and search parts of monoid_membership; raises if malformed."""
@@ -250,23 +229,15 @@ class _Prepared(PackedMatrix):
                     format_class(DivisorClass(c)) for c, d in zip(key, degs) if d < 1
                 )
             )
-        positive, zleads = [], []
+        positive, zero = [], []
         for p, c in enumerate(key):
             if c[0] > 0:
                 positive.append((p, -sum(c[1:])))  # need_drop
             elif c[0] == 0:
-                zleads.append((_leading_index(c), p))
+                zero.append(p)
             else:
                 raise BoundingFailureError("generator with negative line degree")
-        zleads.sort(key=itemgetter(0))
-        for (lead, p), (lead2, q) in zip(zleads, zleads[1:]):
-            if lead == lead2:
-                raise ConfigurationError(
-                    f"degree-zero generators {format_class(DivisorClass(key[p]))} and "
-                    f"{format_class(DivisorClass(key[q]))} share the leading index {lead}; "
-                    "no valid configuration has both"
-                )
-        zsteps = tuple([(lead, key[p]) for lead, p in zleads])
+        zero.sort(key=lambda p: _leading_index(key[p]))
         # Each unit of line degree spent on generator g lowers the need (minus
         # the sum of the point coefficients) by at most need_drop(g) / g0.
         # Sorted, these tuples run by descending ratio (scaled to integers by
@@ -280,11 +251,12 @@ class _Prepared(PackedMatrix):
         # The first step's (g0, max(need_drop, 0)), or (1, 0); None when a
         # degree-zero generator has need_drop > 0.
         root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
-        self.root = None if any(sum(c[1:]) < 0 for _, c in zsteps) else root
-        self.order = tuple([t[2] for t in ranked])  # position of each step's generator
-        self.zsteps = zsteps  # for _solve_triangular
-        self.zorder = tuple([p for _, p in zleads])  # position of each zsteps generator
-        self.steps = tuple([(c, c[0]) for _, c, _, _ in ranked])  # (coefficients, g0)
+        self.root = None if any(sum(key[p][1:]) < 0 for p in zero) else root
+        # The ranked positive-degree generators, then the degree-zero ones
+        # by leading index: the position of each step's generator, and
+        # each step's (coefficients, g0, A-degree).
+        self.order = tuple([t[2] for t in ranked] + zero)
+        self.steps = tuple([(key[p], key[p][0], degs[p]) for p in self.order])
         return self
 
     def row(self, i: int) -> int:
@@ -343,19 +315,19 @@ def monoid_membership(
     The empty list sums to the zero class only.  Otherwise the list's
     record (_Prepared) holds what the list alone fixes: every input check
     but the rank of D, the bounding class, the A-degrees, the root test's
-    ratio, the ranked search steps, the triangular system and the pairing
-    rows.  _prepare keeps the last list's record only, keyed by value, so
-    a list mutated in place is prepared again; lru_cache never stores an
-    exception, so a malformed list raises on every call whatever D is.
-    alpha_degree reads its configuration's own record instead.  Answers
-    map the record's positions back to the caller's generator objects.
-    Each target runs the rank check of D, the exclusion (_excluded), the
-    only proof of absence, and the search for the witness.
+    ratio, the ordered search steps and the pairing rows.  _prepare keeps
+    the last list's record only, keyed by value, so a list mutated in
+    place is prepared again; lru_cache never stores an exception, so a
+    malformed list raises on every call whatever D is.  alpha_degree
+    reads its configuration's own record instead.  Answers map the
+    record's positions back to the caller's generator objects.  Each
+    target runs the rank check of D, the exclusion (_excluded), the only
+    proof of absence, and the search for the witness.
 
     Input checks.  The bounding class A = (3*2^r)e0 - sum 2^(r-i) e_i
-    must pair >= 1 with every generator, every generator must have line
-    degree g0 >= 0, and the precondition below must hold.  They run
-    before any answer, so a malformed list raises whatever D is.
+    must pair >= 1 with every generator, and every generator must have
+    line degree g0 >= 0.  They run before any answer, so a malformed
+    list raises whatever D is.
 
     Exclusion.  Each step below proves D is no sum, ends inconclusive,
     or hands the next step a D that is a sum exactly when the old one
@@ -366,12 +338,12 @@ def monoid_membership(
       need(g) for a generator g.  Unless a degree-zero generator has
       positive need_drop (then `root` is None and the test is skipped),
       take the first search step's g0 and cap = max(need_drop, 0), or
-      (g0, cap) = (1, 0) when no generator has g0 > 0.  The steps run by
-      descending need_drop/g0, so every generator h with h0 > 0 has
-      need_drop(h) * g0 <= cap * h0, and every degree-zero h has
-      need_drop(h) * g0 <= 0 = cap * h0.  Both sides are linear, so any
-      sum D has need(D) * g0 <= cap * D0, and a D with need * g0 >
-      cap * D0 is no sum.
+      (g0, cap) = (1, 0) when no generator has g0 > 0.  The steps of
+      positive degree run by descending need_drop/g0, so every generator
+      h with h0 > 0 has need_drop(h) * g0 <= cap * h0, and every
+      degree-zero h has need_drop(h) * g0 <= 0 = cap * h0.  Both sides
+      are linear, so any sum D has need(D) * g0 <= cap * D0, and a D
+      with need * g0 > cap * D0 is no sum.
     - Forced curves, repeated while D0 >= 0 and A.D >= 0: take the first
       generator C with D.C < 0.  If C is forced, that is C.C < 0 and
       C.h >= 0 for every generator h with other coefficients, write a
@@ -409,21 +381,23 @@ def monoid_membership(
     target, never taken from sizes seen in runs; packed sums are exact
     whatever their slots hold, so only reading needs it.
 
-    Search: a depth-first search for the witness, with no prune of its
-    own.  Its steps are the positive-degree generators g, sorted by
-    descending ratio need_drop(g)/g0, then by coefficient tuple, then by
-    input position, so repeated generators keep their order.  Each takes
-    a multiplicity from b0 // g0 (b0 the residual line degree) down to 0;
-    every step has g0 >= 1, so the search is finite.  Once the line
-    degree is used up, the rest is a triangular solve over the
-    degree-zero generators, and the first solution found is the answer.
-    tests/golden/monoid-witnesses.json pins the witnesses.
-
-    Precondition: the degree-zero generators have distinct leading
-    indices, so the degree-zero part of the search is a triangular solve.
-    Generators of a valid configuration always do: two classes e_i - ...
-    with the same leading index pair to <= -1, which validation rejects.
-    Any other generator set raises ConfigurationError.
+    Search: one depth-first search for the witness over one ordered
+    step list, pruned by the exclusion alone.  The steps are the
+    positive-degree generators g, sorted by descending ratio
+    need_drop(g)/g0, then by coefficient tuple, then by input position,
+    so repeated generators keep their order; then the degree-zero
+    generators, stably sorted by leading index.  Each step takes a
+    multiplicity lam from its largest down to 0: b0 // g0 (b0 the
+    residual line degree), or A.R // A.g (R the residual) when g0 = 0.
+    A child with lam > 0 is entered only if the exclusion does not prove
+    it absent; the lam = 0 child is the residual itself, already open.
+    A zero residual is a leaf, and the first leaf found is the answer.
+    The exclusion is sound, so the prune removes only subtrees without a
+    leaf, and the answer is the lexicographically greatest multiplicity
+    vector in step order.  The search is finite: every open residual has
+    b0 >= 0 and A.R >= 0, and every generator has A-degree >= 1, so
+    every lam is bounded.  tests/golden/monoid-witnesses.json pins the
+    witnesses.
     """
     key = _key(generators)
     if not key:
@@ -437,39 +411,39 @@ def _member(
     D: DivisorClass, prep: _Prepared, generators: Sequence[DivisorClass]
 ) -> dict[DivisorClass, int] | None:
     """monoid_membership on the record of `generators`."""
-    if _excluded(D, prep):  # which builds the search parts on first use
+    if _excluded(D.coeffs, prep):  # which builds the search parts on first use
         return None
 
-    steps, zsteps = prep.steps, prep.zsteps
+    steps, bound = prep.steps, prep.bound
     last = len(steps)
     chosen = [0] * last
 
-    def rec(idx: int, res: tuple[int, ...]) -> tuple[int, list[int]] | None:
-        b0 = res[0]
-        if b0 == 0:
-            lams = _solve_triangular(res, zsteps)
-            return None if lams is None else (idx, lams)
+    def rec(idx: int, res: tuple[int, ...]) -> int | None:
+        """The depth of the first leaf below the open residual `res`."""
+        if not any(res):
+            return idx
         if idx == last:
             return None
-        coeffs, g0 = steps[idx]
-        # Children from lam = b0 // g0 down to 0; each adds g back once.
-        lam = b0 // g0
-        child = tuple([x - lam * a for x, a in zip(res, coeffs)])
-        while True:
-            chosen[idx] = lam
-            leaf = rec(idx + 1, child)
-            if leaf is not None or not lam:
-                return leaf
+        coeffs, g0, adeg = steps[idx]
+        # Children from lam = the most res allows down to 0; each with
+        # lam > 0 is entered only if it is not excluded.  The lam = 0
+        # child is res, which is open.
+        lam = res[0] // g0 if g0 else sum(map(mul, bound, res)) // adeg
+        while lam:
+            child = tuple([x - lam * a for x, a in zip(res, coeffs)])
+            if not _excluded(child, prep):
+                chosen[idx] = lam
+                depth = rec(idx + 1, child)
+                if depth is not None:
+                    return depth
             lam -= 1
-            child = tuple(map(add, child, coeffs))
+        chosen[idx] = 0
+        return rec(idx + 1, res)
 
-    leaf = rec(0, D.coeffs)
-    if leaf is None:
+    depth = rec(0, D.coeffs)
+    if depth is None:
         return None
-    depth, lams = leaf
-    result = {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}
-    result.update((generators[p], n) for p, n in zip(prep.zorder, lams) if n)
-    return result
+    return {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}
 
 
 def is_nef(F: DivisorClass, cfg: SurfaceConfig) -> bool:

@@ -71,7 +71,7 @@ def by_name(sol):
 
 def excluded(D, gens):
     """The exclusion of monoid_membership on the list's prepared record."""
-    return cone._excluded(D, cone._prepare(cone._key(gens)))
+    return cone._excluded(D.coeffs, cone._prepare(cone._key(gens)))
 
 
 def plain_row(i, gens):
@@ -195,10 +195,11 @@ def test_monoid_membership_input_checks():
     for target in [(1, 0), (-1, 0), (0, 0)]:
         with pytest.raises(BoundingFailureError, match="negative line degree"):
             monoid_membership(DivisorClass(target), [DivisorClass((-1, 100))])
-    # Two degree-zero generators with leading index 1 break the precondition.
-    for target in [(0, 2, -1), (0, -2, 1), (0, 0, 0)]:
-        with pytest.raises(ConfigurationError, match="share the leading index"):
-            monoid_membership(DivisorClass(target), parse_classes(["E_1", "E_12"], 2))
+    # Two degree-zero generators may share a leading index.
+    e1, e12 = gens = parse_classes(["E_1", "E_12"], 2)
+    assert monoid_membership(DivisorClass((0, 2, -1)), gens) == {e1: 1, e12: 1}
+    assert monoid_membership(DivisorClass((0, -2, 1)), gens) is None
+    assert monoid_membership(DivisorClass((0, 0, 0)), gens) == {}
 
 
 WINDOW = [target(d, k) for k in (1, 2, 3) for d in range(1, 9)]
@@ -243,11 +244,12 @@ def test_a_list_mutated_in_place_is_prepared_again():
 
 def test_a_malformed_list_raises_on_every_call():
     good = effective_generators(find_type("(1,D5,1)").config())
-    bad = parse_classes(["E_1", "E_12"], 2)
+    # A-degree 12*(-1) + 2*100 passes the bounding check; the line degree fails.
+    bad = [parse_class("E_1", 2), DivisorClass((-1, 100, 0))]
     hit = monoid_membership(target(5, 3), good)
     before = cone._prepare.cache_info()
     for t in [(0, 2, -1), (0, -2, 1), (0, 0, 0)]:
-        with pytest.raises(ConfigurationError, match="share the leading index"):
+        with pytest.raises(BoundingFailureError, match="negative line degree"):
             monoid_membership(DivisorClass(t), bad)
     # No failure is stored, and none evicts the valid list prepared before.
     after = cone._prepare.cache_info()
@@ -309,8 +311,8 @@ def test_preparation_builds_no_divisor_class_on_a_valid_list(monkeypatch):
 
 
 def test_the_zero_target_is_the_empty_sum():
-    # 0 takes the search's own path: the root has line degree 0, so it is
-    # a triangular solve of a zero residual, which takes no generator.
+    # 0 takes the search's own path: the root is a zero residual, a leaf
+    # that takes no generator.
     for t in catalog():
         gens = effective_generators(t.config())
         assert monoid_membership(DivisorClass((0,) * 6), gens) == {}
@@ -390,8 +392,6 @@ def draw_generators(data):
     gens = [DivisorClass(c) for c in data.draw(st.lists(vector, min_size=1, max_size=4))]
     a = cone._signed_bounding_class(r)
     assume(all(sum(x * y for x, y in zip(a, g.coeffs)) >= 1 for g in gens))
-    leads = [cone._leading_index(g.coeffs) for g in gens if g.coeffs[0] == 0]
-    assume(len(set(leads)) == len(leads))
     return r, gens
 
 
@@ -413,6 +413,49 @@ def test_monoid_membership_matches_enumeration_on_random_generators(data):
     assert not excluded(DivisorClass(combination), gens)
 
 
+def greatest_vector(D, ordered):
+    """The lexicographically greatest multiplicity vector, over `ordered`,
+    that sums to D, or None: each n_g in turn is the largest with
+    n_g <= A.R / A.g (R what is left of D) after which the rest of the
+    list still sums to R, by the enumeration of naive_monoid_members."""
+    member = naive_monoid_members(ordered)
+    if not member(D.coeffs):
+        return None
+    a = cone._signed_bounding_class(D.r)
+    res, vector = D.coeffs, []
+    for i, g in enumerate(ordered):
+        budget = sum(x * y for x, y in zip(a, res))
+        for lam in range(budget // sum(x * y for x, y in zip(a, g.coeffs)), -1, -1):
+            rest = tuple(x - lam * y for x, y in zip(res, g.coeffs))
+            if not any(rest) or (i + 1 < len(ordered) and member(rest, i + 1)):
+                break
+        vector.append(lam)
+        res = rest
+    return vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_witness_is_the_greatest_vector_in_step_order(data):
+    # Read in the record's step order, the witness is the greatest
+    # multiplicity vector that sums to the target.  The classes are
+    # distinct, since the answer merges equal ones.
+    r, gens = draw_generators(data)
+    assume(len(set(gens)) == len(gens))
+    ordered = [gens[p] for p in cone._prepare(cone._key(gens)).order]
+    targets = data.draw(st.lists(
+        st.tuples(st.integers(0, 2), *[st.integers(-3, 3)] * r), min_size=1, max_size=8))
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+    for coeffs in [*targets, class_sum(r, zip(counts, gens)).coeffs]:
+        D = DivisorClass(coeffs)
+        vector = greatest_vector(D, ordered)
+        sol = monoid_membership(D, gens)
+        if vector is None:
+            assert sol is None, (D, gens)
+        else:
+            assert sol == {g: n for g, n in zip(ordered, vector) if n}, (D, gens)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_prepared_rows_match_plain_pairings(data):
@@ -430,7 +473,7 @@ def test_prepared_rows_match_plain_pairings(data):
     for coeffs in targets:
         D = DivisorClass(coeffs)
         proved, taken = reference_exclusion(D, gens)
-        assert cone._excluded(D, prep) == proved, (D, gens)
+        assert cone._excluded(D.coeffs, prep) == proved, (D, gens)
         reached.update(taken)
         assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
     for i in range(len(gens)):  # row() widens to a width that holds P itself
@@ -508,7 +551,7 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
             coeffs = class_sum(r, zip(counts, gens)).coeffs
         D = DivisorClass(coeffs)
         proved, taken = reference_exclusion(D, gens)
-        assert cone._excluded(D, prep) == proved, (D, gens)
+        assert cone._excluded(D.coeffs, prep) == proved, (D, gens)
         reached.update(taken)
         assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
         if sum(x * y for x, y in zip(a, coeffs)) >= 0 and not root_rejects(D, gens):
@@ -533,7 +576,7 @@ def test_a_target_just_past_the_first_width_widens_the_record():
         assert pairing_bound(D, gens) == bound
         proved, reached = reference_exclusion(D, gens)
         assert proved and len(reached) >= 2
-        assert cone._excluded(D, prep)
+        assert cone._excluded(D.coeffs, prep)
         assert prep.k == k
     filled = [i for i, row in enumerate(prep.packed) if row is not None]
     assert filled
@@ -551,7 +594,7 @@ def test_a_row_wider_than_the_target_bound_widens_the_record():
     prep = cone._prepare(cone._key(gens))
     assert prep.pmax == 145 and pairing(D, gens[0]) == -24
     assert reference_exclusion(D, gens) == (True, [0])
-    assert cone._excluded(D, prep)
+    assert cone._excluded(D.coeffs, prep)
     assert prep.k == 16 and prep.forced[0]
     assert prep.packed[0] == packed_int(plain_row(0, gens)[0], 16)
 
@@ -619,7 +662,7 @@ def test_root_prune_rejects_as_the_per_generator_root_test(data):
         cone._prepare.cache_clear()
         prep = cone._prepare(cone._key(gens))
         rejected = root_rejects(D, gens)
-        assert cone._excluded(D, prep) == reference_exclusion(D, gens)[0], (D, gens)
+        assert cone._excluded(D.coeffs, prep) == reference_exclusion(D, gens)[0], (D, gens)
         if rejected:
             assert prep.packed == [None] * len(gens), (D, gens)
             assert monoid_membership(D, gens) is None
@@ -631,18 +674,27 @@ def test_root_prune_rejects_as_the_per_generator_root_test(data):
 @given(st.data())
 def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     # The steps are the generators with g0 > 0, by descending ratio
-    # need_drop/g0, then coefficients, then position; the root test's
-    # (g0, cap) is the first step's g0 and max(need_drop, 0), so cap/g0
-    # is the largest ratio of all, or 0 if that is negative, and (1, 0)
-    # when there is no step; the root is None when a degree-zero
+    # need_drop/g0, then coefficients, then position, and then the
+    # degree-zero generators by leading index, then position.  The root
+    # test's (g0, cap) is the first step's g0 and max(need_drop, 0), so
+    # cap/g0 is the largest ratio of all, or 0 if that is negative, and
+    # (1, 0) when no step has g0 > 0; the root is None when a degree-zero
     # generator has need_drop > 0.  Ratios are compared by
     # cross-multiplication.
-    _, gens = draw_generators(data)
+    r, gens = draw_generators(data)
     prep = cone._prepare(cone._key(gens))
-    assert sorted(prep.order) == [p for p, g in enumerate(gens) if g.coeffs[0] > 0]
-    for (c, g0), p in zip(prep.steps, prep.order):
+    a = cone._signed_bounding_class(r)
+    assert sorted(prep.order) == list(range(len(gens)))
+    for (c, g0, adeg), p in zip(prep.steps, prep.order):
         assert c == gens[p].coeffs and g0 == c[0]
-    steps = [(c[0], -sum(c[1:]), c, p) for (c, _), p in zip(prep.steps, prep.order)]
+        assert adeg == sum(x * y for x, y in zip(a, c))
+    positive = sum(g.coeffs[0] > 0 for g in gens)
+    assert all(c[0] > 0 for c, _, _ in prep.steps[:positive])
+    zero = [(cone._leading_index(c), p) for (c, _, _), p in
+            zip(prep.steps[positive:], prep.order[positive:])]
+    assert zero == sorted(zero)
+    steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _), p in
+             zip(prep.steps[:positive], prep.order[:positive])]
     for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
         assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
     top, top0 = 0, 1  # the largest ratio, or 0
@@ -762,7 +814,7 @@ def test_the_record_decodes_to_its_columns_after_every_widen():
     widths.append(prep.k)
     assert decoded_columns(prep) == columns
     # Line degree 0: the exclusion reads slots of about 2**73, and any
-    # witness is the triangular solve alone.
+    # witness uses degree-zero steps alone.
     D = DivisorClass((0, 2**70, -(2**70), 0, 0, 0))
     assert prep.steps is None  # the LP and the nef check built no search parts
     assert cone._member(D, prep, gens) == monoid_membership(D, gens)
@@ -1109,6 +1161,18 @@ def test_alpha_degree_examples():
     assert monoid_membership(target(1, 1), gens) is None
 
 
+def test_r8_alpha_takes_no_exhaustive_search():
+    # Each answer was seconds of search before the exclusion pruned it.
+    cfg = generic_config(8)
+    for m, value, alpha in [
+        ((1,) * 7 + (5,), F(11, 2), 6),
+        ((9,) + (3,) * 6 + (1,), F(23, 2), 12),
+    ]:
+        assert waldschmidt(cfg, m)[0] == value
+        assert alpha_degree(cfg, m) == alpha
+        assert chudnovsky_check(cfg, m)
+
+
 def test_alpha_degree_past_the_scan_raises():
     # This NEG list passes validation but names no line through two points,
     # so it is not geometric: its LP value is 3/2, and no d <= sum(m) + 1 = 2
@@ -1172,12 +1236,21 @@ def test_chudnovsky_solves_one_lp(monkeypatch):
     assert len(solves) == 1
 
 
-def test_monoid_rejects_non_triangular_generators():
+def test_monoid_answers_generators_that_share_a_leading_index():
+    # No valid configuration holds both: they pair to -1.  The search
+    # needs no triangular system, so it answers them in either order,
+    # with the lexicographically greatest vector in step order.
     e1, e12 = parse_class("E_1", 2), parse_class("E_12", 2)
-    # No valid configuration holds both: they pair to -1.
     assert not validate_config(SurfaceConfig(2, (e1, e12))).ok
-    with pytest.raises(ConfigurationError, match="E_1 and E_12"):
-        monoid_membership(DivisorClass((0, 2, -1)), [e1, e12])
+    for gens in ([e1, e12], [e12, e1]):
+        member = naive_monoid_members(gens)
+        for coeffs in itertools.product([0], range(-3, 4), range(-3, 4)):
+            sol = monoid_membership(DivisorClass(coeffs), gens)
+            assert (sol is not None) == member(coeffs), (coeffs, gens)
+            if sol is not None:
+                assert class_sum(2, [(n, g) for g, n in sol.items()]) == DivisorClass(coeffs)
+    sol = monoid_membership(DivisorClass((0, 3, -1)), [e12, e1])
+    assert list(sol.items()) == [(e12, 1), (e1, 2)]
 
 
 def test_solver_invariants_raise_typed_errors(monkeypatch):

@@ -260,16 +260,62 @@ def ideal_pairs(n):
 
 UNIT_XY = mono.parse_ideal("1", ("x", "y"))
 HUGE_XY = mono.parse_ideal(f"x^{2**40}, x*y^{2**40}, y^{2**40 + 1}", ("x", "y"))
+# Its symbolic fourth power passes the intersection budget: 4305 pairs.
+REFUSED_XYZW = mono.MonomialIdeal(("x", "y", "z", "w"), (
+    (0, 3 * 2**29, 0, 3 * 2**29),
+    (1, 2**29, 3 * 2**29, 2**30),
+    (2**29, 2**30 + 1, 2**29, 0),
+    (2**29, 2**30, 2**29 + 1, 0),
+))
+
+
+def naive_refusal(gens, m, n):
+    """The message of the first step of monomial.symbolic_power, in the
+    order its docstring gives, that passes its cap, by the naive helpers:
+    per stripped variable each power's running total against
+    POWER_PAIR_CAP and each product step against PAIR_CAP, then each
+    intersection from left to right against LCM_PAIR_CAP.  None if no
+    step passes its cap."""
+    def refusal(pairs, what, cap):
+        return f"{pairs} generator pairs exceed the {what} of {cap}" if pairs > cap else None
+
+    parts = []
+    for v in range(n):
+        stripped = naive_minimal(tuple(0 if k == v else e for k, e in enumerate(g)) for g in gens)
+        acc, total = stripped, 0
+        for _ in range(m - 1):
+            total += len(acc) * len(stripped)
+            message = (refusal(total, "power budget", mono.POWER_PAIR_CAP)
+                       or refusal(len(acc) * len(stripped), "budget", mono.PAIR_CAP))
+            if message:
+                return message
+            acc = naive_product(acc, stripped)
+        parts.append(acc)
+    acc = parts[0]
+    for part in parts[1:]:
+        message = refusal(len(acc) * len(part), "intersection budget", mono.LCM_PAIR_CAP)
+        if message:
+            return message
+        acc = naive_intersection(acc, part)
+    return None
 
 
 @settings(deadline=None)
 @given(st.integers(1, 4).flatmap(ideal_pairs), st.integers(1, 4))
 @example((UNIT_XY, HUGE_XY), 3)
 @example((HUGE_XY, UNIT_XY), 4)
+@example((REFUSED_XYZW, REFUSED_XYZW), 4)
 def test_symbolic_power_matches_brute_force(pair, m):
+    # A refusal must be the one its budgets call for, recounted naively.
     i, j = pair
     n = len(i.variables)
-    assert mono.symbolic_power(i, m).generators == naive_symbolic_power(i.generators, m, n)
+    try:
+        power = mono.symbolic_power(i, m)
+    except MonomialError as exc:
+        refusal = naive_refusal(i.generators, m, n)
+        assert refusal is not None and str(exc) == refusal
+    else:
+        assert power.generators == naive_symbolic_power(i.generators, m, n)
     assert mono.product(i, j).generators == naive_product(i.generators, j.generators)
     assert mono.intersect(i, j).generators == naive_intersection(i.generators, j.generators)
 
