@@ -213,7 +213,7 @@ class _Prepared(PackedMatrix):
         self.pmax = sum(map(mul, self.cmax, self.cmax))
         self.packed: list[int | None] = [None] * len(key)
         self.forced = [False] * len(key)
-        self.steps: tuple[tuple[tuple[int, ...], int, int], ...] | None = None
+        self.steps: tuple[tuple[tuple[int, ...], int, int, int], ...] | None = None
 
     def prepare_search(self) -> _Prepared:
         """The input checks and search parts of monoid_membership; raises if malformed."""
@@ -254,9 +254,16 @@ class _Prepared(PackedMatrix):
         self.root = None if any(sum(key[p][1:]) < 0 for p in zero) else root
         # The ranked positive-degree generators, then the degree-zero ones
         # by leading index: the position of each step's generator, and
-        # each step's (coefficients, g0, A-degree).
+        # each step's (coefficients, g0, A-degree, cap index).  The cap
+        # index of a degree-zero step is its leading index l if g_l > 0
+        # and every later step has coefficient >= 0 at l, else 0.
         self.order = tuple([t[2] for t in ranked] + zero)
-        self.steps = tuple([(key[p], key[p][0], degs[p]) for p in self.order])
+        cs = [key[p] for p in self.order]
+        caps = [0] * len(ranked)
+        for s, c in enumerate(cs[len(ranked):], start=len(ranked)):
+            lead = _leading_index(c)
+            caps.append(lead if c[lead] > 0 and all(h[lead] >= 0 for h in cs[s + 1:]) else 0)
+        self.steps = tuple([(c, c[0], degs[p], cap) for c, p, cap in zip(cs, self.order, caps)])
         return self
 
     def row(self, i: int) -> int:
@@ -389,9 +396,13 @@ def monoid_membership(
     generators, stably sorted by leading index.  Each step takes a
     multiplicity lam from its largest down to 0: b0 // g0 (b0 the
     residual line degree), or A.R // A.g (R the residual) when g0 = 0.
-    A child with lam > 0 is entered only if the exclusion does not prove
-    it absent; the lam = 0 child is the residual itself, already open.
-    A zero residual is a leaf, and the first leaf found is the answer.
+    A degree-zero step with leading index l, g_l > 0 and every later
+    step's coefficient at l >= 0 starts at most at R_l // g_l: a leaf
+    below it needs R_l - lam*g_l, a sum of later steps' entries at l,
+    to be >= 0.  A nonzero child with lam > 0 is entered only if the
+    exclusion does not prove it absent; the lam = 0 child is the
+    residual itself, already open.  A zero residual is a leaf, entered
+    without the exclusion, and the first leaf found is the answer.
     The exclusion is sound, so the prune removes only subtrees without a
     leaf, and the answer is the lexicographically greatest multiplicity
     vector in step order.  The search is finite: every open residual has
@@ -424,14 +435,16 @@ def _member(
             return idx
         if idx == last:
             return None
-        coeffs, g0, adeg = steps[idx]
+        coeffs, g0, adeg, cap = steps[idx]
         # Children from lam = the most res allows down to 0; each with
-        # lam > 0 is entered only if it is not excluded.  The lam = 0
-        # child is res, which is open.
+        # lam > 0 is entered if it is zero, a leaf, or not excluded.  The
+        # lam = 0 child is res, which is open.
         lam = res[0] // g0 if g0 else sum(map(mul, bound, res)) // adeg
-        while lam:
+        if cap:
+            lam = min(lam, res[cap] // coeffs[cap])
+        while lam > 0:
             child = tuple([x - lam * a for x, a in zip(res, coeffs)])
-            if not _excluded(child, prep):
+            if not any(child) or not _excluded(child, prep):
                 chosen[idx] = lam
                 depth = rec(idx + 1, child)
                 if depth is not None:
@@ -502,6 +515,10 @@ def waldschmidt(
 def _solve(
     mm: tuple[int, ...], gens: list[DivisorClass], prep: _Prepared
 ) -> tuple[Fraction, Certificate]:
+    """waldschmidt on checked multiplicities, the certificate built in
+    integers from the LP's numerators over D: with t = e/D and g = gcd(e, D),
+    d = e/g, m = D/g, each coefficient is e_j/g, and once the dual's y_0 is
+    -D (its entry -1) the nef class is (D, y_1, ..., y_r) made primitive."""
     r = len(mm)
     if all(x == 0 for x in mm):
         return Fraction(0), Certificate(
@@ -516,31 +533,19 @@ def _solve(
         )
     if res.status != OPTIMAL:
         raise SolverInvariantError(f"Waldschmidt LP ended {res.status}")
-    t = res.x[len(gens)]
-    if t <= 0:
+    den, e, (y0, *ys) = res.den, res.x_num[-1], res.dual_num
+    if e <= 0:
         raise SolverInvariantError(
-            f"optimal line degree {t} is not positive for nonzero multiplicities"
+            f"optimal line degree {Fraction(e, den)} is not positive for nonzero multiplicities"
         )
-    d, den = t.numerator, t.denominator
-    decomposition = tuple((g, den * q) for g, q in zip(gens, res.x) if q)
-    nef = _dual_to_nef(res.dual)
-    cert = Certificate(
-        d=d, m=den, multiplicities=mm, decomposition=decomposition, nef=nef
-    )
-    return t, cert
-
-
-def _dual_to_nef(dual: Sequence[Fraction]) -> DivisorClass:
-    """Scale the LP dual (-1, y1, ..., yr) to the primitive integer nef class."""
-    if dual[0] != -1:
+    if y0 != -den:
         raise SolverInvariantError(
-            f"line-degree dual variable is {dual[0]}, not -1: it must be tight"
+            f"line-degree dual variable is {Fraction(y0, den)}, not -1: it must be tight"
         )
-    coeffs = [Fraction(1)] + list(dual[1:])
-    den = lcm(*(q.denominator for q in coeffs))
-    ints = [int(q * den) for q in coeffs]
-    g = gcd(*ints)
-    return DivisorClass(tuple(v // g for v in ints))
+    g, h = gcd(e, den), gcd(den, *ys)
+    decomposition = tuple([(c, Fraction(v, g)) for c, v in zip(gens, res.x_num) if v])
+    nef = DivisorClass(tuple([den // h] + [y // h for y in ys]))
+    return Fraction(e, den), Certificate(e // g, den // g, mm, decomposition, nef)
 
 
 def verify_certificate(cert: Certificate, cfg: SurfaceConfig) -> bool:
@@ -608,7 +613,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         elif type(q) not in (int, Fraction):
             failures.append(f"{format_class(g)} has coefficient {q!r}, not an int or a Fraction")
         else:
-            if q < 0:
+            if q.numerator < 0:
                 failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
             terms.append((g.coeffs, q))
     if not isinstance(mults, (tuple, list)) or not {int}.issuperset(map(type, mults)):

@@ -2,15 +2,15 @@
 
 Solves min c.x subject to A x = b, x >= 0 for integer A, b and c by
 integer pivoting (the Edmonds-Bareiss fraction-free elimination of
-Avis's lrs); the optimum, primal solution and duals come out as exact
-Fractions.  The tableau holds only integers: every entry is its true
-rational value times D, the absolute value of the current basis
-determinant, and D > 0.  A pivot on entry p turns each entry x of
-another row into (p*x - f*y) // D, where f is that row's entry in the
-pivot column and y the pivot row's entry in x's column; the division is
-exact.  D then becomes |p|.  Bland's anti-cycling rule (smallest
-eligible index enters, smallest basic index leaves) guarantees
-termination.
+Avis's lrs); the optimum, primal solution and duals come out exact, as
+integers over one denominator (Results).  The tableau holds only
+integers: every entry is its true rational value times D, the absolute
+value of the current basis determinant, and D > 0.  A pivot on entry p
+turns each entry x of another row into (p*x - f*y) // D, where f is
+that row's entry in the pivot column and y the pivot row's entry in x's
+column; the division is exact.  D then becomes |p|.  Bland's
+anti-cycling rule (smallest eligible index enters, smallest basic index
+leaves) guarantees termination.
 
 Revised form.  The tableau has the constraint rows [A | I | b] (each
 row of A and b negated where b is negative), then the phase-2 cost row
@@ -82,6 +82,10 @@ entering column is the lowest slot below the column limit with that bit
 clear: the lowest set bit, `negative & -negative`, of the clear top
 bits.  An entry is zero exactly when its slot of
 (T + offset) ^ offset is.
+
+Results.  Each value of the optimum is a tableau entry over the final
+D.  LpResult keeps D as `den` and the integer numerators (None unless
+optimal); its `x`, `objective` and `dual` build reduced Fractions.
 """
 
 from __future__ import annotations
@@ -91,29 +95,34 @@ from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import SolverInvariantError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
 _ZERO = Fraction(0)
 
 
 class LpResult(Record):
-    __slots__ = _fields = ("status", "x", "objective", "dual")
+    __slots__ = _fields = ("status", "den", "x_num", "objective_num", "dual_num")
     status: str
-    x: tuple[Fraction, ...] | None
-    objective: Fraction | None
-    dual: tuple[Fraction, ...] | None
+    den: int | None
+    x_num: tuple[int, ...] | None
+    objective_num: int | None
+    dual_num: tuple[int, ...] | None
 
-    # Built once per LP, so without the generic argument binding.
-    def __init__(self, status, x, objective, dual) -> None:
-        set_field(self, "status", status)
-        set_field(self, "x", x)
-        set_field(self, "objective", objective)
-        set_field(self, "dual", dual)
+    @property
+    def x(self) -> tuple[Fraction, ...] | None:
+        return self.x_num and tuple([Fraction(v, self.den) if v else _ZERO for v in self.x_num])
+
+    @property
+    def objective(self) -> Fraction | None:
+        return self.den and Fraction(self.objective_num, self.den)
+
+    @property
+    def dual(self) -> tuple[Fraction, ...] | None:
+        return self.dual_num and tuple([Fraction(v, self.den) for v in self.dual_num])
 
 
 class _SlotBytes(dict):
@@ -305,12 +314,13 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
 
     Returns the optimum with a primal solution and the dual vector y
     (one entry per constraint row, satisfying y.A <= c and y.b = c.x at
-    the optimum), all as exact Fractions.  A is a sequence of rows or a
-    PackedMatrix, repacked in place if its width is not the solve's.  Every
-    entry of A, b and c must be an int (a bool is not one), b must have
-    one entry per row of A and every row one entry per entry of c;
-    otherwise SolverInvariantError names the offending row, or the cost
-    row.  A PackedMatrix's own entries are not checked again.
+    the optimum), exact, as integers over one denominator (Results).  A
+    is a sequence of rows or a PackedMatrix, repacked in place if its
+    width is not the solve's.  Every entry of A, b and c must be an int
+    (a bool is not one), b must have one entry per row of A and every
+    row one entry per entry of c; otherwise SolverInvariantError names
+    the offending row, or the cost row.  A PackedMatrix's own entries
+    are not checked again.
     """
     packed = isinstance(a, PackedMatrix)
     nrows = len(a.coords if packed else a)
@@ -333,7 +343,7 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
         raise SolverInvariantError(f"phase 1 ended {status}; it is bounded below by 0")
     # The phase-1 right-hand side is minus the sum of the artificials, times D.
     if t.entry(nrows + 1, nrows) != 0:
-        return LpResult(INFEASIBLE, None, None, None)
+        return LpResult(INFEASIBLE, None, None, None, None)
     t.active = nrows
 
     # Drive any residual zero-valued artificials out of the basis: pivot
@@ -346,13 +356,11 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
                 t.pivot(i, ((nonzero & -nonzero).bit_length() - 1) // t.k)
 
     if _run_phase(t, ncols) == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None, None)
+        return LpResult(UNBOUNDED, None, None, None, None)
 
-    d = t.d
-    x = [_ZERO] * ncols
+    x = [0] * ncols
     for i, j in enumerate(t.basis):
         if j < ncols:
-            x[j] = Fraction(t.entry(i, nrows), d)
-    objective = Fraction(-t.entry(nrows, nrows), d)
-    dual = tuple([Fraction(-s * t.entry(nrows, i), d) for i, s in enumerate(t.signs)])
-    return LpResult(OPTIMAL, tuple(x), objective, dual)
+            x[j] = t.entry(i, nrows)
+    dual = tuple([-s * t.entry(nrows, i) for i, s in enumerate(t.signs)])
+    return LpResult(OPTIMAL, t.d, tuple(x), -t.entry(nrows, nrows), dual)

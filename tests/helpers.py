@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from waldschmidt.config import SurfaceConfig, effective_generators
-from waldschmidt.cone import monoid_membership
+from waldschmidt.cone import Certificate, monoid_membership
 from waldschmidt.lattice import DivisorClass, pairing, parse_classes
 
 
@@ -20,6 +20,26 @@ def packed_int(values, k: int) -> int:
     """sum(values[j] * 2**(k*j)): the values in k-bit slots, the first
     lowest, by plain shifts, as a reference for the package's packer."""
     return sum(v << k * j for j, v in enumerate(values))
+
+
+def fraction_certificate(res, gens, mm) -> Certificate:
+    """The certificate of the Waldschmidt LP result `res`, built from its
+    Fraction views as cone._solve once did, as a reference for its
+    integer path: t = d/m in lowest terms, each nonzero coefficient q of
+    generator g as m*q, and the nef class from the dual (-1, y_1, ...,
+    y_r) as (1, y_1, ..., y_r) scaled by the lcm of its denominators,
+    then divided by the gcd of the result."""
+    t = res.x[len(gens)]
+    d, den = t.numerator, t.denominator
+    decomposition = tuple((g, den * q) for g, q in zip(gens, res.x) if q)
+    if res.dual[0] != -1:
+        raise ValueError(f"line-degree dual variable is {res.dual[0]}, not -1")
+    coeffs = [Fraction(1)] + list(res.dual[1:])
+    scale = lcm(*(q.denominator for q in coeffs))
+    ints = [int(q * scale) for q in coeffs]
+    g = gcd(*ints)
+    nef = DivisorClass(tuple(v // g for v in ints))
+    return Certificate(d=d, m=den, multiplicities=mm, decomposition=decomposition, nef=nef)
 
 
 def brute_force_alpha_hat(

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     brute_force_alpha_hat,
+    fraction_certificate,
     generic_config,
     packed_int,
     reference_exclusion,
@@ -685,15 +686,22 @@ def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     prep = cone._prepare(cone._key(gens))
     a = cone._signed_bounding_class(r)
     assert sorted(prep.order) == list(range(len(gens)))
-    for (c, g0, adeg), p in zip(prep.steps, prep.order):
+    for (c, g0, adeg, _), p in zip(prep.steps, prep.order):
         assert c == gens[p].coeffs and g0 == c[0]
         assert adeg == sum(x * y for x, y in zip(a, c))
+    # A degree-zero step's cap index is its leading index l when g_l > 0
+    # and every later step has coefficient >= 0 at l; otherwise 0.
+    for s, (c, g0, _, cap) in enumerate(prep.steps):
+        lead = 0 if g0 else cone._leading_index(c)
+        later = [h for h, _, _, _ in prep.steps[s + 1:]]
+        capped = lead and c[lead] > 0 and all(h[lead] >= 0 for h in later)
+        assert cap == (lead if capped else 0), (c, gens)
     positive = sum(g.coeffs[0] > 0 for g in gens)
-    assert all(c[0] > 0 for c, _, _ in prep.steps[:positive])
-    zero = [(cone._leading_index(c), p) for (c, _, _), p in
+    assert all(c[0] > 0 for c, _, _, _ in prep.steps[:positive])
+    zero = [(cone._leading_index(c), p) for (c, _, _, _), p in
             zip(prep.steps[positive:], prep.order[positive:])]
     assert zero == sorted(zero)
-    steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _), p in
+    steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _, _), p in
              zip(prep.steps[:positive], prep.order[:positive])]
     for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
         assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
@@ -1253,17 +1261,70 @@ def test_monoid_answers_generators_that_share_a_leading_index():
     assert list(sol.items()) == [(e12, 1), (e1, 2)]
 
 
+def test_a_deep_degree_zero_target_costs_the_same_at_any_size(monkeypatch):
+    # On (1,D5,1) the degree-zero steps E_12, E_23, E_34, E_45 each start
+    # at lam <= R_l // g_l, the answer here, so N*(e_1 - e_5) takes as many
+    # exclusions at every N, none of them on the zero residual, a leaf.
+    gens = effective_generators(find_type("(1,D5,1)").config())
+    real, calls = cone._excluded, []
+
+    def counting(coeffs, prep):
+        calls.append(coeffs)
+        return real(coeffs, prep)
+
+    monkeypatch.setattr(cone, "_excluded", counting)
+    counts = []
+    for n in (1024, 16384):
+        calls.clear()
+        sol = monoid_membership(DivisorClass((0, n, 0, 0, 0, -n)), gens)
+        assert [(format_class(g), k) for g, k in sol.items()] == [
+            ("E_12", n), ("E_23", n), ("E_34", n), ("E_45", n)]
+        assert all(any(c) for c in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _certificate_queries():
+    """Every catalog model at all-ones and three seeded m in {0..3}^5, and
+    the generic r = 6, 7, 8 configurations at three seeded m in {1,2,3}^r."""
+    rng = random.Random(1802)
+    for t in catalog():
+        yield t.config(), (1,) * 5
+        for _ in range(3):
+            yield t.config(), tuple(rng.randint(0, 3) for _ in range(5))
+    for r in (6, 7, 8):
+        for _ in range(3):
+            yield generic_config(r), tuple(rng.randint(1, 3) for _ in range(r))
+
+
+def test_the_integer_certificate_is_the_fraction_paths():
+    # _solve builds the certificate in integers over the LP's denominator;
+    # it equals the one the Fraction views give (helpers.fraction_certificate).
+    solved = 0
+    for cfg, m in _certificate_queries():
+        mm, gens, prep = cone._require_valid(cfg, m)
+        if not any(mm):
+            continue
+        value, cert = cone._solve(mm, gens, prep)
+        res = solve_lp(prep, (0,) + tuple(-x for x in mm), [0] * len(gens) + [1])
+        expected = fraction_certificate(res, gens, mm)
+        assert cert == expected and value == expected.value, (cfg, m)
+        assert {type(q) for _, q in cert.decomposition} == {Fraction}, (cfg, m)
+        solved += 1
+    assert solved >= 125
+
+
 def test_solver_invariants_raise_typed_errors(monkeypatch):
     cfg = find_type("(1,D5,1)").config()
     real = cone.solve_lp
 
     def zero_optimum(a, b, c):
         res = real(a, b, c)
-        return replaced(res, x=res.x[:-1] + (F(0),))
+        return replaced(res, x_num=res.x_num[:-1] + (0,))
 
     def loose_dual(a, b, c):
         res = real(a, b, c)
-        return replaced(res, dual=(F(-1, 2),) + res.dual[1:])
+        return replaced(res, den=2 * res.den, dual_num=(-res.den,) + res.dual_num[1:])
 
     monkeypatch.setattr(cone, "solve_lp", zero_optimum)
     with pytest.raises(SolverInvariantError, match="not positive"):
@@ -1271,7 +1332,8 @@ def test_solver_invariants_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(cone, "solve_lp", loose_dual)
     with pytest.raises(SolverInvariantError, match="not -1"):
         waldschmidt(cfg, ONES)
-    monkeypatch.setattr(cone, "solve_lp", lambda a, b, c: LpResult(UNBOUNDED, None, None, None))
+    unbounded = LpResult(UNBOUNDED, None, None, None, None)
+    monkeypatch.setattr(cone, "solve_lp", lambda a, b, c: unbounded)
     with pytest.raises(SolverInvariantError, match="unbounded"):
         waldschmidt(cfg, ONES)
     with pytest.raises(SolverInvariantError, match="unbounded"):

@@ -129,10 +129,9 @@ CASES = {
         "MonomialIdeal(variables=('x', 'y'), generators=((2, 0), (1, 1)))",
     ),
     "LpResult": (
-        lambda: LpResult("optimal", (F(1), F(0)), F(1), (F(-1, 2),)),
-        ("status", "x", "objective", "dual"),
-        "LpResult(status='optimal', x=(Fraction(1, 1), Fraction(0, 1)), "
-        "objective=Fraction(1, 1), dual=(Fraction(-1, 2),))",
+        lambda: LpResult("optimal", 2, (2, 0), 2, (-1,)),
+        ("status", "den", "x_num", "objective_num", "dual_num"),
+        "LpResult(status='optimal', den=2, x_num=(2, 0), objective_num=2, dual_num=(-1,))",
     ),
 }
 

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -86,7 +86,8 @@ def test_exact_fractions_no_drift():
 def test_zero_row_lp():
     # No constraints: x = 0 is the only basis, so a negative cost is unbounded.
     res = solve_lp([], [], [1, 2])
-    assert res == simplex.LpResult(OPTIMAL, (F(0), F(0)), F(0), ())
+    assert res == simplex.LpResult(OPTIMAL, 1, (0, 0), 0, ())
+    assert (res.x, res.objective, res.dual) == ((F(0), F(0)), F(0), ())
     assert solve_lp([], [], [1, -2]).status == UNBOUNDED
 
 
@@ -219,6 +220,29 @@ def _check_optimality_conditions(lp):
 @given(_lps())
 def test_optimal_results_satisfy_the_optimality_conditions(lp):
     _check_optimality_conditions(lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_lps(), _lps(_WIDE_ENTRIES)))
+def test_results_are_numerators_over_one_positive_denominator(lp):
+    # An optimal result holds ints over one den > 0: each Fraction view is
+    # its numerator over den in lowest terms, and y.b = objective holds on
+    # the numerators.  Any other result holds None throughout.
+    a, b, c = _integer_lp(*lp[:3])
+    res = solve_lp(a, b, c)
+    if res.status != OPTIMAL:
+        assert (res.den, res.x_num, res.objective_num, res.dual_num) == (None,) * 4
+        assert (res.x, res.objective, res.dual) == (None,) * 3
+        return
+    den = res.den
+    assert type(den) is int and den > 0
+    assert len(res.x_num) == len(c) and len(res.dual_num) == len(a)
+    nums = [*res.x_num, res.objective_num, *res.dual_num]
+    for v, q in zip(nums, [*res.x, res.objective, *res.dual], strict=True):
+        assert type(v) is int and type(q) is Fraction
+        g = gcd(v, den)
+        assert (q.numerator, q.denominator) == (v // g, den // g)
+    assert sum(y * bi for y, bi in zip(res.dual_num, b)) == res.objective_num
 
 
 @settings(max_examples=200, deadline=None)
