@@ -213,7 +213,7 @@ class _Prepared(PackedMatrix):
         self.pmax = sum(map(mul, self.cmax, self.cmax))
         self.packed: list[int | None] = [None] * len(key)
         self.forced = [False] * len(key)
-        self.steps: tuple[tuple[tuple[int, ...], int, int, int], ...] | None = None
+        self.steps: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...] | None = None
 
     def prepare_search(self) -> _Prepared:
         """The input checks and search parts of monoid_membership; raises if malformed."""
@@ -252,18 +252,21 @@ class _Prepared(PackedMatrix):
         # degree-zero generator has need_drop > 0.
         root = (ranked[0][1][0], max(ranked[0][3], 0)) if ranked else (1, 0)
         self.root = None if any(sum(key[p][1:]) < 0 for p in zero) else root
-        # The ranked positive-degree generators, then the degree-zero ones
-        # by leading index: the position of each step's generator, and
-        # each step's (coefficients, g0, A-degree, cap index).  The cap
-        # index of a degree-zero step is its leading index l if g_l > 0
-        # and every later step has coefficient >= 0 at l, else 0.
+        # The ranked positive-degree generators, then the degree-zero ones by
+        # leading index: each step's generator position, and its (coefficients,
+        # A-degree, cap indices), the l with g_l != 0 and no later coefficient
+        # at l of the opposite sign; later[l] holds the signs (> 0) seen at l.
         self.order = tuple([t[2] for t in ranked] + zero)
-        cs = [key[p] for p in self.order]
-        caps = [0] * len(ranked)
-        for s, c in enumerate(cs[len(ranked):], start=len(ranked)):
-            lead = _leading_index(c)
-            caps.append(lead if c[lead] > 0 and all(h[lead] >= 0 for h in cs[s + 1:]) else 0)
-        self.steps = tuple([(c, c[0], degs[p], cap) for c, p, cap in zip(cs, self.order, caps)])
+        later: list[set[bool]] = [set() for _ in key[0]]
+        steps = []
+        for p in reversed(self.order):
+            c = key[p]
+            caps = [l for l, a in enumerate(c) if a and (a < 0) not in later[l]]
+            steps.append((c, degs[p], tuple(caps)))
+            for l, a in enumerate(c):
+                if a:
+                    later[l].add(a > 0)
+        self.steps = tuple(steps[::-1])
         return self
 
     def row(self, i: int) -> int:
@@ -388,27 +391,25 @@ def monoid_membership(
     target, never taken from sizes seen in runs; packed sums are exact
     whatever their slots hold, so only reading needs it.
 
-    Search: one depth-first search for the witness over one ordered
-    step list, pruned by the exclusion alone.  The steps are the
+    Search: one depth-first search for the witness over one ordered step
+    list, pruned by the exclusion alone.  The steps are the
     positive-degree generators g, sorted by descending ratio
     need_drop(g)/g0, then by coefficient tuple, then by input position,
     so repeated generators keep their order; then the degree-zero
-    generators, stably sorted by leading index.  Each step takes a
-    multiplicity lam from its largest down to 0: b0 // g0 (b0 the
-    residual line degree), or A.R // A.g (R the residual) when g0 = 0.
-    A degree-zero step with leading index l, g_l > 0 and every later
-    step's coefficient at l >= 0 starts at most at R_l // g_l: a leaf
-    below it needs R_l - lam*g_l, a sum of later steps' entries at l,
-    to be >= 0.  A nonzero child with lam > 0 is entered only if the
-    exclusion does not prove it absent; the lam = 0 child is the
+    generators, stably sorted by leading index.  Each step g takes a
+    multiplicity lam from its start down to 0.  The start is the least
+    of A.R // A.g (R the residual) and of R_l // g_l over every index l,
+    line degree included, with g_l != 0 and no later step's coefficient
+    at l of the opposite sign: a leaf below needs phi(R - lam*g) >= 0
+    for every functional phi >= 0 on all later steps, as R - lam*g is a
+    sum of them; A and x -> sign(g_l)*x_l are such, and A.g >= 1 keeps
+    the start finite.  A nonzero child with lam > 0 is entered only if
+    the exclusion does not prove it absent; the lam = 0 child is the
     residual itself, already open.  A zero residual is a leaf, entered
-    without the exclusion, and the first leaf found is the answer.
-    The exclusion is sound, so the prune removes only subtrees without a
-    leaf, and the answer is the lexicographically greatest multiplicity
-    vector in step order.  The search is finite: every open residual has
-    b0 >= 0 and A.R >= 0, and every generator has A-degree >= 1, so
-    every lam is bounded.  tests/golden/monoid-witnesses.json pins the
-    witnesses.
+    without the exclusion, and the first leaf found is the answer.  The
+    start and the exclusion skip only subtrees without a leaf, so the
+    answer is the lexicographically greatest multiplicity vector in step
+    order.  tests/golden/monoid-witnesses.json pins the witnesses.
     """
     key = _key(generators)
     if not key:
@@ -429,31 +430,30 @@ def _member(
     last = len(steps)
     chosen = [0] * last
 
-    def rec(idx: int, res: tuple[int, ...]) -> int | None:
-        """The depth of the first leaf below the open residual `res`."""
+    def rec(idx: int, res: tuple[int, ...], ares: int) -> int | None:
+        """The depth of the first leaf below the open residual res, of A-degree ares."""
         if not any(res):
             return idx
         if idx == last:
             return None
-        coeffs, g0, adeg, cap = steps[idx]
-        # Children from lam = the most res allows down to 0; each with
-        # lam > 0 is entered if it is zero, a leaf, or not excluded.  The
-        # lam = 0 child is res, which is open.
-        lam = res[0] // g0 if g0 else sum(map(mul, bound, res)) // adeg
-        if cap:
-            lam = min(lam, res[cap] // coeffs[cap])
+        coeffs, adeg, caps = steps[idx]
+        # lam from its start (monoid_membership, "Search") down to 0; a child
+        # with lam > 0 is entered if zero, a leaf, or not excluded.
+        lam = ares // adeg
+        for l in caps:
+            lam = min(lam, res[l] // coeffs[l])
         while lam > 0:
             child = tuple([x - lam * a for x, a in zip(res, coeffs)])
             if not any(child) or not _excluded(child, prep):
                 chosen[idx] = lam
-                depth = rec(idx + 1, child)
+                depth = rec(idx + 1, child, ares - lam * adeg)
                 if depth is not None:
                     return depth
             lam -= 1
         chosen[idx] = 0
-        return rec(idx + 1, res)
+        return rec(idx + 1, res, ares)
 
-    depth = rec(0, D.coeffs)
+    depth = rec(0, D.coeffs, sum(map(mul, bound, D.coeffs)))
     if depth is None:
         return None
     return {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}

@@ -686,22 +686,22 @@ def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
     prep = cone._prepare(cone._key(gens))
     a = cone._signed_bounding_class(r)
     assert sorted(prep.order) == list(range(len(gens)))
-    for (c, g0, adeg, _), p in zip(prep.steps, prep.order):
-        assert c == gens[p].coeffs and g0 == c[0]
+    for (c, adeg, _), p in zip(prep.steps, prep.order):
+        assert c == gens[p].coeffs
         assert adeg == sum(x * y for x, y in zip(a, c))
-    # A degree-zero step's cap index is its leading index l when g_l > 0
-    # and every later step has coefficient >= 0 at l; otherwise 0.
-    for s, (c, g0, _, cap) in enumerate(prep.steps):
-        lead = 0 if g0 else cone._leading_index(c)
-        later = [h for h, _, _, _ in prep.steps[s + 1:]]
-        capped = lead and c[lead] > 0 and all(h[lead] >= 0 for h in later)
-        assert cap == (lead if capped else 0), (c, gens)
+    # A step's cap indices are the l, line degree included, with g_l != 0
+    # and no later step's coefficient at l of the opposite sign.
+    for s, (c, _, caps) in enumerate(prep.steps):
+        later = [h for h, _, _ in prep.steps[s + 1:]]
+        expected = [l for l in range(r + 1)
+                    if c[l] and all(h[l] * c[l] >= 0 for h in later)]
+        assert list(caps) == expected, (c, gens)
     positive = sum(g.coeffs[0] > 0 for g in gens)
-    assert all(c[0] > 0 for c, _, _, _ in prep.steps[:positive])
-    zero = [(cone._leading_index(c), p) for (c, _, _, _), p in
+    assert all(c[0] > 0 for c, _, _ in prep.steps[:positive])
+    zero = [(cone._leading_index(c), p) for (c, _, _), p in
             zip(prep.steps[positive:], prep.order[positive:])]
     assert zero == sorted(zero)
-    steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _, _), p in
+    steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _), p in
              zip(prep.steps[:positive], prep.order[:positive])]
     for (g0, nd, c, p), (h0, nd2, c2, q) in zip(steps, steps[1:]):
         assert nd * h0 > nd2 * g0 or (nd * h0 == nd2 * g0 and (c, p) < (c2, q))
@@ -1265,7 +1265,18 @@ def test_a_deep_degree_zero_target_costs_the_same_at_any_size(monkeypatch):
     # On (1,D5,1) the degree-zero steps E_12, E_23, E_34, E_45 each start
     # at lam <= R_l // g_l, the answer here, so N*(e_1 - e_5) takes as many
     # exclusions at every N, none of them on the zero residual, a leaf.
-    gens = effective_generators(find_type("(1,D5,1)").config())
+    # On [E_12, E_1] the exclusion leaves every residual (0, a, b) with
+    # a, b > 0 open, though no sum reaches it; E_12 starts at
+    # lam <= R_2 // -1, as E_1 is 0 at index 2, so (0, 2N, -N) and
+    # (0, N, 0) cost the same at every N as well.
+    d5 = effective_generators(find_type("(1,D5,1)").config())
+    pair = parse_classes(["E_12", "E_1"], 2)
+    cases = [
+        (d5, (1024, 16384), lambda n: (0, n, 0, 0, 0, -n),
+         lambda n: [("E_12", n), ("E_23", n), ("E_34", n), ("E_45", n)]),
+        (pair, (64, 1024), lambda n: (0, 2 * n, -n), lambda n: [("E_12", n), ("E_1", n)]),
+        (pair, (64, 1024), lambda n: (0, n, 0), lambda n: [("E_1", n)]),
+    ]
     real, calls = cone._excluded, []
 
     def counting(coeffs, prep):
@@ -1273,15 +1284,34 @@ def test_a_deep_degree_zero_target_costs_the_same_at_any_size(monkeypatch):
         return real(coeffs, prep)
 
     monkeypatch.setattr(cone, "_excluded", counting)
-    counts = []
-    for n in (1024, 16384):
-        calls.clear()
-        sol = monoid_membership(DivisorClass((0, n, 0, 0, 0, -n)), gens)
-        assert [(format_class(g), k) for g, k in sol.items()] == [
-            ("E_12", n), ("E_23", n), ("E_34", n), ("E_45", n)]
-        assert all(any(c) for c in calls)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    for gens, sizes, coeffs, witness in cases:
+        counts = []
+        for n in sizes:
+            calls.clear()
+            sol = monoid_membership(DivisorClass(coeffs(n)), gens)
+            assert [(format_class(g), k) for g, k in sol.items()] == witness(n)
+            assert all(any(c) for c in calls)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (coeffs(1), counts)
+
+
+@cache
+def _generic_generators(r):
+    return effective_generators(generic_config(r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 7).flatmap(
+    lambda r: st.tuples(st.just(r), st.tuples(*[st.integers(0, 3)] * r))))
+def test_the_exclusion_decides_membership_on_general_points(rm):
+    # On r general points, dL - sum m_i E_i with m in {0..3}^r and
+    # d <= 3 max(m) + 3 is left open by the exclusion exactly when the
+    # search finds a witness: the exclusion alone decides these targets.
+    r, m = rm
+    gens = _generic_generators(r)
+    for d in range(3 * max(m) + 4):
+        D = DivisorClass((d,) + tuple(-x for x in m))
+        assert (not excluded(D, gens)) == (monoid_membership(D, gens) is not None), D
 
 
 def _certificate_queries():

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from waldschmidt import cone
 from waldschmidt.cli import main
 from waldschmidt.config import effective_generators
 from waldschmidt.cone import monoid_membership
@@ -121,6 +122,21 @@ def test_monoid_witnesses_match_recorded_output():
         found = monoid_membership(parse_class(case["target"], r), gens)
         got = None if found is None else [[format_class(g), n] for g, n in found.items()]
         assert got == case["witness"], case
+
+
+def test_the_exclusion_leaves_open_exactly_the_window_hits():
+    """On every recorded window the exclusion, alone, leaves open as many
+    targets as have a sum: as it is sound, it then refutes every miss."""
+    data = json.loads((GOLDEN / "monoid-window-answers.json").read_text(encoding="utf-8"))
+    window = data["window"]
+    models = {t.label: t for t in catalog()}
+    for entry in data["models"]:
+        gens = effective_generators(models[entry["label"]].config())
+        prep = cone._prepare(cone._key(gens))
+        open_targets = sum(
+            not cone._excluded((d,) + tuple(-k * x for x in entry["m"]), prep)
+            for k in range(1, window["m_max"] + 1) for d in range(1, window["d_max"] + 1))
+        assert open_targets == entry["hits"], entry
 
 
 def window_multiplicities(label: str) -> list[tuple[int, ...]]:
