@@ -30,7 +30,7 @@ from .errors import (
     SolverInvariantError,
     WaldschmidtError,
 )
-from .lattice import DivisorClass, format_class, line_class, pairing, parse_class
+from .lattice import DivisorClass, _prechecked, format_class, line_class, pairing, parse_class
 from .simplex import INFEASIBLE, OPTIMAL, PackedMatrix, solve_lp
 
 
@@ -142,11 +142,6 @@ def _signed_bounding_class(r: int) -> tuple[int, ...]:
     return (3 * 2**r,) + tuple(2 ** (r - i) for i in range(1, r + 1))
 
 
-def _leading_index(coeffs: tuple[int, ...]) -> int:
-    """Index of the first nonzero point coefficient of a nonzero class."""
-    return next(i for i, a in enumerate(coeffs[1:], start=1) if a)
-
-
 def _excluded(coeffs: tuple[int, ...], prep: _Prepared) -> bool:
     """True when the class D with these coefficients is proved to be no
     nonnegative integer sum of the generators `prep` was built from;
@@ -237,7 +232,8 @@ class _Prepared(PackedMatrix):
                 zero.append(p)
             else:
                 raise BoundingFailureError("generator with negative line degree")
-        zero.sort(key=lambda p: _leading_index(key[p]))
+        # By leading index, that of the first nonzero point coefficient.
+        zero.sort(key=lambda p: next(i for i, a in enumerate(key[p][1:], start=1) if a))
         # Each unit of line degree spent on generator g lowers the need (minus
         # the sum of the point coefficients) by at most need_drop(g) / g0.
         # Sorted, these tuples run by descending ratio (scaled to integers by
@@ -310,10 +306,11 @@ def _prepare(key: tuple[tuple[int, ...], ...]) -> _Prepared:
     return _Prepared(key).prepare_search()
 
 
-def _record(cfg: SurfaceConfig, gens: list[DivisorClass]) -> _Prepared:
-    """cfg's record of `gens` and its LP's column -e0, kept on cfg as `report` is."""
+def _record(cfg: SurfaceConfig) -> _Prepared:
+    """cfg's record of its generators and the LP's column -e0, kept on cfg as
+    `report` is: the one fetch of the generators.  An invalid cfg raises, keeping none."""
     if "_record" not in cfg.__dict__:
-        cfg.__dict__["_record"] = _Prepared(_key(gens), (-1,) + (0,) * cfg.r)
+        cfg.__dict__["_record"] = _Prepared(_key(effective_generators(cfg)), (-1,) + (0,) * cfg.r)
     return cfg.__dict__["_record"]
 
 
@@ -329,8 +326,8 @@ def monoid_membership(
     the last list's record only, keyed by value, so a list mutated in
     place is prepared again; lru_cache never stores an exception, so a
     malformed list raises on every call whatever D is.  alpha_degree
-    reads its configuration's own record instead.  Answers map the
-    record's positions back to the caller's generator objects.  Each
+    reads its configuration's own record instead.  _member answers in the
+    record's positions, mapped here to the caller's generator objects.  Each
     target runs the rank check of D, the exclusion (_excluded), the only
     proof of absence, and the search for the witness.
 
@@ -416,14 +413,14 @@ def monoid_membership(
         return {} if D.is_zero() else None
     if len(key[0]) != len(D.coeffs):
         raise ConfigurationError("generator rank mismatch")
-    return _member(D, _prepare(key), generators)
+    found = _member(D.coeffs, _prepare(key))
+    return None if found is None else {generators[p]: n for p, n in found}
 
 
-def _member(
-    D: DivisorClass, prep: _Prepared, generators: Sequence[DivisorClass]
-) -> dict[DivisorClass, int] | None:
-    """monoid_membership on the record of `generators`."""
-    if _excluded(D.coeffs, prep):  # which builds the search parts on first use
+def _member(target: tuple[int, ...], prep: _Prepared) -> list[tuple[int, int]] | None:
+    """monoid_membership on a record and a target's coefficient tuple: the
+    witness as (position in the record, multiplicity) pairs, or None."""
+    if _excluded(target, prep):  # which builds the search parts on first use
         return None
 
     steps, bound = prep.steps, prep.bound
@@ -453,15 +450,15 @@ def _member(
         chosen[idx] = 0
         return rec(idx + 1, res, ares)
 
-    depth = rec(0, D.coeffs, sum(map(mul, bound, D.coeffs)))
+    depth = rec(0, target, sum(map(mul, bound, target)))
     if depth is None:
         return None
-    return {generators[p]: n for p, n in zip(prep.order, chosen[:depth]) if n}
+    return [(p, n) for p, n in zip(prep.order, chosen[:depth]) if n]
 
 
 def is_nef(F: DivisorClass, cfg: SurfaceConfig) -> bool:
     """True iff F pairs nonnegatively with every effective-cone generator."""
-    return not _negative(F.coeffs, _record(cfg, effective_generators(cfg)))
+    return not _negative(F.coeffs, _record(cfg))
 
 
 def _negative(f: tuple[int, ...], prep: _Prepared) -> list[int]:
@@ -481,11 +478,9 @@ def _negative(f: tuple[int, ...], prep: _Prepared) -> list[int]:
     return found
 
 
-def _require_valid(
-    cfg: SurfaceConfig, m: Sequence[int]
-) -> tuple[tuple[int, ...], list[DivisorClass], _Prepared]:
-    """Checked multiplicities, and the generators and record of `cfg`."""
-    gens = effective_generators(cfg)
+def _require_valid(cfg: SurfaceConfig, m: Sequence[int]) -> tuple[tuple[int, ...], _Prepared]:
+    """Checked multiplicities, and the record of `cfg`."""
+    prep = _record(cfg)
     mm = check_multiplicities(m, cfg.r)
     if cfg.proximity is not None:
         slacks, ok = proximity_check(mm, cfg.proximity)
@@ -495,7 +490,7 @@ def _require_valid(
                 f"(slacks {slacks}); the cone computation would not equal "
                 "the Waldschmidt constant"
             )
-    return mm, gens, _record(cfg, gens)
+    return mm, prep
 
 
 def waldschmidt(
@@ -512,9 +507,7 @@ def waldschmidt(
     return _solve(*_require_valid(cfg, m))
 
 
-def _solve(
-    mm: tuple[int, ...], gens: list[DivisorClass], prep: _Prepared
-) -> tuple[Fraction, Certificate]:
+def _solve(mm: tuple[int, ...], prep: _Prepared) -> tuple[Fraction, Certificate]:
     """waldschmidt on checked multiplicities, the certificate built in
     integers from the LP's numerators over D: with t = e/D and g = gcd(e, D),
     d = e/g, m = D/g, each coefficient is e_j/g, and once the dual's y_0 is
@@ -526,7 +519,7 @@ def _solve(
         )
     # Columns: the generators, then -e0 for the line degree t (the record's).
     target = (0,) + tuple(-x for x in mm)
-    res = solve_lp(prep, target, [0] * len(gens) + [1])
+    res = solve_lp(prep, target, [0] * len(prep.coeffs) + [1])
     if res.status == INFEASIBLE:
         raise InfeasibleConeError(
             "no multiple of the line class dominates E_Z over these generators"
@@ -542,8 +535,8 @@ def _solve(
         raise SolverInvariantError(
             f"line-degree dual variable is {Fraction(y0, den)}, not -1: it must be tight"
         )
-    g, h = gcd(e, den), gcd(den, *ys)
-    decomposition = tuple([(c, Fraction(v, g)) for c, v in zip(gens, res.x_num) if v])
+    g, h, terms = gcd(e, den), gcd(den, *ys), zip(prep.coeffs, res.x_num)
+    decomposition = tuple([(_prechecked(c), Fraction(v, g)) for c, v in terms if v])
     nef = DivisorClass(tuple([den // h] + [y // h for y in ys]))
     return Fraction(e, den), Certificate(e // g, den // g, mm, decomposition, nef)
 
@@ -574,8 +567,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
     no int) is named as a failure, and the conditions that need it are
     skipped.  Raises ConfigurationError if `cfg` is invalid.
     """
-    gens = effective_generators(cfg)
-    prep = _record(cfg, gens)
+    prep = _record(cfg)
     r = cfg.r
     failures = []
     d, m, mults, decomposition, nef = (
@@ -644,7 +636,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         return failures
     if nef.is_zero():
         failures.append("nef class is zero")
-    negative = [format_class(gens[j]) for j in _negative(nef.coeffs, prep)]
+    negative = [format_class(_prechecked(prep.coeffs[j])) for j in _negative(nef.coeffs, prep)]
     if negative:
         failures.append(
             f"nef class {format_class(nef)} pairs negatively with " + ", ".join(negative)
@@ -657,19 +649,16 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
 
 def alpha_degree(cfg: SurfaceConfig, m: Sequence[int]) -> int:
     """Least d >= 0 with d*L - E_Z(m) in the integer effective monoid."""
-    mm, gens, prep = _require_valid(cfg, m)
-    return _alpha(mm, gens, prep, _solve(mm, gens, prep)[0])
+    mm, prep = _require_valid(cfg, m)
+    return _alpha(mm, prep, _solve(mm, prep)[0])
 
 
-def _alpha(
-    mm: tuple[int, ...], gens: list[DivisorClass], prep: _Prepared, value: Fraction
-) -> int:
+def _alpha(mm: tuple[int, ...], prep: _Prepared, value: Fraction) -> int:
     """alpha_degree, scanning d upward from the Waldschmidt constant `value`
-    with monoid_membership on the configuration's record."""
+    with the monoid search (_member) on the configuration's record."""
     hi = sum(mm) + 1
     for d in range(ceil(value), hi + 1):
-        target = DivisorClass(tuple([d] + [-x for x in mm]))
-        if _member(target, prep, gens) is not None:
+        if _member(tuple([d] + [-x for x in mm]), prep) is not None:
             return d
     raise InfeasibleConeError(
         f"no degree up to {hi} makes the class effective; "
@@ -682,8 +671,8 @@ def chudnovsky_check(cfg: SurfaceConfig, m: Sequence[int]) -> bool:
 
     The zero multiplicity vector passes by convention.
     """
-    mm, gens, prep = _require_valid(cfg, m)
+    mm, prep = _require_valid(cfg, m)
     if all(x == 0 for x in mm):
         return True
-    value, _ = _solve(mm, gens, prep)
-    return value >= Fraction(_alpha(mm, gens, prep, value) + 1, 2)
+    value, _ = _solve(mm, prep)
+    return value >= Fraction(_alpha(mm, prep, value) + 1, 2)

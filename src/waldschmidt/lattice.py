@@ -94,8 +94,8 @@ class DivisorClass(Record):
 
 
 def _prechecked(coeffs: tuple[int, ...]) -> DivisorClass:
-    """DivisorClass(coeffs) without its checks, for callers that have just
-    built `coeffs` from ints and checked its length to be 1..MAX_RANK + 1."""
+    """DivisorClass(coeffs) without its checks, for a tuple of ints of length
+    1..MAX_RANK + 1 that its caller has just built so, or took from a class."""
     c = object.__new__(DivisorClass)
     set_field(c, "coeffs", coeffs)
     return c

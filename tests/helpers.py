@@ -115,6 +115,31 @@ def reference_exclusion(
     return True, reached
 
 
+def cremona_nef(coeffs: tuple[int, ...]) -> bool:
+    """Whether F = f0*L - f1*E_1 - ... - fr*E_r, the class with coefficient
+    tuple (f0, -f1, ..., -fr), is nef on the blowup of r <= 8 general
+    points, by Cremona reduction alone: it reads no NEG list.
+
+    Sort f1 >= ... >= fr (padded with zeros to r >= 3).  If fr < 0 then
+    F.E_r < 0, and if f0 < 0 then F.L < 0.  If f0 >= f1 + f2 + f3, F is in
+    the fundamental chamber and nef.  Otherwise the quadratic transformation
+    at p1, p2, p3, the reflection in L - E_1 - E_2 - E_3, lowers f0 and each
+    of f1, f2, f3 by d = f1 + f2 + f3 - f0 > 0; it permutes the classes of
+    (-1)-curves, so F is nef exactly when its image is, and f0 falls each
+    round.  Nagata, On rational surfaces II (1960); Harbourne, Trans. AMS
+    349 (1997); Dolgachev, Classical Algebraic Geometry (2012), ch. 8.
+    """
+    f0, f = coeffs[0], [-a for a in coeffs[1:]] + [0, 0, 0]
+    while True:
+        f.sort(reverse=True)
+        if f0 < 0 or f[-1] < 0:
+            return False
+        d = f[0] + f[1] + f[2] - f0
+        if d <= 0:
+            return True
+        f0, f[0], f[1], f[2] = f0 - d, f[0] - d, f[1] - d, f[2] - d
+
+
 def generic_config(r: int) -> SurfaceConfig:
     """NEG(X) for r general points: all exceptional classes of the rank."""
     from waldschmidt.classes import enumerate_exceptional

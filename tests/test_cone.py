@@ -5,6 +5,7 @@ import random
 import weakref
 from functools import cache
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     brute_force_alpha_hat,
+    cremona_nef,
     fraction_certificate,
     generic_config,
     packed_int,
@@ -73,6 +75,20 @@ def by_name(sol):
 def excluded(D, gens):
     """The exclusion of monoid_membership on the list's prepared record."""
     return cone._excluded(D.coeffs, cone._prepare(cone._key(gens)))
+
+
+@cache
+def _generic(r):
+    """generic_config(r), built once for the tests that only read it."""
+    return generic_config(r)
+
+
+def shared_config(label):
+    """The catalog model's own configuration, or _generic(r) for "r<r>"."""
+    return _generic(int(label[1:])) if label.startswith("r") else find_type(label).config()
+
+
+SHARED_LABELS = [t.label for t in catalog()] + [f"r{r}" for r in range(3, 9)]
 
 
 def plain_row(i, gens):
@@ -698,7 +714,7 @@ def test_steps_run_by_descending_ratio_and_the_root_holds_the_largest(data):
         assert list(caps) == expected, (c, gens)
     positive = sum(g.coeffs[0] > 0 for g in gens)
     assert all(c[0] > 0 for c, _, _ in prep.steps[:positive])
-    zero = [(cone._leading_index(c), p) for (c, _, _), p in
+    zero = [(next(l for l in range(1, r + 1) if c[l]), p) for (c, _, _), p in
             zip(prep.steps[positive:], prep.order[positive:])]
     assert zero == sorted(zero)
     steps = [(c[0], -sum(c[1:]), c, p) for (c, _, _), p in
@@ -798,12 +814,23 @@ def test_packed_nef_check_matches_plain_pairings(data):
     gens = effective_generators(cfg)
     top = 2 ** data.draw(st.integers(0, 60), label="bits")
     F = DivisorClass(data.draw(st.tuples(*[st.integers(-top, top)] * (cfg.r + 1))))
-    prep = cone._record(cfg, gens)
+    prep = cone._record(cfg)
     negative = [j for j, g in enumerate(gens) if pairing(F, g) < 0]
     assert cone._negative(F.coeffs, prep) == negative
     assert 2 ** (prep.k - 1) > sum(abs(f) * c for f, c in zip(F.coeffs, prep.cmax))
     assert is_nef(F, cfg) == (not negative)
     assert decoded_columns(prep) == [g.coeffs for g in gens] + [(-1,) + (0,) * cfg.r]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda r: st.tuples(
+    st.integers(-2, 24), st.tuples(*[st.integers(-1, 10)] * r))))
+def test_cremona_reduction_decides_nef_as_the_generic_list_does(f):
+    # An oracle that reads no NEG list (helpers.cremona_nef) against the
+    # packed check over all exceptional classes of the rank (and -K at 8).
+    f0, mults = f
+    F = DivisorClass((f0,) + tuple(-x for x in mults))
+    assert cremona_nef(F.coeffs) == is_nef(F, _generic(len(mults)))
 
 
 def test_the_record_decodes_to_its_columns_after_every_widen():
@@ -813,7 +840,7 @@ def test_the_record_decodes_to_its_columns_after_every_widen():
     cfg = SurfaceConfig(5, find_type("(2,A4,3)(a)").classes())
     gens = effective_generators(cfg)
     columns = [g.coeffs for g in gens] + [(-1, 0, 0, 0, 0, 0)]
-    prep = cone._record(cfg, gens)
+    prep = cone._record(cfg)
     assert prep.k == 0 and prep.steps is None
     _, cert = waldschmidt(cfg, ONES)
     widths = [prep.k]
@@ -825,7 +852,8 @@ def test_the_record_decodes_to_its_columns_after_every_widen():
     # witness uses degree-zero steps alone.
     D = DivisorClass((0, 2**70, -(2**70), 0, 0, 0))
     assert prep.steps is None  # the LP and the nef check built no search parts
-    assert cone._member(D, prep, gens) == monoid_membership(D, gens)
+    found = cone._member(D.coeffs, prep)
+    assert {gens[p]: n for p, n in found} == monoid_membership(D, gens)
     assert prep.steps is not None
     widths.append(prep.k)
     assert decoded_columns(prep) == columns
@@ -842,7 +870,7 @@ def test_an_lp_after_a_wide_nef_check_solves_at_its_own_width():
     # columns, as it did before that check.
     cfg = SurfaceConfig(5, find_type("(2,A4,3)(a)").classes())
     gens = effective_generators(cfg)
-    prep = cone._record(cfg, gens)
+    prep = cone._record(cfg)
     m = (1, 2, 1, 2, 1)
     b, c = (0,) + tuple(-x for x in m), [0] * len(gens) + [1]
     fresh = simplex.PackedMatrix(prep.coords, prep.ncols)
@@ -913,6 +941,29 @@ def test_waldschmidt_homogeneity():
             scaled, cert = waldschmidt(cfg, tuple(c * x for x in ONES))
             assert scaled == c * base
             assert verify_certificate(cert, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_value_is_homogeneous_and_subadditive(data):
+    # alpha_hat(k*m) = k*alpha_hat(m) for k <= 4, and alpha_hat(m + n) <=
+    # alpha_hat(m) + alpha_hat(n), over the catalog and r = 3..8 general
+    # points.  A failure here is a finding about the LP, not a bound to relax.
+    cfg = shared_config(data.draw(st.sampled_from(SHARED_LABELS), label="config"))
+    ms = st.tuples(*[st.integers(0, 3)] * cfg.r)
+    m, n, k = data.draw(ms, label="m"), data.draw(ms, label="n"), data.draw(st.integers(1, 4))
+    value = waldschmidt(cfg, m)[0]
+    assert waldschmidt(cfg, tuple(k * x for x in m))[0] == k * value
+    total = waldschmidt(cfg, tuple(x + y for x, y in zip(m, n)))[0]
+    assert total <= value + waldschmidt(cfg, n)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([t.label for t in catalog()]), st.tuples(*[st.integers(0, 3)] * 5))
+def test_no_catalog_model_exceeds_the_generic_value(label, m):
+    # Lower semicontinuity at the LP level: the five general points are the
+    # most general configuration, so no model's value exceeds theirs.
+    assert waldschmidt(find_type(label).config(), m)[0] <= waldschmidt(_generic(5), m)[0]
 
 
 def test_waldschmidt_permutation_equivariance():
@@ -1211,27 +1262,41 @@ def _record_calls(monkeypatch, module, name):
 def test_configuration_validated_once_per_object(monkeypatch):
     calls = _record_calls(monkeypatch, config, "candidate_members")
     records = _record_calls(monkeypatch, cone, "_Prepared")
+    fetches = _record_calls(monkeypatch, cone, "effective_generators")
     curves = find_type("(1,D5,1)").classes()
     cfg = SurfaceConfig(5, curves)
     _, cert = waldschmidt(cfg, ONES)
     assert verify_certificate(cert, cfg)
     assert is_nef(cert.nef, cfg) and alpha_degree(cfg, ONES) == 2
-    assert len(calls) == 1 and len(records) == 1
+    assert chudnovsky_check(cfg, ONES)
+    assert len(calls) == 1 and len(records) == 1 and len(fetches) == 1
     # An equal configuration built anew shares no cache with the first.
     twin = SurfaceConfig(5, curves)
     assert twin == cfg and twin is not cfg
     assert validate_config(twin).ok
     assert len(calls) == 2
     assert waldschmidt(twin, ONES) == (cert.value, cert)
-    assert len(records) == 2
-    gens = effective_generators(cfg)
-    assert cone._record(cfg, gens) is not cone._record(twin, gens)
+    assert len(records) == 2 and len(fetches) == 2
+    assert cone._record(cfg) is not cone._record(twin)
+
+
+def test_an_invalid_configuration_keeps_no_record():
+    # Every query on it raises, or verifies nothing, and none leaves a record.
+    cfg = SurfaceConfig(2, parse_classes(["E_1", "E_12"], 2))
+    assert not validate_config(cfg).ok
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            is_nef(parse_class("L", 2), cfg)
+        with pytest.raises(ConfigurationError):
+            waldschmidt(cfg, (1, 1))
+    assert not verify_certificate(waldschmidt(three_generic_points(), (1, 1, 1))[1], cfg)
+    assert "_record" not in cfg.__dict__
 
 
 def test_the_record_is_freed_with_its_configuration():
     cfg = SurfaceConfig(5, find_type("(1,D5,1)").classes())
     waldschmidt(cfg, ONES)
-    record = weakref.ref(cone._record(cfg, effective_generators(cfg)))
+    record = weakref.ref(cone._record(cfg))
     assert record() is not None
     del cfg
     gc.collect()
@@ -1297,7 +1362,7 @@ def test_a_deep_degree_zero_target_costs_the_same_at_any_size(monkeypatch):
 
 @cache
 def _generic_generators(r):
-    return effective_generators(generic_config(r))
+    return effective_generators(_generic(r))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1332,16 +1397,33 @@ def test_the_integer_certificate_is_the_fraction_paths():
     # it equals the one the Fraction views give (helpers.fraction_certificate).
     solved = 0
     for cfg, m in _certificate_queries():
-        mm, gens, prep = cone._require_valid(cfg, m)
+        mm, prep = cone._require_valid(cfg, m)
         if not any(mm):
             continue
-        value, cert = cone._solve(mm, gens, prep)
+        gens = effective_generators(cfg)
+        value, cert = cone._solve(mm, prep)
         res = solve_lp(prep, (0,) + tuple(-x for x in mm), [0] * len(gens) + [1])
         expected = fraction_certificate(res, gens, mm)
         assert cert == expected and value == expected.value, (cfg, m)
         assert {type(q) for _, q in cert.decomposition} == {Fraction}, (cfg, m)
         solved += 1
     assert solved >= 125
+
+
+def test_the_certificate_scales_to_an_integer_sum():
+    # Integer closure: with s the lcm of the certificate's denominators,
+    # s*(d*L - m_c*E_Z) is an integer sum of generators, and alpha_hat
+    # bounds alpha from below, so alpha(s*m_c*m) = s*d exactly: the monoid
+    # search reaches what the LP certifies.
+    checked = 0
+    for cfg, m in _certificate_queries():
+        if not any(m):
+            continue
+        _, cert = waldschmidt(cfg, m)
+        s = lcm(*[q.denominator for _, q in cert.decomposition])
+        assert alpha_degree(cfg, tuple(s * cert.m * x for x in m)) == s * cert.d, (cfg, m)
+        checked += 1
+    assert checked >= 125
 
 
 def test_solver_invariants_raise_typed_errors(monkeypatch):

@@ -24,12 +24,14 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cremona_nef
 from waldschmidt import cone
+from waldschmidt.classes import is_exceptional
 from waldschmidt.cli import main
 from waldschmidt.config import effective_generators
 from waldschmidt.cone import monoid_membership
 from waldschmidt.dp4 import catalog
-from waldschmidt.lattice import DivisorClass, format_class, parse_class
+from waldschmidt.lattice import DivisorClass, canonical_class, format_class, parse_class
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +124,22 @@ def test_monoid_witnesses_match_recorded_output():
         found = monoid_membership(parse_class(case["target"], r), gens)
         got = None if found is None else [[format_class(g), n] for g, n in found.items()]
         assert got == case["witness"], case
+
+
+def test_generic_certificates_hold_without_the_neg_list():
+    """Each recorded certificate on general points, checked by reduction
+    alone: its nef class passes helpers.cremona_nef, and each generator of
+    its decomposition is a (-1)-class (K.c = c.c = -1) or, at r = 8, -K."""
+    names = sorted(p.name for p in GOLDEN.glob("waldschmidt-r[678]*.stdout")
+                   if not p.name.endswith("-text.stdout"))
+    assert len(names) == 6
+    for name in names:
+        cert = json.loads((GOLDEN / name).read_text(encoding="utf-8"))["certificate"]
+        r = len(cert["multiplicities"])
+        assert cremona_nef(parse_class(cert["nef"], r).coeffs), name
+        for item in cert["decomposition"]:
+            g = parse_class(item["generator"], r)
+            assert is_exceptional(g) or (r == 8 and g == -canonical_class(8)), (name, item)
 
 
 def test_the_exclusion_leaves_open_exactly_the_window_hits():
