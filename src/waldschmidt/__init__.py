@@ -21,8 +21,8 @@ _PUBLIC = {
     "derive_proximity effective_generators load_config proximity_check "
     "strict_transform_components validate_config",
     "dp4": "Dp4Type catalog check_bounds check_degenerations compute_table",
-    "lattice": "DivisorClass canonical_class divisor format_class line_class "
-    "pairing parse_class point_class",
+    "lattice": "DivisorClass canonical_class format_class line_class pairing "
+    "parse_class point_class",
     "monomial": "MonomialIdeal parse_ideal",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

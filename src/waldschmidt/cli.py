@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from .classes import FAMILY_TAGS, candidate_sets
-from .cone import Certificate, certificate_failures, frac_str, verify_certificate, waldschmidt
+from .cone import Certificate, certificate_failures, verify_certificate, waldschmidt
 from .config import SurfaceConfig, load_config, validate_config
 from .errors import (
     ConfigurationError,
@@ -110,7 +110,7 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
     value, cert = waldschmidt(cfg, m)
     verified = _verify(cert, cfg)
     _emit(args, {
-        "alpha_hat": frac_str(value),
+        "alpha_hat": str(value),
         "certificate": cert.to_dict(),
         "verified": verified,
     }, lambda p: _certificate_text(
@@ -124,8 +124,8 @@ def _cmd_waldschmidt(args: argparse.Namespace) -> int:
 def _dp4_row(row: dp4.TableRow) -> dict:
     return {
         "label": row.label,
-        "alpha_hat": frac_str(row.alpha_hat),
-        "expected": frac_str(row.expected),
+        "alpha_hat": str(row.alpha_hat),
+        "expected": str(row.expected),
         "matches_expected": row.matches,
         "certificate_verified": row.verified,
         "certificate": row.certificate.to_dict(),
@@ -163,8 +163,8 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
         verified = _verify(cert, cfg)
         _emit(args, {
             "label": entry.label,
-            "alpha_hat": frac_str(value),
-            "expected": frac_str(entry.expected_alpha_hat),
+            "alpha_hat": str(value),
+            "expected": str(entry.expected_alpha_hat),
             "roots": [format_class(c) for c in entry.roots],
             "lines": [format_class(c) for c in entry.lines],
             "certificate": cert.to_dict(),
@@ -183,8 +183,8 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
                 {
                     "general": e.general,
                     "special": e.special,
-                    "general_value": frac_str(e.general_value),
-                    "special_value": frac_str(e.special_value),
+                    "general_value": str(e.general_value),
+                    "special_value": str(e.special_value),
                     "ok": e.ok,
                     "flagged": e.flagged,
                 }
@@ -196,10 +196,10 @@ def _cmd_dp4(args: argparse.Namespace) -> int:
     if args.bounds:
         report = dp4.check_bounds(table)
         _emit(args, {
-            "lower": frac_str(report.lower),
-            "upper": frac_str(report.upper),
+            "lower": str(report.lower),
+            "upper": str(report.upper),
             "within_bounds": report.within_bounds,
-            "value_set": [frac_str(v) for v in sorted(report.value_set)],
+            "value_set": [str(v) for v in sorted(report.value_set)],
         }, lambda p: [
             f"bounds: {p['lower']} <= alpha_hat <= {p['upper']}",
             f"within bounds: {p['within_bounds']}",
@@ -235,7 +235,7 @@ def _cmd_monomial(args: argparse.Namespace) -> int:
     elif op == "alpha":
         out = monomial.alpha(ideal)
     else:  # "estimate"; argparse restricts the choices
-        out = f"<= {frac_str(monomial.waldschmidt_estimate(ideal, args.max_m))}"
+        out = f"<= {monomial.waldschmidt_estimate(ideal, args.max_m)}"
     _emit(args, {"operation": op, "result": str(out)}, lambda p: [p["result"]], indent=None)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from math import ceil, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from ._record import Record, set_field
+from ._record import Record
 from .config import (  # noqa: F401  validate_config is re-exported
     SurfaceConfig,
     check_multiplicities,
@@ -39,7 +39,8 @@ class Certificate(Record):
 
     The decomposition shows d*L - m*E_Z effective (cone membership); the
     nef class F with (d*L - m*E_Z).F = 0 shows no smaller ratio is ever
-    effective.  Everything is re-checkable from the fields alone.
+    effective.  Everything is re-checkable from the fields alone; to_dict
+    spells each coefficient as the Fraction's str, "p/q" or "p".
     """
 
     __slots__ = _fields = ("d", "m", "multiplicities", "decomposition", "nef")
@@ -48,14 +49,6 @@ class Certificate(Record):
     multiplicities: tuple[int, ...]
     decomposition: tuple[tuple[DivisorClass, Fraction], ...]
     nef: DivisorClass
-
-    # Built once per query, so without the generic argument binding.
-    def __init__(self, d, m, multiplicities, decomposition, nef) -> None:
-        set_field(self, "d", d)
-        set_field(self, "m", m)
-        set_field(self, "multiplicities", multiplicities)
-        set_field(self, "decomposition", decomposition)
-        set_field(self, "nef", nef)
 
     @property
     def value(self) -> Fraction:
@@ -72,16 +65,11 @@ class Certificate(Record):
             "m": self.m,
             "multiplicities": list(self.multiplicities),
             "decomposition": [
-                {"generator": format_class(g), "coefficient": frac_str(c)}
+                {"generator": format_class(g), "coefficient": str(c)}
                 for g, c in self.decomposition
             ],
             "nef": format_class(self.nef),
         }
-
-
-def frac_str(q: Fraction) -> str:
-    """"p/q", or "p" for an integer: the form every JSON and table output uses."""
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 def certificate_from_dict(data: dict, r: int) -> Certificate:
@@ -606,7 +594,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
             failures.append(f"{format_class(g)} has coefficient {q!r}, not an int or a Fraction")
         else:
             if q.numerator < 0:
-                failures.append(f"{format_class(g)} has negative coefficient {frac_str(q)}")
+                failures.append(f"{format_class(g)} has negative coefficient {q}")
             terms.append((g.coeffs, q))
     if not isinstance(mults, (tuple, list)) or not {int}.issuperset(map(type, mults)):
         failures.append(f"multiplicities {mults!r} are not a tuple or list of ints")
@@ -625,7 +613,7 @@ def certificate_failures(cert: Certificate, cfg: SurfaceConfig) -> list[str]:
         if acc != [scale * v for v in target.coeffs]:
             failures.append(
                 "decomposition sums to ["
-                + ",".join(frac_str(Fraction(v, scale)) for v in acc)
+                + ",".join(str(Fraction(v, scale)) for v in acc)
                 + f"], not d*L - m*E_Z = {format_class(target)}"
             )
     if not isinstance(nef, DivisorClass):

@@ -15,9 +15,10 @@ from typing import Iterable, Sequence
 
 from ._record import Record, set_field
 from .classes import candidate_members
-from .errors import ConfigurationError, UnsupportedRankError
+from .errors import ConfigurationError
 from .lattice import (
     DivisorClass,
+    _check_rank_arg,
     canonical_class,
     line_class,
     named_class,
@@ -57,9 +58,6 @@ class ProximityMatrix(Record):
     def proximate_to(self, i: int) -> list[int]:
         return sorted(j for j, t in self.pairs if t == i)
 
-    def is_proximate(self, j: int, i: int) -> bool:
-        return (j, i) in self.pairs
-
 
 class SurfaceConfig(Record):
     """r, the NEG(X) class list, and an optional proximity matrix.
@@ -77,8 +75,7 @@ class SurfaceConfig(Record):
                  proximity: ProximityMatrix | None = None) -> None:
         if type(r) is not int:
             raise ConfigurationError(f"rank must be an integer, got {r!r}")
-        if not 0 <= r <= 8:
-            raise UnsupportedRankError(f"rank {r} outside supported range 0..8")
+        _check_rank_arg(r)
         try:
             curves = tuple(neg_curves)
         except TypeError:

@@ -54,7 +54,7 @@ class Dp4Type(Record):
 
     @cached_property
     def _config(self) -> SurfaceConfig:
-        return SurfaceConfig(r=R5, neg_curves=self.roots + self.lines)
+        return SurfaceConfig(R5, self.classes())
 
     def classes(self) -> tuple[DivisorClass, ...]:
         return self.roots + self.lines
@@ -239,13 +239,12 @@ class DegenerationReport(Record):
         return all(e.ok for e in self.edges if not e.flagged)
 
 
-def check_degenerations(table: TableReport | None = None) -> DegenerationReport:
-    """special <= general for every recorded one-parameter specialization.
+def check_degenerations(table: TableReport) -> DegenerationReport:
+    """special <= general, read off compute_table()'s rows, for every
+    recorded one-parameter specialization.
 
     Flagged edges (uncertain target) are reported but never asserted.
     """
-    if table is None:
-        table = compute_table()
     values = {row.label: row.alpha_hat for row in table.rows}
     edges = []
     for entry in catalog():
@@ -279,10 +278,8 @@ class BoundsReport(Record):
         return frozenset(self.values)
 
 
-def check_bounds(table: TableReport | None = None) -> BoundsReport:
-    """Catalog values against the exact window [r/3, generic value]."""
-    if table is None:
-        table = compute_table()
+def check_bounds(table: TableReport) -> BoundsReport:
+    """compute_table()'s values against the exact window [r/3, generic value]."""
     return BoundsReport(
         values=tuple(row.alpha_hat for row in table.rows),
         lower=Fraction(R5, 3),

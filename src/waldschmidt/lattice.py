@@ -18,10 +18,12 @@ a0*e0 + b*e_d1 + c*(e_d2 + ... + e_ds) with (a0, b, c) = SHAPES[H]:
 Whitespace is ignored.
 
 Types and rank are checked where a class enters: DivisorClass(...)
-checks that its coefficients are ints and its rank is 0..MAX_RANK, and
-parse_class, line_class and canonical_class check the rank argument.
-named_class checks its indices and then the rank.  The classes these
-build from ints they produced themselves skip DivisorClass's checks.
+takes any iterable of ints and checks their types and its rank, and
+parse_class, line_class, point_class and canonical_class check the rank
+argument.  named_class checks its indices and then the rank.  Every rank
+check, SurfaceConfig's too, is _check_rank_arg, which allows 0..MAX_RANK.
+The classes these build from ints they produced themselves skip
+DivisorClass's checks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class DivisorClass(Record):
     __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, coeffs: Iterable[int]) -> None:
         try:
             coeffs = tuple(coeffs)
         except TypeError:
@@ -51,10 +53,7 @@ class DivisorClass(Record):
             ) from None
         if not {int}.issuperset(map(type, coeffs)):
             raise ClassParseError(f"class coefficients must be integers, got {coeffs!r}")
-        if len(coeffs) < 1 or len(coeffs) > MAX_RANK + 1:
-            raise UnsupportedRankError(
-                f"rank {len(coeffs) - 1} outside supported range 0..{MAX_RANK}"
-            )
+        _check_rank_arg(len(coeffs) - 1)
         set_field(self, "coeffs", coeffs)
 
     # Built and compared in every query, so without the generic field loops.
@@ -104,11 +103,6 @@ def _prechecked(coeffs: tuple[int, ...]) -> DivisorClass:
 def _check_rank(u: DivisorClass, v: DivisorClass) -> None:
     if u.r != v.r:
         raise RankMismatchError(f"rank mismatch: {u.r} vs {v.r}")
-
-
-def divisor(coeffs: Iterable[int]) -> DivisorClass:
-    """Build a class from any integer iterable."""
-    return DivisorClass(tuple(coeffs))
 
 
 def pairing(u: DivisorClass, v: DivisorClass) -> int:
@@ -167,7 +161,7 @@ def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
     """The class of shape SHAPES[head] on the given 1-based indices at rank r.
 
     Raises ClassParseError for an index outside 1..r or a repeated index,
-    then UnsupportedRankError for r > MAX_RANK.
+    then UnsupportedRankError for r outside 0..MAX_RANK.
     """
     a0, first, other = SHAPES[head]
     acc = [a0] + [0] * r
@@ -177,8 +171,7 @@ def named_class(head: str, indices: Sequence[int], r: int) -> DivisorClass:
         if acc[i]:
             raise ClassParseError(f"repeated index {i}")
         acc[i] = other if n else first
-    if r > MAX_RANK:
-        raise UnsupportedRankError(f"rank {r} outside supported range 0..{MAX_RANK}")
+    _check_rank_arg(r)
     return _prechecked(tuple(acc))
 
 

@@ -249,7 +249,7 @@ def test_config_from_dict_roundtrip():
     }
     cfg = config_from_dict(data)
     assert cfg.r == 2
-    assert cfg.proximity is not None and cfg.proximity.is_proximate(2, 1)
+    assert cfg.proximity is not None and (2, 1) in cfg.proximity.pairs
     assert [format_class(c) for c in cfg.neg_curves] == ["E_12", "E_2", "L_12"]
     assert validate_config(cfg).ok
     with pytest.raises(ConfigurationError):

@@ -263,7 +263,7 @@ def test_compute_table_reports_mismatches_without_raising(monkeypatch, capsys):
 
 
 def test_degeneration_monotonicity():
-    report = check_degenerations()
+    report = check_degenerations(compute_table())
     assert report.ok
     for e in report.edges:
         if not e.flagged:
@@ -282,13 +282,13 @@ def test_degeneration_to_an_unknown_target_raises(monkeypatch):
 
 
 def test_degeneration_ambiguous_target_runs_both_variants():
-    pairs = {(e.general, e.special) for e in check_degenerations().edges}
+    pairs = {(e.general, e.special) for e in check_degenerations(compute_table()).edges}
     assert ("(4,A2,8)", "(3,A1A2,6)(a)") in pairs
     assert ("(4,A2,8)", "(3,A1A2,6)(b)") in pairs
 
 
 def test_bounds_and_value_set():
-    report = check_bounds()
+    report = check_bounds(compute_table())
     assert report.lower == F(5, 3) and report.upper == F(2)
     assert report.within_bounds
     assert report.value_set == {F(5, 3), F(7, 4), F(9, 5), F(2)}

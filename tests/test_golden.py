@@ -26,7 +26,7 @@ import pytest
 
 from helpers import cremona_nef
 from waldschmidt import cone
-from waldschmidt.classes import is_exceptional
+from waldschmidt.classes import enumerate_exceptional, is_exceptional
 from waldschmidt.cli import main
 from waldschmidt.config import effective_generators
 from waldschmidt.cone import monoid_membership
@@ -124,6 +124,17 @@ def test_monoid_witnesses_match_recorded_output():
         found = monoid_membership(parse_class(case["target"], r), gens)
         got = None if found is None else [[format_class(g), n] for g, n in found.items()]
         assert got == case["witness"], case
+
+
+@pytest.mark.parametrize("r, count", [(6, 27), (7, 56), (8, 240)])
+def test_generic_configurations_list_every_exceptional_class(r, count):
+    """generic-r{r}.json is r general points: no proximity, and as NEG list
+    exactly enumerate_exceptional(r), in its order."""
+    data = json.loads((GOLDEN / f"generic-r{r}.json").read_text(encoding="utf-8"))
+    assert data.keys() == {"r", "negative_curves"} and data["r"] == r
+    expected = enumerate_exceptional(r)
+    assert len(expected) == count
+    assert [parse_class(t, r) for t in data["negative_curves"]] == expected
 
 
 def test_generic_certificates_hold_without_the_neg_list():

@@ -59,7 +59,7 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from waldschmidt import *", namespace)
     assert set(waldschmidt.__all__) <= set(namespace)
-    assert len(set(waldschmidt.__all__)) == len(waldschmidt.__all__) == 43
+    assert len(set(waldschmidt.__all__)) == len(waldschmidt.__all__) == 42
     for name in waldschmidt.__all__:
         obj = namespace[name]
         home = obj.__module__

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from waldschmidt.classes import candidate_sets, enumerate_exceptional
+from waldschmidt.config import SurfaceConfig
 from waldschmidt.errors import ClassParseError, RankMismatchError, UnsupportedRankError
 from waldschmidt.lattice import (
     DivisorClass,
     canonical_class,
     class_sum,
-    divisor,
     format_class,
     line_class,
     named_class,
@@ -87,6 +87,19 @@ def test_named_class_above_rank_8(head, indices, error, message):
         named_class(head, indices, 9)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, r", [
+    (lambda: named_class("L", (), -1), -1),
+    (lambda: SurfaceConfig(9, ()), 9),
+    (lambda: DivisorClass((0,) * 10), 9),
+    (lambda: DivisorClass(()), -1),
+], ids=["named-1", "config9", "class9", "class-1"])
+def test_every_rank_check_raises_one_message(build, r):
+    # A named class of no indices at rank -1 would otherwise be the rank-0 class.
+    with pytest.raises(UnsupportedRankError) as exc:
+        build()
+    assert str(exc.value) == f"rank {r} outside supported range 0..8"
 
 
 def test_canonical_class_values():
@@ -188,12 +201,12 @@ def test_coefficients_must_be_integers(coeffs):
         DivisorClass(coeffs)
     if isinstance(coeffs, tuple):  # a non-iterable has no iterator to pass
         with pytest.raises(ClassParseError):
-            divisor(iter(coeffs))
+            DivisorClass(iter(coeffs))
 
 
 def test_divisor_takes_any_integer_iterable():
-    assert divisor(iter([1, -1, 0])) == cls(1, -1, 0)
-    assert divisor(range(3)) == cls(0, 1, 2)
+    assert DivisorClass(iter([1, -1, 0])) == cls(1, -1, 0)
+    assert DivisorClass(range(3)) == cls(0, 1, 2)
 
 
 @pytest.mark.parametrize(
