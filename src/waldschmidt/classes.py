@@ -38,7 +38,8 @@ def candidate_sets(r: int) -> list[CandidateFamily]:
     L: e0 - sum of >= 2 distinct e_i.  Q: 2*e0 - sum of >= 5 distinct e_i.
     C: 3*e0 - 2*e_{i1} - e_{i2} - ... - e_{is} with s >= 7 distinct indices.
     M8 (r = 8 only): -k + e0 - e_i - e_j - e_l, -k + 2*e0 - six e's, and
-    -2*k - e_i.  Members are deduplicated and sorted lexicographically.
+    -2*k - e_i.  No family lists a class twice; members are sorted
+    lexicographically.
     """
     if not 2 <= r <= 8:
         raise UnsupportedRankError(f"candidate sets require 2 <= r <= 8, got {r}")
@@ -46,9 +47,8 @@ def candidate_sets(r: int) -> list[CandidateFamily]:
     fams: list[CandidateFamily] = []
 
     def finish(tag: str, members: list[DivisorClass]) -> None:
-        unique = sorted(set(members), key=lambda c: c.coeffs)
-        if unique:
-            fams.append(CandidateFamily(tag, tuple(unique)))
+        if members:
+            fams.append(CandidateFamily(tag, tuple(sorted(members, key=lambda c: c.coeffs))))
 
     for tag, head, sizes in (
         ("B", "E", [1]),
@@ -125,22 +125,32 @@ def _tail_vectors(r: int, target_sum: int, target_sq: int) -> list[tuple[int, ..
     return out
 
 
-def enumerate_roots(r: int) -> list[DivisorClass]:
-    """All classes with k.c = 0, c.c = -2, in lexicographic order.
+def _classes(r: int, kc: int, cc: int, signs: tuple[int, ...]) -> list[DivisorClass]:
+    """All classes c with k.c = kc and c.c = cc whose a0 is 0 or has a
+    sign in `signs`, in lexicographic order.
 
-    The two conditions read sum(ai) = -3*a0 and sum(ai^2) = a0^2 + 2, so
-    9*a0^2 <= r*(a0^2 + 2) bounds |a0|; the search is exhaustive.
+    The two conditions read sum(ai) = -3*a0 - kc and sum(ai^2) = a0^2 - cc,
+    so Cauchy-Schwarz, sum(ai)^2 <= r*sum(ai^2), gives (3*a0 + kc)^2 <=
+    r*(a0^2 - cc).  For r <= 8 the slack r*(a0^2 - cc) - (3*a0 + kc)^2 is
+    a concave quadratic in a0 (its leading coefficient is r - 9), and
+    both callers have slack -r*cc - kc^2 >= 0 at a0 = 0, so the a0 that
+    pass form an interval around 0: each sign's scan stops at its first
+    a0 that fails, and the search is exhaustive.
     """
+    out = []
+    for s in signs:
+        a0 = 0 if s > 0 else -1
+        while (3 * a0 + kc) ** 2 <= r * (a0 * a0 - cc):
+            out += [DivisorClass((a0,) + t) for t in _tail_vectors(r, -3 * a0 - kc, a0 * a0 - cc)]
+            a0 += s
+    return sorted(out, key=lambda c: c.coeffs)
+
+
+def enumerate_roots(r: int) -> list[DivisorClass]:
+    """All classes with k.c = 0, c.c = -2, in lexicographic order."""
     if not 3 <= r <= 8:
         raise UnsupportedRankError(f"roots require 3 <= r <= 8, got {r}")
-    out = []
-    a0 = 0
-    while 9 * a0 * a0 <= r * (a0 * a0 + 2):
-        for head in ((a0,) if a0 == 0 else (a0, -a0)):
-            for tail in _tail_vectors(r, -3 * head, head * head + 2):
-                out.append(DivisorClass((head,) + tail))
-        a0 += 1
-    return sorted(out, key=lambda c: c.coeffs)
+    return _classes(r, 0, -2, (1, -1))
 
 
 def enumerate_exceptional(r: int) -> list[DivisorClass]:
@@ -151,13 +161,7 @@ def enumerate_exceptional(r: int) -> list[DivisorClass]:
     """
     if not 1 <= r <= 8:
         raise UnsupportedRankError(f"exceptional classes require 1 <= r <= 8, got {r}")
-    out = []
-    a0 = 0
-    while (1 - 3 * a0) ** 2 <= r * (a0 * a0 + 1):
-        for tail in _tail_vectors(r, 1 - 3 * a0, a0 * a0 + 1):
-            out.append(DivisorClass((a0,) + tail))
-        a0 += 1
-    return sorted(out, key=lambda c: c.coeffs)
+    return _classes(r, -1, -1, (1,))
 
 
 def simple_roots(r: int) -> list[DivisorClass]:

@@ -335,6 +335,3 @@ def main(argv: list[str] | None = None) -> int:
     except WaldschmidtError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

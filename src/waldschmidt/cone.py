@@ -182,9 +182,9 @@ class _Prepared(PackedMatrix):
     and the monoid oracle (_excluded) read `cols`, `rows` with rows 1..
     negated, so that sum(c_l * cols[l]) packs c.g for every column g, and
     widen it when their bound needs more.  `pmax` is the sum of the
-    cmax[l]**2.  The oracle's parts, the pairing rows `packed` with their
-    `forced` flags and prepare_search()'s search parts (`steps` is None
-    until then), are built on its first use."""
+    cmax[l]**2.  Built on first use: row() packs each pairing row of
+    `packed` and sets its `forced` flag (widen() drops every row), and
+    prepare_search() the search parts (`steps` is None until then)."""
 
     __slots__ = ("coeffs", "pmax", "packed", "forced", "offset", "cols",
                  "bound", "degs", "root", "steps", "order")
@@ -255,8 +255,8 @@ class _Prepared(PackedMatrix):
 
     def row(self, i: int) -> int:
         """Generator i's pairing row, packed and its forced flag set on
-        first use.  A first use widens the record if 2**(k-1) <= pmax,
-        which bounds every pairing of two generators."""
+        first use at the record's width.  A first use widens the record if
+        2**(k-1) <= pmax, which bounds every pairing of two generators."""
         row = self.packed[i]
         if row is None:
             if self.half <= self.pmax:
@@ -269,13 +269,12 @@ class _Prepared(PackedMatrix):
         return row
 
     def widen(self, limit: int) -> None:
-        """PackedMatrix.widen, then the signed rows and pairing rows."""
+        """PackedMatrix.widen, then the signed rows; drops the pairing rows."""
         super().widen(limit)
         k, (first, *rest) = self.k, self.rows
         self.cols = (first, *[-row for row in rest])  # signed as lattice.pairing
         self.offset = self.half * (((1 << k * len(self.coeffs)) - 1) // ((1 << k) - 1))
-        self.packed = [None if row is None else sum(map(mul, c, self.cols))
-                       for c, row in zip(self.coeffs, self.packed)]
+        self.packed = [None] * len(self.coeffs)
 
 
 def _key(generators: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
@@ -353,7 +352,7 @@ def monoid_membership(
     sum of D_l times the record's signed row l, with D.g_j in the k-bit
     slot j (the layout of simplex.py).  A step D <- D - t*C is
     `dots -= t * row(C)`, C's row of pairings C.h_j packed the same way
-    when a target first reaches C and kept for the list's later targets.
+    when a target first reaches C and kept until the record widens.
     The first generator with D.g < 0 is the lowest set bit of
     offset & ~(dots + offset) (simplex.py, "Reading slots"), and C.C is
     slot i of row i.  The same mask of C's row marks the h_j with

@@ -55,9 +55,6 @@ class ProximityMatrix(Record):
         set_field(self, "r", r)
         set_field(self, "pairs", frozen)
 
-    def proximate_to(self, i: int) -> list[int]:
-        return sorted(j for j, t in self.pairs if t == i)
-
 
 class SurfaceConfig(Record):
     """r, the NEG(X) class list, and an optional proximity matrix.
@@ -206,7 +203,8 @@ def _validate(cfg: SurfaceConfig) -> ValidationReport:
 
 def strict_transform_components(p: ProximityMatrix) -> list[DivisorClass]:
     """The components E^_i = e_i - sum of e_j over points proximate to p_i."""
-    return [named_class("E", [i] + p.proximate_to(i), p.r) for i in range(1, p.r + 1)]
+    return [named_class("E", [i] + sorted(j for j, t in p.pairs if t == i), p.r)
+            for i in range(1, p.r + 1)]
 
 
 def check_multiplicities(m: Sequence[int], r: int) -> tuple[int, ...]:

@@ -139,23 +139,16 @@ class PackedMatrix:
     """An integer matrix as its rows, `coords`, and one packed int per row,
     `rows`, at slot width k (0 before any widen).  widen(limit) repacks at
     the least multiple of 8 with 2**(k-1) above limit and every |entry|.
-    cmax[i] is row i's largest |entry|, norms[i] its squared norm,
-    computed on first use."""
+    cmax[i] is row i's largest |entry| and norms[i] its squared norm."""
 
-    __slots__ = ("coords", "ncols", "cmax", "_norms", "k", "half", "rows", "__weakref__")
+    __slots__ = ("coords", "ncols", "cmax", "norms", "k", "half", "rows", "__weakref__")
 
     def __init__(self, coords: Sequence[Sequence[int]], ncols: int) -> None:
         self.coords, self.ncols = coords, ncols
         self.cmax = [max(map(abs, r), default=0) for r in coords]
-        self._norms: list[int] | None = None
+        self.norms = [sum(map(mul, r, r)) for r in coords]
         self.k = self.half = 0
         self.rows: list[int] = []
-
-    @property
-    def norms(self) -> list[int]:
-        if self._norms is None:
-            self._norms = [sum(map(mul, r, r)) for r in self.coords]
-        return self._norms
 
     def widen(self, limit: int) -> None:
         k = (max(limit, *self.cmax, 0).bit_length() + 8) // 8 * 8

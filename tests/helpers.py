@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from waldschmidt.config import SurfaceConfig, effective_generators
@@ -138,6 +139,60 @@ def cremona_nef(coeffs: tuple[int, ...]) -> bool:
         if d <= 0:
             return True
         f0, f[0], f[1], f[2] = f0 - d, f[0] - d, f[1] - d, f[2] - d
+
+
+def nef_rays(cfg: SurfaceConfig) -> list[tuple[int, ...]]:
+    """The extremal rays of Nef(X) over cfg's generators, by brute force,
+    as primitive coefficient tuples in sorted order.
+
+    The nef cone is cut out by F.C >= 0 for every generator C, in the
+    r + 1 coordinates of the class group, so each extremal ray is the
+    line F.C = 0 of some r linearly independent generators.  Each
+    r-subset of full rank gives one such line, solved in Fractions; its
+    two directions are kept when nef.  Exponential in the list's size:
+    for the catalog only.
+    """
+    gens = effective_generators(cfg)
+    rays = set()
+    for subset in combinations(gens, cfg.r):
+        # F.C = f0*c0 - sum fi*ci: the rows (c0, -c1, ..., -cr), reduced.
+        rows = [[Fraction(x) for x in (c.coeffs[0], *[-a for a in c.coeffs[1:]])]
+                for c in subset]
+        pivots = []
+        for col in range(cfg.r + 1):
+            at = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+            if at is None:
+                continue
+            top = len(pivots)
+            rows[top], rows[at] = rows[at], rows[top]
+            rows[top] = [x / rows[top][col] for x in rows[top]]
+            for i, row in enumerate(rows):
+                if i != top and row[col]:
+                    rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
+            pivots.append(col)
+        if len(pivots) < cfg.r:
+            continue
+        free = next(col for col in range(cfg.r + 1) if col not in pivots)
+        ray = [Fraction(0)] * (cfg.r + 1)
+        ray[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            ray[col] = -row[free]
+        scale = lcm(*[x.denominator for x in ray])
+        ints = [int(x * scale) for x in ray]
+        g = gcd(*ints)
+        for sign in (g, -g):
+            F = DivisorClass(tuple(x // sign for x in ints))
+            if all(pairing(F, c) >= 0 for c in gens):
+                rays.add(F.coeffs)
+    return sorted(rays)
+
+
+def ray_alpha_hat(rays: list[tuple[int, ...]], m: tuple[int, ...]) -> Fraction:
+    """The LP's dual value, with no simplex: the largest -sum fi*mi / f0
+    over the nef rays F = (f0, f1, ..., fr) with f0 > 0.  A nef F pairs
+    >= 0 with every effective dL - k*E_Z, so d/k >= -sum fi*mi / f0, and
+    the optimum over the cone is attained on a ray."""
+    return max(Fraction(-sum(f * x for f, x in zip(F[1:], m)), F[0]) for F in rays if F[0] > 0)
 
 
 def generic_config(r: int) -> SurfaceConfig:

@@ -23,6 +23,7 @@ from helpers import (
     three_generic_points,
 )
 from waldschmidt import cone, config, simplex
+from waldschmidt.classes import enumerate_exceptional
 from waldschmidt.cone import (
     Certificate,
     alpha_degree,
@@ -401,6 +402,26 @@ def test_exclusion_ends_on_negative_bounding_degree():
     assert monoid_membership(D, [twice]) is None
 
 
+def test_a_curve_of_square_minus_three_is_not_forced_at_r8():
+    # At r = 8 the record also holds -K, and -K.C = 2 + C.C < 0 for a NEG
+    # curve C with C.C <= -3, so C is not forced: not every NEG curve of a
+    # valid configuration is.  L_1234 and the exceptional classes meeting
+    # it >= 0 form a valid list of 79 classes; on L - 2E_2, which no sum
+    # reaches, the exclusion stops inconclusive at L_1234 itself.
+    c = parse_class("L_1234", 8)
+    cfg = SurfaceConfig(8, [c] + [e for e in enumerate_exceptional(8) if pairing(e, c) >= 0])
+    assert len(cfg.neg_curves) == 79 and validate_config(cfg).ok
+    gens = effective_generators(cfg)
+    assert pairing(gens[-1], c) == -1  # gens[-1] is -K
+    prep = cone._record(cfg)
+    prep.row(0)
+    assert not prep.forced[0]
+    D = DivisorClass((1, 0, -2, 0, 0, 0, 0, 0, 0))
+    assert reference_exclusion(D, gens) == (False, [0])
+    assert not cone._excluded(D.coeffs, prep)
+    assert monoid_membership(D, gens) is None
+
+
 def draw_generators(data):
     """Rank r and a generator list, from no valid configuration too; only
     the lists the input checks reject are skipped."""
@@ -479,7 +500,9 @@ def test_prepared_rows_match_plain_pairings(data):
     # Row i packs C.h for the i-th generator C and every generator h, and
     # its forced flag follows the plain definition.  The exclusion
     # reading the rows agrees with the plain one in helpers, and packs
-    # exactly the rows of the curves it reaches.
+    # the rows of the curves each target reaches; a widening drops the
+    # rows packed before it.  Each packed row is at the current width
+    # with its plain flag.
     r, gens = draw_generators(data)
     cone._prepare.cache_clear()
     prep = cone._prepare(cone._key(gens))
@@ -492,7 +515,12 @@ def test_prepared_rows_match_plain_pairings(data):
         proved, taken = reference_exclusion(D, gens)
         assert cone._excluded(D.coeffs, prep) == proved, (D, gens)
         reached.update(taken)
-        assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
+        packed = {i for i, row in enumerate(prep.packed) if row is not None}
+        assert set(taken) <= packed <= reached
+        for i in packed:
+            pairs, forced = plain_row(i, gens)
+            assert prep.packed[i] == packed_int(pairs, prep.k)
+            assert prep.forced[i] == forced
     for i in range(len(gens)):  # row() widens to a width that holds P itself
         pairs, forced = plain_row(i, gens)
         assert prep.row(i) == packed_int(pairs, prep.k)
@@ -547,10 +575,10 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
     # Targets with coefficients up to 2**70, drawn at a fresh magnitude
     # each, make the record widen its slots several times with rows
     # already filled.  The exclusion still agrees with the plain one in
-    # helpers, packs exactly the rows of the curves it reaches, keeps
-    # every packed row at the current width with its plain forced flag,
-    # and its slots hold the proven bound of every target whose loop it
-    # entered.
+    # helpers, packs the rows of the curves each target reaches (a
+    # widening drops the rows packed before it), keeps every packed row
+    # at the current width with its plain forced flag, and its slots hold
+    # the proven bound of every target whose loop it entered.
     if data.draw(st.booleans(), label="catalog"):
         r, gens = 5, effective_generators(find_type("(2,A4,3)(a)").config())
     else:
@@ -570,10 +598,11 @@ def test_exclusion_on_wide_targets_matches_plain_pairings(data):
         proved, taken = reference_exclusion(D, gens)
         assert cone._excluded(D.coeffs, prep) == proved, (D, gens)
         reached.update(taken)
-        assert {i for i, row in enumerate(prep.packed) if row is not None} == reached
+        packed = {i for i, row in enumerate(prep.packed) if row is not None}
+        assert set(taken) <= packed <= reached
         if sum(x * y for x, y in zip(a, coeffs)) >= 0 and not root_rejects(D, gens):
             assert 2 ** (prep.k - 1) > pairing_bound(D, gens)
-        for i in reached:
+        for i in packed:
             pairs, forced = plain_row(i, gens)
             assert prep.packed[i] == packed_int(pairs, prep.k)
             assert prep.forced[i] == forced
@@ -583,8 +612,8 @@ def test_a_target_just_past_the_first_width_widens_the_record():
     # p_2 infinitely near p_1: every c_l is 1 and P = 3, so the bound is
     # |D0| + |D1| + |D2| + 3 A.D.  2L - 3E_1 + 17E_2 has bound 127, which
     # the first width, 8 bits, holds; 2L - 6E_1 + 21E_2 has bound 128,
-    # just past it, so the record widens to 16 bits and repacks the rows
-    # the first target packed.  Both are proved absent.
+    # just past it, so the record widens to 16 bits, dropping the rows the
+    # first target packed, and packs its own there.  Both are proved absent.
     gens = parse_classes(["E_12", "E_2", "L_12"], 2)
     cone._prepare.cache_clear()
     prep = cone._prepare(cone._key(gens))

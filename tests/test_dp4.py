@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_alpha_hat, replaced
+from helpers import brute_force_alpha_hat, nef_rays, ray_alpha_hat, replaced
 from waldschmidt import cli, config, dp4
 from waldschmidt.classes import enumerate_exceptional, is_exceptional, is_root
 from waldschmidt.cone import waldschmidt
@@ -381,3 +381,69 @@ def test_value_is_forced_by_the_signature(rank, dynkin, n, l, value):
         assert waldschmidt(cfg, (1,) * R5)[0] == value
         found += 1
     assert found > 0
+
+
+def test_the_catalog_is_rebuilt_from_the_lattice():
+    # The 20 positive roots of D5 a blowup model can hold are e_i - e_j
+    # with i < j and L_ijk.  The root sets whose distinct roots pair 0 or
+    # 1, each with its lines (the exceptional classes meeting every root
+    # >= 0), pass two checks over roots plus lines: no exceptional class,
+    # effective on every blowup of r <= 8 points, is excluded, and every
+    # negative root is.  Up to relabelings of
+    # the points that keep every e_i - e_j with i < j, they form exactly
+    # the catalog's 30 root lists, each with its l and its n, which is 5
+    # minus the number of degree-0 roots.
+    from itertools import permutations
+
+    from waldschmidt import cone
+
+    positive = _positive_roots()
+    assert len(positive) == 20
+    exceptional = enumerate_exceptional(R5)
+    sets = []
+
+    def extend(chosen, start):
+        sets.append(chosen)
+        for i in range(start, len(positive)):
+            if all(pairing(positive[i], a) in (0, 1) for a in chosen):
+                extend(chosen + [positive[i]], i + 1)
+
+    extend([], 0)
+    assert len(sets) == 428
+    tuples = {a.coeffs for a in positive}
+    relabelings = [(0, *p) for p in permutations(range(1, R5 + 1))]
+
+    def orbit_key(roots):
+        images = ({tuple(a.coeffs[i] for i in p) for a in roots} for p in relabelings)
+        return min(tuple(sorted(image)) for image in images if image <= tuples)
+
+    classes = {}
+    for roots in sets:
+        lines = [e for e in exceptional if all(pairing(e, a) >= 0 for a in roots)]
+        prep = cone._prepare(cone._key(roots + lines))
+        assert not any(cone._excluded(e.coeffs, prep) for e in exceptional), roots
+        assert all(cone._excluded((-a).coeffs, prep) for a in positive), roots
+        n = R5 - sum(1 for a in roots if a.coeffs[0] == 0)
+        assert classes.setdefault(orbit_key(roots), (len(lines), n)) == (len(lines), n)
+    assert len(classes) == 30
+    assert {orbit_key(list(t.roots)): (t.l, t.n) for t in catalog()} == classes
+
+
+@pytest.fixture(scope="module")
+def rays():
+    """Each model's nef rays, found once for the module (about 2.5 s)."""
+    return {t.label: nef_rays(t.config()) for t in catalog()}
+
+
+@pytest.mark.parametrize("label", EXPECTED_LABELS)
+def test_the_lp_value_is_the_best_nef_ray(rays, label):
+    # The maximum over the nef cone's rays shares the NEG list with the
+    # LP but no code path, so it checks the simplex, the certificate
+    # builder and the pivot rule at once.
+    import random
+
+    cfg = find_type(label).config()
+    rng = random.Random(label)
+    ms = [(1,) * R5] + [tuple(rng.randrange(4) for _ in range(R5)) for _ in range(12)]
+    for m in ms:
+        assert ray_alpha_hat(rays[label], m) == waldschmidt(cfg, m)[0], (label, m)
