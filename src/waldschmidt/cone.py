@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import ceil, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from ._record import Record
@@ -183,11 +183,12 @@ class _Prepared(PackedMatrix):
     negated, so that sum(c_l * cols[l]) packs c.g for every column g, and
     widen it when their bound needs more.  `pmax` is the sum of the
     cmax[l]**2.  Built on first use: row() packs each pairing row of
-    `packed` and sets its `forced` flag (widen() drops every row), and
-    prepare_search() the search parts (`steps` is None until then)."""
+    `packed` and sets its `forced` flag (widen() drops every row),
+    prepare_search() the search parts (`steps` is None until then), and
+    symmetry() the points' partition `heads` (None until then)."""
 
     __slots__ = ("coeffs", "pmax", "packed", "forced", "offset", "cols",
-                 "bound", "degs", "root", "steps", "order")
+                 "bound", "degs", "root", "steps", "order", "heads")
 
     def __init__(self, key: tuple[tuple[int, ...], ...], lp_column: tuple | None = None) -> None:
         cols = key if lp_column is None else [*key, lp_column]
@@ -197,6 +198,7 @@ class _Prepared(PackedMatrix):
         self.packed: list[int | None] = [None] * len(key)
         self.forced = [False] * len(key)
         self.steps: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...] | None = None
+        self.heads: list[int] | None = None
 
     def prepare_search(self) -> _Prepared:
         """The input checks and search parts of monoid_membership; raises if malformed."""
@@ -252,6 +254,36 @@ class _Prepared(PackedMatrix):
                     later[l].add(a > 0)
         self.steps = tuple(steps[::-1])
         return self
+
+    def symmetry(self) -> list[int]:
+        """heads[i - 1], the first point of point i's block: points i and j
+        share a block when swapping coordinates i and j maps the set of
+        generator coefficient tuples to itself.  The relation is an
+        equivalence, as (i k) = (i j)(j k)(i j), so j joins the first block
+        whose first point it swaps with, or starts one.  With 2**(k-1) above
+        every |coefficient|, the code sum(g_l * 2**(k*l)) of a tuple g is
+        one-to-one, and the swap adds (g_j - g_i) * (2**(k*i) - 2**(k*j)):
+        it maps the set to itself exactly when it maps it into itself."""
+        if self.heads is None:
+            coords = self.coords
+            k = max(self.cmax).bit_length() + 1
+            w = [1 << k * l for l in range(len(coords))]
+            codes = [sum(map(mul, g, w)) for g in self.coeffs]
+            known = set(codes)
+            firsts: list[int] = []
+            heads = []
+            for j in range(1, len(coords)):
+                for i in firsts:
+                    shift = w[i] - w[j]
+                    if known.issuperset([c + (y - x) * shift
+                                         for c, x, y in zip(codes, coords[i], coords[j]) if x != y]):
+                        break
+                else:
+                    i = j
+                    firsts.append(j)
+                heads.append(i)
+            self.heads = heads
+        return self.heads
 
     def row(self, i: int) -> int:
         """Generator i's pairing row, packed and its forced flag set on
@@ -495,18 +527,80 @@ def waldschmidt(
 
 
 def _solve(mm: tuple[int, ...], prep: _Prepared) -> tuple[Fraction, Certificate]:
-    """waldschmidt on checked multiplicities, the certificate built in
-    integers from the LP's numerators over D: with t = e/D and g = gcd(e, D),
-    d = e/g, m = D/g, each coefficient is e_j/g, and once the dual's y_0 is
-    -D (its entry -1) the nef class is (D, y_1, ..., y_r) made primitive."""
+    """waldschmidt on checked multiplicities, solved in the quotient by the
+    points' symmetry where that halves the LP's rows.
+
+    Symmetry.  Refine the blocks of prep.symmetry() by equal m_i, and let
+    G be the permutations of the points within each refined block.  G is
+    generated by transpositions that map the generator set (-K included)
+    to itself and fix m, so it permutes the LP's columns and fixes its
+    target.  Project a class D to pi(D) = (D_0, sum_{i in b} D_i for each
+    block b).  A G-invariant class is constant on each block, so it is
+    fixed by its line degree and its block sums: pi is one-to-one on
+    invariant classes.  The quotient LP has a column for each distinct
+    projection pi(g) of a generator, in the record order of its first
+    generator, then pi(-e0) = -e0, and the target (0, -m_b*|b| for each
+    b).  The two LPs have the same value:
+    - Quotient <= record: averaging an optimal decomposition over G gives
+      an optimal one whose terms are orbit averages avg_G(g).  Each is
+      invariant and projects to pi(g), as pi is linear and G-invariant,
+      so applying pi gives a quotient solution of the same value.
+    - Record <= quotient: the lift below turns every quotient solution
+      into a record solution of the same value.
+
+    When.  The quotient has one row per block after the line degree.  It
+    is taken when 2*(blocks + 1) <= r + 1, that is when it at least
+    halves the rows; a smaller saving does not repay the projection and
+    the lift on the small catalog LPs.  Otherwise the record itself is
+    the LP, the quotient by singleton blocks, and is solved as it is.
+
+    Lift.  A column's coefficient is spread evenly over the G-orbit of its
+    first generator g: the generators with g's projection and g's sorted
+    restriction to every block.  The record repeats no generator, so
+    those terms sum to the coefficient times avg_G(g), the invariant
+    class projecting to pi(g), and all terms sum to the invariant class
+    projecting to the quotient target: the target itself.  With the
+    quotient's dual y, F = (-y_0, y_b on every point of b) is constant on
+    blocks, so F.g = -y.pi(g) for every generator g, which is >= 0 as
+    pi(g)'s reduced cost is.  By strong duality y.target = t, and with
+    y_0 = -1 this gives F.(t*e0 - sum m_i e_i) = t + sum_b y_b*m_b*|b| =
+    t - t = 0.
+
+    Certificate, in integers from the LP's numerators over D: with
+    t = e/D and g = gcd(e, D), d = e/g and m = D/g, a column's
+    coefficient is x_j/g, spread over its orbit, and once y_0 is -D (its
+    entry -1) the nef class is (D, y_1, ..., y_r) made primitive."""
     r = len(mm)
     if all(x == 0 for x in mm):
         return Fraction(0), Certificate(
             d=0, m=1, multiplicities=mm, decomposition=(), nef=line_class(r)
         )
+    coeffs, n = prep.coeffs, len(prep.coeffs)
     # Columns: the generators, then -e0 for the line degree t (the record's).
-    target = (0,) + tuple(-x for x in mm)
-    res = solve_lp(prep, target, [0] * len(prep.coeffs) + [1])
+    a, target, cost, groups = prep, (0,) + tuple([-x for x in mm]), [0] * n + [1], None
+    # The distinct m_i bound the blocks from below, so a query that cannot
+    # take the quotient does not read the symmetry.
+    if 2 * (len(set(mm)) + 1) <= r + 1:
+        keys = list(zip(prep.symmetry(), mm))
+        if 2 * (len(set(keys)) + 1) <= r + 1:
+            groups = {}
+            for i, key in enumerate(keys, start=1):
+                groups.setdefault(key, []).append(i)
+            coords = prep.coords
+            sums = [coords[0]]
+            for first, *rest in groups.values():
+                row = coords[first]
+                for i in rest:
+                    row = list(map(add, row, coords[i]))
+                sums.append(row)
+            # Each distinct projection's generators, in record order.
+            orbits: dict[tuple[int, ...], list[int]] = {}
+            for h, col in zip(range(n), zip(*sums)):
+                orbits.setdefault(col, []).append(h)
+            a = list(zip(*orbits, (-1,) + (0,) * len(groups)))
+            target = (0,) + tuple([-x * len(b) for (_, x), b in groups.items()])
+            cost = [0] * len(orbits) + [1]
+    res = solve_lp(a, target, cost)
     if res.status == INFEASIBLE:
         raise InfeasibleConeError(
             "no multiple of the line class dominates E_Z over these generators"
@@ -522,8 +616,29 @@ def _solve(mm: tuple[int, ...], prep: _Prepared) -> tuple[Fraction, Certificate]
         raise SolverInvariantError(
             f"line-degree dual variable is {Fraction(y0, den)}, not -1: it must be tight"
         )
-    g, h, terms = gcd(e, den), gcd(den, *ys), zip(prep.coeffs, res.x_num)
-    decomposition = tuple([(_prechecked(c), Fraction(v, g)) for c, v in terms if v])
+    g = gcd(e, den)
+    if groups is None:
+        decomposition = tuple([(_prechecked(c), Fraction(v, g))
+                               for c, v in zip(coeffs, res.x_num) if v])
+    else:
+        wide = [b for b in groups.values() if len(b) > 1]
+
+        def shape(h: int) -> list[list[int]]:
+            c = coeffs[h]
+            return [sorted([c[i] for i in b]) for b in wide]
+
+        spread = []
+        for same, v in zip(orbits.values(), res.x_num):
+            if v:
+                key = shape(same[0])
+                orbit = [h for h in same if shape(h) == key]
+                q = Fraction(v, g * len(orbit))
+                spread += [(h, q) for h in orbit]
+        spread.sort()  # into record order; the positions differ
+        decomposition = tuple([(_prechecked(coeffs[h]), q) for h, q in spread])
+        block_ys = dict(zip(groups, ys))
+        ys = [block_ys[key] for key in keys]
+    h = gcd(den, *ys)
     nef = DivisorClass(tuple([den // h] + [y // h for y in ys]))
     return Fraction(e, den), Certificate(e // g, den // g, mm, decomposition, nef)
 

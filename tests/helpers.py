@@ -43,6 +43,63 @@ def fraction_certificate(res, gens, mm) -> Certificate:
     return Certificate(d=d, m=den, multiplicities=mm, decomposition=decomposition, nef=nef)
 
 
+def plain_certificate_failures(cert: Certificate, gens: list[DivisorClass]) -> list[str]:
+    """The certificate conditions, checked on plain coefficient tuples with
+    Fractions and the form diag(1, -1, ..., -1) written out, as a reference
+    for cone.certificate_failures: d >= 0 and m > 0, each term a generator
+    with a coefficient >= 0, the terms summing to d*L - m*E_Z, and the nef
+    class nonzero, pairing >= 0 with every generator and 0 with that
+    target."""
+    def dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
+
+    failures = []
+    if cert.d < 0 or cert.m <= 0:
+        failures.append(f"bad ratio {cert.d}/{cert.m}")
+    coeffs = {g.coeffs for g in gens}
+    total = [Fraction(0)] * (len(cert.multiplicities) + 1)
+    for g, q in cert.decomposition:
+        if g.coeffs not in coeffs:
+            failures.append(f"{g.coeffs} is not a generator")
+        if q < 0:
+            failures.append(f"{g.coeffs} has coefficient {q}")
+        total = [t + q * a for t, a in zip(total, g.coeffs)]
+    target = (cert.d,) + tuple(-cert.m * x for x in cert.multiplicities)
+    if total != list(target):
+        failures.append(f"the terms sum to {total}, not {target}")
+    f = cert.nef.coeffs
+    if not any(f):
+        failures.append("the nef class is zero")
+    failures += [f"the nef class pairs {dot(f, c)} with {c}"
+                 for c in sorted(coeffs) if dot(f, c) < 0]
+    if dot(f, target):
+        failures.append("the nef class is not orthogonal to the target")
+    return failures
+
+
+def symmetry_blocks(gens: list[DivisorClass], m: tuple[int, ...]) -> list[list[int]]:
+    """The points 1..r grouped as the Waldschmidt LP's symmetry quotient
+    groups them, tested plainly: i and j share a block when m_i = m_j and
+    swapping coordinates i and j maps the set of generator tuples to
+    itself.  Blocks run by their first point."""
+    tuples = {g.coeffs for g in gens}
+
+    def swaps(i: int, j: int) -> bool:
+        def swapped(c: tuple[int, ...]) -> tuple[int, ...]:
+            c = list(c)
+            c[i], c[j] = c[j], c[i]
+            return tuple(c)
+
+        return {swapped(c) for c in tuples} == tuples
+
+    blocks = []
+    for j in range(1, len(m) + 1):
+        block = [i for i in range(1, len(m) + 1) if m[i - 1] == m[j - 1] and swaps(i, j)]
+        if block not in blocks:
+            blocks.append(block)
+    return blocks
+
+
 def brute_force_alpha_hat(
     cfg: SurfaceConfig,
     m: tuple[int, ...],

@@ -148,6 +148,35 @@ def test_waldschmidt_infeasible_exits_5(capsys, tmp_path):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("data", [{"r": 2}, {"r": 3, "negative_curves": []}])
+def test_waldschmidt_without_generators_exits_5(capsys, tmp_path, data):
+    # No generator: at r = 2 the record's LP is too small to halve, at r = 3
+    # the one block of the empty set halves it, so the quotient LP has only
+    # the column -e0.  Both are infeasible.
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p))
+    assert (code, out) == (5, "")
+    assert err == ("infeasible: no multiple of the line class dominates E_Z "
+                   "over these generators\n")
+
+
+@pytest.mark.parametrize("data, m, lines", [
+    ({"r": 0}, [], ["alpha_hat = 0", "certificate: d=0 m=1 nef=L"]),
+    ({"r": 1}, [], ["alpha_hat = 1", "certificate: d=1 m=1 nef=L_1", "  1 * L_1"]),
+    ({"r": 3, "negative_curves": ["E_1", "E_2", "E_3", "L_12", "L_13", "L_23"]},
+     ["--m", "0,0,0"], ["alpha_hat = 0", "certificate: d=0 m=1 nef=L"]),
+])
+def test_waldschmidt_answers_rank_0_rank_1_and_zero_multiplicities(capsys, tmp_path,
+                                                                    data, m, lines):
+    # r = 0 and all-zero m never reach an LP; r = 1 takes the record's.
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "waldschmidt", "--config", str(p), *m)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines + ["certificate verified"]
+
+
 def test_waldschmidt_bad_multiplicities_exit_2(capsys, d5_path):
     code, _, _ = run(capsys, "waldschmidt", "--config", d5_path, "--m", "a,b")
     assert code == 2

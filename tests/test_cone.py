@@ -1,12 +1,15 @@
+import collections
 import gc
 import itertools
 import json
 import random
+import statistics
 import weakref
 from functools import cache
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,9 +20,11 @@ from helpers import (
     fraction_certificate,
     generic_config,
     packed_int,
+    plain_certificate_failures,
     reference_exclusion,
     replaced,
     root_rejects,
+    symmetry_blocks,
     three_generic_points,
 )
 from waldschmidt import cone, config, simplex
@@ -1441,22 +1446,120 @@ def _certificate_queries():
             yield generic_config(r), tuple(rng.randint(1, 3) for _ in range(r))
 
 
+def _solved_lp(mm, prep):
+    """cone._solve's answer, and the matrix it handed solve_lp (None if none)."""
+    seen = []
+    real = cone.solve_lp
+
+    def recording(a, b, c):
+        seen.append(a)
+        return real(a, b, c)
+
+    with mock.patch.object(cone, "solve_lp", recording):
+        value, cert = cone._solve(mm, prep)
+    return value, cert, seen[0] if seen else None
+
+
 def test_the_integer_certificate_is_the_fraction_paths():
-    # _solve builds the certificate in integers over the LP's denominator;
-    # it equals the one the Fraction views give (helpers.fraction_certificate).
-    solved = 0
+    # On the record's LP, _solve builds the certificate in integers over the
+    # LP's denominator; it equals the one the Fraction views give
+    # (helpers.fraction_certificate).  The queries that take the symmetry
+    # quotient lift their certificate from it instead.
+    solved = lifted = 0
     for cfg, m in _certificate_queries():
         mm, prep = cone._require_valid(cfg, m)
         if not any(mm):
             continue
+        value, cert, a = _solved_lp(mm, prep)
+        if a is not prep:
+            lifted += 1
+            continue
         gens = effective_generators(cfg)
-        value, cert = cone._solve(mm, prep)
         res = solve_lp(prep, (0,) + tuple(-x for x in mm), [0] * len(gens) + [1])
         expected = fraction_certificate(res, gens, mm)
         assert cert == expected and value == expected.value, (cfg, m)
         assert {type(q) for _, q in cert.decomposition} == {Fraction}, (cfg, m)
         solved += 1
-    assert solved >= 125
+    assert (solved, lifted) == (117, 12)
+
+
+def test_the_quotient_lp_has_the_pool_shape():
+    # Every generic-r8 pool query takes the quotient: one row for the line
+    # degree and one per distinct m_i, so at most 4, and a column count
+    # fixed by the block sizes, against the record's 241 generators.
+    entries = json.loads((Path(__file__).parent.parent / "perfbench" / "data" / "generic-r8.json").read_text(encoding="utf-8"))["entries"]
+    prep = cone._record(_generic(8))
+    columns = {
+        (8,): 7, (6, 2): 19, (4, 4): 21, (5, 3): 21, (6, 1, 1): 29, (5, 2, 1): 35,
+        (4, 3, 1): 37, (4, 2, 2): 41, (3, 3, 2): 43,
+    }
+    counts = []
+    for entry in entries:
+        m = tuple(entry["m"])
+        value, _, a = _solved_lp(m, prep)
+        sizes = tuple(sorted(collections.Counter(m).values(), reverse=True))
+        assert isinstance(a, list) and len(a) == len(sizes) + 1 <= 4, m
+        assert len(a[0]) - 1 == columns[sizes], m
+        assert value == Fraction(entry["value"]), m
+        counts.append(len(a[0]) - 1)
+    assert (len(counts), statistics.median(counts), max(counts)) == (97, 37, 43)
+
+
+def _symmetry_cases():
+    """(label, m), a catalog model or generic r = 3..8 about equally often,
+    with m in {0..3}^r drawn from one to three of those values, so that
+    repeated entries, and with them the quotient, are common."""
+    labels = st.one_of(st.sampled_from(SHARED_LABELS[:-6]), st.sampled_from(SHARED_LABELS[-6:]))
+    values = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+    return st.tuples(labels, values).flatmap(lambda lv: st.tuples(
+        st.just(lv[0]),
+        st.tuples(*[st.sampled_from(lv[1])] * shared_config(lv[0]).r)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetry_cases())
+def test_the_symmetry_quotient_solves_the_record_lp(case):
+    label, m = case
+    cfg = shared_config(label)
+    gens = effective_generators(cfg)
+    prep = cone._record(cfg)
+    value, cert, a = _solved_lp(m, prep)
+    full = solve_lp(prep, (0,) + tuple(-x for x in m), [0] * len(gens) + [1])
+    assert value == full.objective, case
+    assert (a is None) == (not any(m)), case
+    assert certificate_failures(cert, cfg) == [], case
+    assert plain_certificate_failures(cert, gens) == [], case
+    blocks = symmetry_blocks(gens, m)
+    quotient = any(m) and 2 * (len(blocks) + 1) <= cfg.r + 1
+    assert (a not in (None, prep)) == quotient, case
+    if quotient:
+        assert len(a) == len(blocks) + 1, case
+        nef = cert.nef.coeffs
+        assert all(len({nef[i] for i in b}) == 1 for b in blocks), case
+
+
+def test_points_whose_swap_moves_the_neg_list_are_not_merged():
+    # (1,D5,1): no swap of two points maps its NEG list to itself, so with
+    # all-ones m every point is its own block and the record's LP is solved.
+    cfg = find_type("(1,D5,1)").config()
+    gens = effective_generators(cfg)
+    prep = cone._record(cfg)
+    assert symmetry_blocks(gens, ONES) == [[1], [2], [3], [4], [5]]
+    assert prep.symmetry() == [1, 2, 3, 4, 5]
+    value, cert, a = _solved_lp(ONES, prep)
+    assert a is prep
+    res = solve_lp(prep, (0,) + (-1,) * 5, [0] * len(gens) + [1])
+    assert cert == fraction_certificate(res, gens, ONES) and value == res.objective
+
+
+@pytest.mark.parametrize("label", SHARED_LABELS)
+def test_the_record_symmetry_is_the_plain_partition(label):
+    # heads[i - 1] is the first point of i's block; with every m_i equal the
+    # blocks are those of the plain swap test.
+    cfg = shared_config(label)
+    blocks = symmetry_blocks(effective_generators(cfg), (1,) * cfg.r)
+    heads = cone._record(cfg).symmetry()
+    assert [[i for i in range(1, cfg.r + 1) if heads[i - 1] == b[0]] for b in blocks] == blocks
 
 
 def test_the_certificate_scales_to_an_integer_sum():

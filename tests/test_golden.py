@@ -4,10 +4,14 @@ The files were recorded before the validation and solver-path refactor
 (the r=8 case before the integer-pivoting simplex, the dp4 --type,
 --degenerations and --bounds cases and the monomial cases before the
 saturation rewrite, the candidates cases before the class-name shapes
-moved into one table); any change to a value, a certificate or the JSON
-layout shows here.  generic-r6.json, generic-r7.json and generic-r8.json
-list every exceptional class at that rank (classes.enumerate_exceptional),
-i.e. r general points.  monoid-witnesses.json holds the output of
+moved into one table).  The r=7 and r=8 certificates other than uniform
+r=8, and the dp4 --all certificates of (5,A1,12) and (5,∅,16), were
+recorded again when the Waldschmidt LP moved to its symmetry quotient
+(cone._solve), with every alpha_hat and every other field unchanged.
+Any change to a value, a certificate or the JSON layout shows here.
+generic-r6.json, generic-r7.json and generic-r8.json list every
+exceptional class at that rank (classes.enumerate_exceptional), i.e. r
+general points.  monoid-witnesses.json holds the output of
 cone.monoid_membership itself, the integer oracle behind the brute-force
 tests, and monoid-window-answers.json a hash of its every answer over the
 benchmark's window on each catalog model.
@@ -54,8 +58,9 @@ CASES = {
     "dp4-bounds.stdout": ["dp4", "--bounds", "--json"],
 }
 # Three more r=8 LPs, recorded before the simplex tableau moved to packed
-# integer rows: the uniform m (48/17, 102 Bland pivots) and the benchmark
-# pool's most and least pivoted m (86/11 after 106 pivots, 11/2 after 28).
+# integer rows: the uniform m (48/17, 102 Bland pivots on the record's LP)
+# and the benchmark pool's most and least pivoted m (86/11 after 106
+# pivots, 11/2 after 28); all three now solve in the symmetry quotient.
 R8_MULTIPLICITIES = {
     "uniform": "1,1,1,1,1,1,1,1",
     "pool-max": "3,3,3,3,3,2,2,3",

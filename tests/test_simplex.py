@@ -118,15 +118,18 @@ def test_malformed_lp_raises_typed_error_naming_the_row(a, b, c, message):
 
 
 def test_pivot_path_matches_the_benchmark_pool(monkeypatch):
-    # The pool records each r=8 LP's value and its Bland pivot count; the
-    # solver must take the same pivots, counted through _Tableau.pivot as
-    # the pool generator (perfbench/make_pools.py) counts them.
+    # The pool records each r=8 LP's value and its Bland pivot count on the
+    # record's full LP; the solver must take the same pivots, counted
+    # through _Tableau.pivot as the pool generator (perfbench/make_pools.py)
+    # counts them.  cone.waldschmidt solves these in the symmetry quotient,
+    # so the full LP is solved here directly.
     entries = json.loads(GENERIC_R8_POOL.read_text(encoding="utf-8"))["entries"]
     picks = entries[:3] + [
         max(entries, key=lambda e: e["pivots"]),
         min(entries, key=lambda e: e["pivots"]),
     ]
-    cfg = generic_config(8)
+    prep = cone._record(generic_config(8))
+    cost = [0] * len(prep.coeffs) + [1]
     pivots = [0]
     original = simplex._Tableau.pivot
 
@@ -137,8 +140,8 @@ def test_pivot_path_matches_the_benchmark_pool(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "pivot", counting_pivot)
     for entry in picks:
         pivots[0] = 0
-        value, _ = cone.waldschmidt(cfg, tuple(entry["m"]))
-        assert (value, pivots[0]) == (F(entry["value"]), entry["pivots"]), entry["m"]
+        res = solve_lp(prep, (0,) + tuple(-x for x in entry["m"]), cost)
+        assert (res.objective, pivots[0]) == (F(entry["value"]), entry["pivots"]), entry["m"]
 
 
 _ENTRIES = st.one_of(
