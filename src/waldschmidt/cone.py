@@ -594,12 +594,12 @@ def _solve(mm: tuple[int, ...], prep: _Prepared) -> tuple[Fraction, Certificate]
                     row = list(map(add, row, coords[i]))
                 sums.append(row)
             # Each distinct projection's generators, in record order.
-            orbits: dict[tuple[int, ...], list[int]] = {}
+            fibres: dict[tuple[int, ...], list[int]] = {}
             for h, col in zip(range(n), zip(*sums)):
-                orbits.setdefault(col, []).append(h)
-            a = list(zip(*orbits, (-1,) + (0,) * len(groups)))
+                fibres.setdefault(col, []).append(h)
+            a = list(zip(*fibres, (-1,) + (0,) * len(groups)))
             target = (0,) + tuple([-x * len(b) for (_, x), b in groups.items()])
-            cost = [0] * len(orbits) + [1]
+            cost = [0] * len(fibres) + [1]
     res = solve_lp(a, target, cost)
     if res.status == INFEASIBLE:
         raise InfeasibleConeError(
@@ -628,7 +628,7 @@ def _solve(mm: tuple[int, ...], prep: _Prepared) -> tuple[Fraction, Certificate]
             return [sorted([c[i] for i in b]) for b in wide]
 
         spread = []
-        for same, v in zip(orbits.values(), res.x_num):
+        for same, v in zip(fibres.values(), res.x_num):
             if v:
                 key = shape(same[0])
                 orbit = [h for h in same if shape(h) == key]
